@@ -40,7 +40,13 @@ from .preprocess import (
     concat_tables,
     fmg_channel,
 )
-from .recordings import load_session, write_session
+from .recordings import (
+    load_calibration,
+    load_session,
+    load_take,
+    read_session_index,
+    write_session,
+)
 from .streaming import StreamingPredictor
 from .synthgen import SessionSpec, default_session_spec, generate_session
 
@@ -77,16 +83,32 @@ def _parse_configs(text: str) -> list[ModelConfig]:
     return configs
 
 
+def _check_joint(recorded: Joint, joint: Joint, session_dir) -> None:
+    if recorded is not joint:
+        raise DataError(
+            f"session at {session_dir} records the "
+            f"{recorded.value}, not the {joint.value}"
+        )
+
+
 def _load_or_synthesize(args, joint: Joint):
-    if getattr(args, "session", None):
+    if args.session:
         session = load_session(args.session)
-        if session.spec.joint is not joint:
-            raise DataError(
-                f"session at {args.session} records the "
-                f"{session.spec.joint.value}, not the {joint.value}"
-            )
+        _check_joint(session.spec.joint, joint, args.session)
         return session
     return generate_session(default_session_spec(joint))
+
+
+def _pick_take(takes, velocity: float | None, index: int):
+    """The first take, in session order, with this index (and velocity)."""
+    if velocity is not None:
+        takes = [t for t in takes if t.velocity_deg_s == velocity]
+        if not takes:
+            raise DataError(f"session has no take at {velocity} deg/s")
+    for take in takes:
+        if take.take_index == index:
+            return take
+    raise DataError(f"no take with index {index}")
 
 
 def _session_cells(session, configs) -> dict:
@@ -179,19 +201,18 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     estimator = load_estimator(args.model)
-    session = _load_or_synthesize(args, estimator.joint)
-    takes = session.takes
-    if args.velocity is not None:
-        takes = [t for t in takes if t.velocity_deg_s == args.velocity]
-        if not takes:
-            raise DataError(
-                f"session has no take at {args.velocity} deg/s"
-            )
-    matching = [t for t in takes if t.take_index == args.take]
-    if not matching:
-        raise DataError(f"no take with index {args.take}")
-    take = matching[0]
-    calib = compute_calibration(session.standing, session.initial_angle)
+    if args.session:
+        # Read only the scored take's data and the calibration files.
+        index = read_session_index(args.session)
+        _check_joint(index.spec.joint, estimator.joint, args.session)
+        entry = _pick_take(index.takes, args.velocity, args.take)
+        take = load_take(entry.path, entry.fields)
+        standing, initial_angle = load_calibration(index)
+    else:
+        session = generate_session(default_session_spec(estimator.joint))
+        take = _pick_take(session.takes, args.velocity, args.take)
+        standing, initial_angle = session.standing, session.initial_angle
+    calib = compute_calibration(standing, initial_angle)
     table = build_features(
         take.recording, estimator.joint, estimator.config, calib
     )
@@ -254,8 +275,8 @@ def cmd_stream(args) -> int:
     estimator = load_estimator(args.model)
     calibration = None
     if args.session:
-        session = load_session(args.session)
-        calibration = compute_calibration(session.standing, session.initial_angle)
+        standing, initial_angle = load_calibration(read_session_index(args.session))
+        calibration = compute_calibration(standing, initial_angle)
     predictor = StreamingPredictor(estimator, calibration)
 
     muscles = predictor.muscles
@@ -291,7 +312,12 @@ def cmd_stream(args) -> int:
                 print(f"stream: skipping line {lineno}: {exc}", file=sys.stderr)
                 skipped += 1
                 continue
-            sample = predictor.push(angle, fmg_values, time_s)
+            try:
+                sample = predictor.push(angle, fmg_values, time_s)
+            except DataError as exc:
+                print(f"stream: skipping line {lineno}: {exc}", file=sys.stderr)
+                skipped += 1
+                continue
             if not header_written:
                 print(_STREAM_HEADER)
                 header_written = True

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DegenerateTarget,
     LengthMismatch,
+    ModelFormatError,
     NonPositiveBaseline,
     TooFewUnits,
     ZeroVariance,
@@ -348,22 +349,33 @@ def save_estimator(estimator: TrainedEstimator, path) -> None:
 
 
 def load_estimator(path) -> TrainedEstimator:
+    """Inverse of :func:`save_estimator`; incomplete metadata is a
+    :class:`ModelFormatError`."""
     model, meta = load_model(path)
-    column_stats = [
-        NormalizationStats(mean=m, std_dev=s)
-        for m, s in zip(meta["column_means"], meta["column_stds"])
-    ]
-    return TrainedEstimator(
-        model=model,
-        joint=Joint(meta["joint"]),
-        config=ModelConfig(meta["config"]),
-        column_stats=column_stats,
-        column_names=tuple(meta["column_names"]),
-        target_stats=NormalizationStats(
-            mean=meta["target_mean"], std_dev=meta["target_std"]
-        ),
-        sample_rate_hz=float(meta["sample_rate_hz"]),
-    )
+    try:
+        means, stds = meta["column_means"], meta["column_stds"]
+        if not len(means) == len(stds) == model.inputs.shape[1]:
+            raise ValueError(
+                f"{len(means)} column means and {len(stds)} column stds "
+                f"for {model.inputs.shape[1]} model features"
+            )
+        return TrainedEstimator(
+            model=model,
+            joint=Joint(meta["joint"]),
+            config=ModelConfig(meta["config"]),
+            column_stats=[
+                NormalizationStats(mean=m, std_dev=s) for m, s in zip(means, stds)
+            ],
+            column_names=tuple(meta["column_names"]),
+            target_stats=NormalizationStats(
+                mean=meta["target_mean"], std_dev=meta["target_std"]
+            ),
+            sample_rate_hz=float(meta["sample_rate_hz"]),
+        )
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: model metadata lacks {exc}") from exc
+    except (ValueError, TypeError, ZeroVariance) as exc:
+        raise ModelFormatError(f"{path}: bad model metadata: {exc}") from exc
 
 
 @dataclass

@@ -5,6 +5,12 @@ marginal-likelihood hyperparameter selection in log space. The default
 configuration keeps the output and length scales fixed at 1, so the
 kernel is exactly exp(-||x - x'||^2 / 2), and tunes only the observation
 noise; both scales can be freed through ``GpOptions``.
+
+The noise-only search needs just the eigenvalues of K and the
+coordinates Q'y (Rasmussen & Williams 2006, sections 2.2 and 5.4). It
+gets them from a Householder tridiagonal reduction K = H T H', the
+reflectors applied to y alone, and a tridiagonal eigensolver, so the
+dense eigenvector matrix Q is never formed.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, eigh, solve_triangular
+from scipy.linalg import cho_solve, cholesky, eigh_tridiagonal, solve_triangular
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dsytrd, dsytrd_lwork
 from scipy.optimize import minimize
 
 from .errors import (
@@ -21,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     ModelFormatError,
     NotPositiveDefinite,
+    NumericalError,
 )
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -130,8 +139,18 @@ def _cross_covariance(
         raise DimensionMismatch(
             f"input dimensions differ: {xa.shape[1]} vs {xb.shape[1]}"
         )
-    d2 = _sq_dists(xa, xb)
-    return hyper.output_scale**2 * np.exp(-0.5 * d2 / hyper.length_scale**2)
+    # The n x m block is allocated once. It starts as ||a||^2 + ||b||^2 and
+    # one GEMM adds -2 a.b' into it; BLAS is column-major, so it works on
+    # the transposed view of the C-ordered block. The rest is in place.
+    k = np.add.outer(np.sum(xa * xa, axis=1), np.sum(xb * xb, axis=1))
+    if k.size:  # the BLAS wrapper rejects empty operands
+        k = dgemm(-2.0, xb, xa, beta=1.0, c=k.T, trans_b=1, overwrite_c=1).T
+    np.maximum(k, 0.0, out=k)  # squared distances, clamped against rounding
+    k *= -0.5
+    k /= hyper.length_scale**2
+    np.exp(k, out=k)
+    k *= hyper.output_scale**2
+    return k
 
 
 def kernel_rbf(
@@ -160,7 +179,9 @@ def gram_matrix(x: np.ndarray, hyper: Hyperparameters | None = None) -> np.ndarr
         hyper = Hyperparameters()
     pts = _as_points(x)
     k = _cross_covariance(pts, pts, hyper)
-    return 0.5 * (k + k.T)
+    k += k.T
+    k *= 0.5
+    return k
 
 
 def _factor(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
@@ -198,8 +219,8 @@ def fit(
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("training data must be finite")
 
-    n = x.shape[0]
-    k_noisy = gram_matrix(x, hyper) + hyper.noise_variance * np.eye(n)
+    k_noisy = gram_matrix(x, hyper)
+    k_noisy.flat[:: x.shape[0] + 1] += hyper.noise_variance
     lower, jitter = _factor(k_noisy)
     alpha = cho_solve((lower, True), y)
     model = GprModel(
@@ -248,10 +269,37 @@ def lml_gradient(model: GprModel, active: np.ndarray | None = None) -> np.ndarra
     return grads
 
 
+def _spectrum(k: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a symmetric K (ascending) and y_hat = Q' y, without Q.
+
+    K = H T H' by Householder reduction, T = V diag(lam) V' by a
+    tridiagonal eigensolver, so Q = H V and Q' y = V' (H' y): the n - 1
+    reflectors are applied to y only. ``k`` is overwritten.
+    """
+    n = k.shape[0]
+    lwork, _ = dsytrd_lwork(n, lower=1)
+    # k.T is the Fortran-ordered view of the symmetric k, so LAPACK reduces
+    # it in place; the queried workspace selects the blocked reduction
+    # (scipy's default workspace runs the unblocked one, twice as slow).
+    a, d, e, tau, info = dsytrd(k.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"tridiagonal reduction failed (info={info})")
+    # H = H_0 H_1 ... H_{n-2}, H_i = I - tau_i v v' with v[:i+1] = 0,
+    # v[i+1] = 1 and v[i+2:] stored below the subdiagonal of column i.
+    # H' y applies H_0 first.
+    z = y.copy()
+    for i in range(n - 1):
+        v = a[i + 1 :, i]
+        v[0] = 1.0  # the slot held e[i], which is already in ``e``
+        z[i + 1 :] -= (tau[i] * (v @ z[i + 1 :])) * v
+    lam, vecs = eigh_tridiagonal(d, e)
+    return lam, vecs.T @ z
+
+
 def _eigen_lml_and_grad(
     lam: np.ndarray, y_hat: np.ndarray, log_noise: float
 ) -> tuple[float, float]:
-    """Noise-only objective from a precomputed eigendecomposition.
+    """Noise-only objective from the spectrum of K.
 
     With K = Q diag(lam) Q' and y_hat = Q' y, the quadratic and
     determinant terms decouple per eigenvalue, so each noise evaluation
@@ -282,8 +330,9 @@ def optimize_hyperparameters(
     Multi-start quasi-Newton ascent (L-BFGS-B on the negated objective),
     returning the best candidate across starts, which is never worse than
     any start's own objective value. When only the noise is free, the
-    covariance matrix is eigendecomposed once and every line-search
-    evaluation reuses it.
+    eigenvalues of the covariance matrix and the targets' coordinates in
+    its eigenbasis come from one tridiagonal reduction, and every
+    line-search evaluation reuses them.
     """
     x = _as_points(inputs)
     y = np.asarray(targets, dtype=np.float64).ravel()
@@ -295,8 +344,8 @@ def optimize_hyperparameters(
 
     eig_cache: tuple[np.ndarray, np.ndarray] | None = None
     if noise_only:
-        lam, q = eigh(gram_matrix(x, initial))
-        eig_cache = (np.maximum(lam, 0.0), q.T @ y)
+        lam, y_hat = _spectrum(gram_matrix(x, initial), y)
+        eig_cache = (np.maximum(lam, 0.0), y_hat)
 
     def negative(theta_free: np.ndarray) -> tuple[float, np.ndarray]:
         if noise_only:

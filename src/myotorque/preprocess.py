@@ -27,7 +27,7 @@ from .filters import (
     gradient,
     rectify,
 )
-from .timeseries import MultiChannelRecording, NormalizationStats, TimeSeries, Unit, resample_linear
+from .timeseries import MultiChannelRecording, TimeSeries, Unit, resample_linear
 
 
 class Joint(enum.Enum):
@@ -105,8 +105,7 @@ class FeatureTable:
 
     Columns are ordered angle, velocity, then the joint's muscles in their
     fixed order. ``segment_of_row`` is 0 for rows outside any detected
-    motion cycle and 1-based otherwise. Normalization statistics stay
-    ``None`` until a training procedure fits them.
+    motion cycle and 1-based otherwise.
     """
 
     joint: Joint
@@ -117,8 +116,6 @@ class FeatureTable:
     times_s: np.ndarray
     sample_rate_hz: float
     column_names: tuple[str, ...]
-    column_stats: list[NormalizationStats] | None = None
-    target_stats: NormalizationStats | None = None
 
     def __post_init__(self):
         n, d = self.rows.shape

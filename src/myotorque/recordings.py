@@ -239,10 +239,15 @@ def _read_json(path: Path) -> dict:
     return loaded
 
 
-def load_take(manifest_path) -> LoadedTake:
-    """Read one take manifest and the data files it points at."""
+def load_take(manifest_path, manifest: dict | None = None) -> LoadedTake:
+    """Read one take manifest and the data files it points at.
+
+    ``manifest`` is the already parsed content of ``manifest_path``, if
+    the caller has it.
+    """
     path = Path(manifest_path)
-    manifest = _read_json(path)
+    if manifest is None:
+        manifest = _read_json(path)
     root = path.parent
     try:
         joint = str(manifest["joint"])
@@ -271,8 +276,29 @@ def load_take(manifest_path) -> LoadedTake:
     )
 
 
-def load_session(session_dir) -> LoadedSession:
-    """Read a session directory back into memory via its take manifests."""
+@dataclass
+class TakeManifest:
+    """One parsed take manifest; its data files are not read yet."""
+
+    path: Path
+    velocity_deg_s: float
+    take_index: int
+    fields: dict
+
+
+@dataclass
+class SessionIndex:
+    """A session directory's index and take manifests, each parsed once."""
+
+    root: Path
+    spec: SessionSpec
+    takes: list[TakeManifest]
+    calibration: dict
+
+
+def read_session_index(session_dir) -> SessionIndex:
+    """Parse session.json and every take manifest it lists, reading no data
+    file; checks that the takes agree on the joint and calibration files."""
     root = Path(session_dir)
     index = _read_json(root / "session.json")
     try:
@@ -300,8 +326,18 @@ def load_session(session_dir) -> LoadedSession:
             raise DataError(
                 f"{manifest_path}: takes disagree on calibration files"
             )
-        takes.append(load_take(manifest_path))
+        try:
+            velocity = float(manifest["velocity_deg_s"])
+            take_index = int(manifest["take_index"])
+        except (KeyError, ValueError, TypeError) as exc:
+            raise InvalidSpec(f"{manifest_path}: bad take manifest: {exc}") from exc
+        takes.append(TakeManifest(manifest_path, velocity, take_index, manifest))
+    return SessionIndex(root, spec, takes, calibration_ref)
 
+
+def load_calibration(index: SessionIndex) -> tuple[MultiChannelRecording, TimeSeries]:
+    """The session's standing FMG recording and initial-pose angle."""
+    root, spec, calibration_ref = index.root, index.spec, index.calibration
     try:
         standing = read_recording_csv(
             root / calibration_ref["standing_file"],
@@ -317,9 +353,17 @@ def load_session(session_dir) -> LoadedSession:
         raise MissingChannel(
             f"{calibration_ref['initial_angle_file']} lacks an 'angle_deg' column"
         )
+    return standing, angle_rec["angle_deg"]
+
+
+def load_session(session_dir) -> LoadedSession:
+    """Read a session directory back into memory via its take manifests."""
+    index = read_session_index(session_dir)
+    takes = [load_take(t.path, t.fields) for t in index.takes]
+    standing, initial_angle = load_calibration(index)
     return LoadedSession(
-        spec=spec,
+        spec=index.spec,
         standing=standing,
-        initial_angle=angle_rec["angle_deg"],
+        initial_angle=initial_angle,
         takes=takes,
     )

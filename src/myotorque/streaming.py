@@ -86,6 +86,10 @@ class StreamingPredictor:
                 f"model needs {len(muscles)} FMG values per tick, "
                 f"got {len(fmg_values)}"
             )
+        if not (np.isfinite(angle_deg) and np.all(np.isfinite(fmg_values))):
+            # Reject before any state moves: a NaN in the filter state
+            # would poison every later tick of the stream.
+            raise DataError("tick has a non-finite angle or FMG value")
         rate = self.estimator.sample_rate_hz
         if time_s is None:
             time_s = self._tick / rate

@@ -11,8 +11,14 @@ import pytest
 from myotorque import (
     Joint,
     NoiseSpec,
+    build_features,
+    compute_calibration,
     default_session_spec,
     generate_session,
+    load_estimator,
+    load_model,
+    load_session,
+    save_model,
     write_session,
 )
 from myotorque.cli import main
@@ -170,6 +176,54 @@ class TestTrainPredict:
         assert code == 2
         assert "7" in capsys.readouterr().err
 
+    def test_reads_only_the_scored_take(self, fmg_model, quiet_knee_dir,
+                                        tmp_path):
+        # Byte for byte what the fully loaded session gives, with every
+        # other take's data files gone.
+        full = load_session(quiet_knee_dir)
+        (take,) = [t for t in full.takes if t.take_index == 1]
+        estimator = load_estimator(fmg_model)
+        table = build_features(
+            take.recording, estimator.joint, estimator.config,
+            compute_calibration(full.standing, full.initial_angle),
+        )
+        mean, std = estimator.predict_torque(table.rows)
+        lines = ["time_s,true_torque_nm,predicted_torque_nm,predicted_std_nm"]
+        for i in range(table.n_rows):
+            lines.append(",".join(format(v, ".17g") for v in (
+                table.times_s[i], table.targets[i], mean[i], std[i])))
+        expected = ("\r\n".join(lines) + "\r\n").encode()
+
+        lone = tmp_path / "lone"
+        lone.mkdir()
+        for p in quiet_knee_dir.iterdir():
+            if p.suffix == ".csv" and p.name.startswith("take_") \
+                    and not p.name.startswith("take_v060_t1_"):
+                continue
+            (lone / p.name).write_bytes(p.read_bytes())
+        pred = tmp_path / "pred.csv"
+        code = main([
+            "predict", "--model", str(fmg_model), "--session", str(lone),
+            "--velocity", "60", "--take", "1", "--out", str(pred),
+        ])
+        assert code == 0
+        assert pred.read_bytes() == expected
+
+    def test_model_metadata_missing_key_is_2(self, fmg_model, quiet_knee_dir,
+                                             tmp_path, capsys):
+        model, meta = load_model(fmg_model)
+        del meta["column_means"]
+        broken = tmp_path / "broken.npz"
+        save_model(model, broken, meta)
+        code = main([
+            "predict", "--model", str(broken),
+            "--session", str(quiet_knee_dir),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "column_means" in err
+        assert "Traceback" not in err
+
 
 def stream_args(model, session, infile):
     return [
@@ -240,6 +294,26 @@ class TestStream:
         assert len(rows) == 2
         assert "skipping line 2" in captured.err
         assert "processed 2 rows, skipped 1" in captured.err
+
+    def test_non_finite_line_skipped_and_stream_continues(
+            self, fmg_model, quiet_knee_dir, tmp_path, capsys):
+        good = [f"{i / 200.0:.3f},{30.0 + i},0.1,0.2,0.1,0.2,0.1"
+                for i in range(4)]
+        clean = tmp_path / "clean.csv"
+        clean.write_text("\n".join(good) + "\n")
+        assert main(stream_args(fmg_model, quiet_knee_dir, clean)) == 0
+        expected = capsys.readouterr().out
+
+        faulty = tmp_path / "faulty.csv"
+        faulty.write_text("\n".join(
+            good[:2] + ["0.010,nan,0.1,0.2,0.1,0.2,0.1"] + good[2:]) + "\n")
+        code = main(stream_args(fmg_model, quiet_knee_dir, faulty))
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert "skipping line 3" in captured.err
+        assert "non-finite" in captured.err
+        assert "processed 4 rows, skipped 1" in captured.err
 
     def test_empty_input_is_silent_success(self, fmg_model, quiet_knee_dir,
                                            tmp_path, capsys):

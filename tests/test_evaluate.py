@@ -14,6 +14,7 @@ from myotorque import (
     LengthMismatch,
     MetricsReport,
     ModelConfig,
+    ModelFormatError,
     NonPositiveBaseline,
     TooFewUnits,
     ZeroVariance,
@@ -24,11 +25,13 @@ from myotorque import (
     feature_columns,
     kfold_split,
     load_estimator,
+    load_model,
     mse,
     relative_improvement,
     rmse,
     rmse_percent_of_peak,
     save_estimator,
+    save_model,
     subsample_stride,
     train_model,
     write_metrics_csv,
@@ -267,6 +270,28 @@ class TestTrainedEstimator:
         m1, s1 = loaded.predict_torque(table.rows[:50])
         assert np.array_equal(m0, m1)
         assert np.array_equal(s0, s1)
+
+
+    @pytest.mark.parametrize("key", ["column_means", "target_std", "joint"])
+    def test_missing_metadata_key_is_model_format_error(self, tmp_path, key):
+        est = train_model(smooth_table(), train_cap=100)
+        path = tmp_path / "model.npz"
+        save_estimator(est, path)
+        model, meta = load_model(path)
+        del meta[key]
+        save_model(model, path, meta)
+        with pytest.raises(ModelFormatError, match=key):
+            load_estimator(path)
+
+    def test_metadata_width_mismatch_is_model_format_error(self, tmp_path):
+        est = train_model(smooth_table(), train_cap=100)
+        path = tmp_path / "model.npz"
+        save_estimator(est, path)
+        model, meta = load_model(path)
+        meta["column_stds"] = meta["column_stds"][:-1]
+        save_model(model, path, meta)
+        with pytest.raises(ModelFormatError, match="column stds"):
+            load_estimator(path)
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
+from scipy.optimize import minimize
 
 from myotorque import (
     DegenerateSeries,
@@ -29,7 +31,12 @@ from myotorque import (
     predict_mean,
     save_model,
 )
-from myotorque.gpr import _factor
+from myotorque.gpr import (
+    _cross_covariance,
+    _eigen_lml_and_grad,
+    _factor,
+    _spectrum,
+)
 
 
 def kernel_oracle(xa, xb, out_scale, length):
@@ -96,6 +103,25 @@ class TestKernel:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             kernel_rbf(np.zeros(2), np.zeros(3))
+
+    def test_block_matches_pointwise_kernel_at_non_unit_scales(self, rng):
+        # The n x m block is built in place from one GEMM; every entry
+        # must equal the two-point kernel.
+        hyper = Hyperparameters(output_scale=1.7, length_scale=0.6)
+        xa = rng.standard_normal((9, 3))
+        xb = rng.standard_normal((13, 3))
+        block = _cross_covariance(xa, xb, hyper)
+        assert block.shape == (9, 13)
+        for i in range(9):
+            for j in range(13):
+                assert block[i, j] == pytest.approx(
+                    kernel_rbf(xa[i], xb[j], hyper), rel=1e-12, abs=1e-300
+                )
+
+    def test_empty_block(self):
+        hyper = Hyperparameters()
+        assert _cross_covariance(np.ones((3, 2)), np.ones((0, 2)), hyper).shape == (3, 0)
+        assert _cross_covariance(np.ones((0, 2)), np.ones((3, 2)), hyper).shape == (0, 3)
 
     def test_gram_symmetric_positive_semidefinite(self, rng):
         x = rng.normal(size=(30, 2))
@@ -337,6 +363,37 @@ class TestOptimize:
         assert hyper.output_scale != 1.0
         assert hyper.length_scale != 1.0
 
+    def test_noise_matches_dense_eigendecomposition_reference(self, rng):
+        # The same multi-start L-BFGS-B over the same objective, fed by a
+        # dense eigh instead of the tridiagonal reduction.
+        x = rng.standard_normal((300, 4))
+        y = np.sin(x[:, 0]) * np.cos(x[:, 1]) + 0.1 * rng.standard_normal(300)
+        opts = GpOptions(seed=0)
+        tuned = optimize_hyperparameters(x, y, options=opts)
+
+        lam, q = eigh(gram_matrix(x))
+        lam, y_hat = np.maximum(lam, 0.0), q.T @ y
+
+        def negative(theta):
+            lml, g = _eigen_lml_and_grad(lam, y_hat, float(theta[0]))
+            return -lml, np.array([-g])
+
+        draws = np.random.default_rng(opts.seed)
+        starts = [np.zeros(1)] + [
+            draws.uniform(*opts.init_log_bounds, size=1)
+            for _ in range(opts.restarts - 1)
+        ]
+        best = min(
+            (minimize(negative, s, jac=True, method="L-BFGS-B",
+                      bounds=[(-16.0, 8.0)],
+                      options={"maxiter": opts.max_iterations,
+                               "gtol": opts.gradient_tolerance})
+             for s in starts),
+            key=lambda r: r.fun,
+        )
+        reference = math.exp(float(best.x[0]))
+        assert tuned.noise_variance == pytest.approx(reference, rel=1e-8)
+
     def test_eigendecomposition_path_matches_generic_objective(self, rng):
         # Noise-only tuning goes through a one-time eigendecomposition; its
         # stationary point must agree with a brute-force scan of the exact
@@ -374,3 +431,57 @@ class TestModelRoundTrip:
     def test_rejects_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "absent.npz")
+
+
+def _spectrum_of(k, y):
+    return _spectrum(np.array(k, dtype=np.float64), np.asarray(y, dtype=np.float64))
+
+
+class TestSpectrum:
+    """The tridiagonal route against a dense ``eigh``.
+
+    Eigenvalues are compared relative to the largest. Squared components
+    of Q'y are compared relative to ||y||^2 for every eigenvalue the
+    arithmetic resolves (above 1e-6 of the largest); inside the cluster of
+    rounding-level eigenvalues the eigenvectors are not unique, so only
+    the cluster's total there is defined.
+    """
+
+    def check(self, k, y):
+        k = np.asarray(k, dtype=np.float64)
+        lam_ref, q = eigh(k)
+        z_ref = (q.T @ y) ** 2
+        lam, y_hat = _spectrum_of(k, y)
+        z = y_hat**2
+        scale = max(abs(lam_ref[-1]), abs(lam_ref[0]))
+        assert np.max(np.abs(lam - lam_ref)) <= 1e-9 * scale
+        norm = float(y @ y)
+        resolved = np.abs(lam_ref) > 1e-6 * scale
+        assert np.max(np.abs(z - z_ref)[resolved]) <= 1e-9 * norm
+        assert abs(z[~resolved].sum() - z_ref[~resolved].sum()) <= 1e-9 * norm
+        assert z.sum() == pytest.approx(norm, rel=1e-12)
+
+    def test_one_by_one(self):
+        lam, y_hat = _spectrum_of([[2.5]], [-3.0])
+        assert lam.tolist() == [2.5]
+        assert y_hat.tolist() in ([-3.0], [3.0])
+
+    def test_two_by_two(self):
+        self.check([[2.0, 0.7], [0.7, 1.0]], np.array([0.3, -1.2]))
+
+    def test_three_by_three(self, rng):
+        a = rng.standard_normal((3, 3))
+        self.check(a @ a.T + np.eye(3), rng.standard_normal(3))
+
+    def test_rbf_gram_500_rows(self, rng):
+        # Three input dimensions give the cluster of rounding-level
+        # eigenvalues a real training set has.
+        x = rng.standard_normal((500, 3))
+        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(500)
+        self.check(gram_matrix(x), y)
+
+    def test_reduces_its_input_in_place(self, rng):
+        k = gram_matrix(rng.standard_normal((20, 2)))
+        before = k.copy()
+        _spectrum(k, np.ones(20))
+        assert not np.array_equal(k, before)

@@ -21,6 +21,8 @@ from myotorque import (
     write_recording_csv,
     write_session,
 )
+from myotorque import recordings
+from myotorque.recordings import load_calibration, read_session_index
 
 
 def tiny_recording():
@@ -175,6 +177,44 @@ class TestSessionRoundTrip:
         m = take.recording["fmg_BF"]
         assert m.sample_rate_hz == 200.0
         assert take.recording["angle_deg"].sample_rate_hz == 2000.0
+
+    def test_load_session_parses_each_manifest_once(self, session_dir,
+                                                    monkeypatch):
+        _, out = session_dir
+        parsed = []
+        real = recordings._read_json
+        monkeypatch.setattr(
+            recordings, "_read_json", lambda path: parsed.append(path.name) or real(path)
+        )
+        load_session(out)
+        assert sorted(parsed) == [
+            "session.json", "take_v060_t0.json", "take_v060_t1.json"
+        ]
+
+    def test_index_and_calibration_read_no_take_data(self, session_dir,
+                                                     tmp_path):
+        session, out = session_dir
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        for p in out.iterdir():
+            if not (p.name.startswith("take_") and p.suffix == ".csv"):
+                (bare / p.name).write_bytes(p.read_bytes())
+        index = read_session_index(bare)
+        assert index.spec == session.spec
+        assert [(t.velocity_deg_s, t.take_index) for t in index.takes] == [
+            (60.0, 0), (60.0, 1)
+        ]
+        standing, initial_angle = load_calibration(index)
+        assert np.array_equal(initial_angle.values, session.initial_angle.values)
+        for label in session.standing.labels():
+            assert np.array_equal(
+                standing[label].values, session.standing[label].values
+            )
+        take = load_take(out / "take_v060_t1.json", index.takes[1].fields)
+        assert np.array_equal(
+            take.recording["torque_nm"].values,
+            session.takes[1].recording["torque_nm"].values,
+        )
 
     def test_unknown_format_version(self, session_dir, tmp_path):
         _, out = session_dir

@@ -133,3 +133,31 @@ class TestStreamingPredictor:
         a = raw.push(angle, fmg)
         b = bare.push(angle - cal.angle_offset, centered)
         assert a.torque_nm == pytest.approx(b.torque_nm, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [
+        (float("nan"), (0.1, 0.2, 0.1, 0.2, 0.1)),
+        (30.0, (0.1, float("inf"), 0.1, 0.2, 0.1)),
+        (float("nan"), (float("nan"),) * 5),
+    ])
+    def test_non_finite_tick_rejected_without_touching_state(self, fmg_setup,
+                                                            bad):
+        session, estimator = fmg_setup
+        rec = session.takes[4].recording
+        muscles = muscles_for(session.spec.joint)
+        angle = rec["angle_deg"].values[::10][:40]
+        fmg = np.column_stack(
+            [rec[fmg_channel(m)].values[:40] for m in muscles]
+        )
+        ticks = [(float(a), tuple(f)) for a, f in zip(angle, fmg)]
+        clean = StreamingPredictor(estimator, session.calibration)
+        faulty = StreamingPredictor(estimator, session.calibration)
+        expected = [clean.push(a, f) for a, f in ticks]
+        got = []
+        for i, (a, f) in enumerate(ticks):
+            if i == 25:
+                with pytest.raises(DataError, match="non-finite"):
+                    faulty.push(*bad)
+            got.append(faulty.push(a, f))
+        # Same torques, stds and tick clock as a stream that never saw
+        # the bad row.
+        assert got == expected
