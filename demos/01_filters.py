@@ -5,9 +5,7 @@ Run with: python3 demos/01_filters.py
 
 import numpy as np
 
-from myotorque import (
-    TimeSeries,
-    Unit,
+from myotorque.filters import (
     design_butterworth_bandpass,
     design_butterworth_lowpass,
     filtfilt,
@@ -15,6 +13,7 @@ from myotorque import (
     pole_magnitudes,
     single_pass_gain,
 )
+from myotorque.timeseries import TimeSeries, Unit
 
 FS = 2000.0
 

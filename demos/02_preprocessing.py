@@ -9,19 +9,18 @@ Run with: python3 demos/02_preprocessing.py
 
 import numpy as np
 
-from myotorque import (
+from myotorque.preprocess import (
     Joint,
     ModelConfig,
     build_features,
     compute_calibration,
-    default_session_spec,
     emg_envelope,
-    generate_session,
     joint_velocity,
     muscles_for,
     segment_motions,
+    smooth_angle,
 )
-from myotorque.preprocess import smooth_angle
+from myotorque.synthgen import default_session_spec, generate_session
 
 spec = default_session_spec(Joint.KNEE)
 session = generate_session(spec)

@@ -8,7 +8,7 @@ Run with: python3 demos/03_gpr_basics.py
 
 import numpy as np
 
-from myotorque import (
+from myotorque.gpr import (
     GpOptions,
     Hyperparameters,
     fit,

@@ -11,13 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from myotorque import (
-    Joint,
-    default_session_spec,
-    generate_session,
-    load_session,
-    write_session,
-)
+from myotorque.preprocess import Joint
+from myotorque.recordings import load_session, write_session
+from myotorque.synthgen import default_session_spec, generate_session
 
 spec = default_session_spec(Joint.ANKLE)
 print(f"protocol: {spec.joint.value}, velocities {spec.velocities_deg_s} deg/s, "

@@ -7,19 +7,15 @@ suite evaluates.
 Run with: python3 demos/05_evaluation.py
 """
 
-from myotorque import (
+from myotorque.evaluate import MetricsReport, estimate_table, evaluate_cv
+from myotorque.preprocess import (
     Joint,
     ModelConfig,
-    MetricsReport,
-    SessionSpec,
     build_features,
     compute_calibration,
     concat_tables,
-    default_session_spec,
-    estimate_table,
-    evaluate_cv,
-    generate_session,
 )
+from myotorque.synthgen import SessionSpec, default_session_spec, generate_session
 
 base = default_session_spec(Joint.KNEE).to_dict()
 base.update(velocities_deg_s=[60.0], takes_per_velocity=2)

@@ -11,19 +11,17 @@ Run with: python3 demos/06_streaming.py
 
 import numpy as np
 
-from myotorque import (
+from myotorque.evaluate import train_model
+from myotorque.preprocess import (
     Joint,
     ModelConfig,
-    SessionSpec,
-    StreamingPredictor,
     build_features,
     compute_calibration,
     concat_tables,
-    default_session_spec,
-    generate_session,
     muscles_for,
-    train_model,
 )
+from myotorque.streaming import StreamingPredictor
+from myotorque.synthgen import SessionSpec, default_session_spec, generate_session
 
 base = default_session_spec(Joint.KNEE).to_dict()
 base.update(velocities_deg_s=[60.0], takes_per_velocity=2)

@@ -8,240 +8,4 @@ cross-validated evaluation, synthetic sessions with ground truth, file
 round-tripping, and a causal streaming mode.
 """
 
-from .errors import (
-    AlignmentError,
-    DataError,
-    DegenerateSeries,
-    DegenerateTarget,
-    DimensionMismatch,
-    InvalidBand,
-    InvalidCutoff,
-    InvalidOrder,
-    InvalidSpec,
-    LengthMismatch,
-    MissingChannel,
-    ModelFormatError,
-    MyotorqueError,
-    NoMotionDetected,
-    NonPositiveBaseline,
-    NotPositiveDefinite,
-    NumericalError,
-    SeriesTooShort,
-    TargetOutsideSupport,
-    TooFewUnits,
-    ZeroVariance,
-)
-from .evaluate import (
-    CvCell,
-    CvResult,
-    FoldAssignment,
-    MetricsReport,
-    TakeTables,
-    TrainedEstimator,
-    estimate_table,
-    evaluate_cv,
-    evaluate_with_exports,
-    export_scatter,
-    export_timeseries,
-    kfold_split,
-    load_estimator,
-    mse,
-    relative_improvement,
-    rmse,
-    rmse_percent_of_peak,
-    save_estimator,
-    subsample_stride,
-    train_model,
-    write_metrics_csv,
-)
-from .filters import (
-    FilterDesign,
-    FilterKind,
-    IirCoefficients,
-    design_butterworth_bandpass,
-    design_butterworth_lowpass,
-    filtfilt,
-    gradient,
-    pole_magnitudes,
-    rectify,
-    single_pass_gain,
-)
-from .gpr import (
-    GpOptions,
-    GprModel,
-    Hyperparameters,
-    fit,
-    gram_matrix,
-    kernel_rbf,
-    load_model,
-    log_marginal_likelihood,
-    lml_gradient,
-    optimize_hyperparameters,
-    predict,
-    predict_mean,
-    save_model,
-)
-from .preprocess import (
-    CalibrationRecord,
-    FeatureTable,
-    Joint,
-    ModelConfig,
-    Muscle,
-    SegmentBoundaries,
-    apply_calibration,
-    build_features,
-    compute_calibration,
-    concat_tables,
-    emg_envelope,
-    feature_columns,
-    feature_dimension,
-    joint_velocity,
-    muscles_for,
-    segment_motions,
-)
-from .recordings import (
-    LoadedSession,
-    LoadedTake,
-    load_session,
-    load_take,
-    read_recording_csv,
-    write_recording_csv,
-    write_session,
-)
-from .streaming import CausalFilter, StreamingPredictor, StreamSample
-from .synthgen import (
-    GroundTruth,
-    NoiseSpec,
-    SessionSpec,
-    SyntheticSession,
-    TakeData,
-    TorqueModel,
-    default_session_spec,
-    generate_calibration,
-    generate_session,
-    generate_take,
-)
-from .timeseries import (
-    MultiChannelRecording,
-    NormalizationStats,
-    TimeSeries,
-    Unit,
-    destandardize,
-    fit_stats,
-    resample_linear,
-    standardize,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlignmentError",
-    "CalibrationRecord",
-    "CausalFilter",
-    "CvCell",
-    "CvResult",
-    "DataError",
-    "DegenerateSeries",
-    "DegenerateTarget",
-    "DimensionMismatch",
-    "FeatureTable",
-    "FilterDesign",
-    "FilterKind",
-    "FoldAssignment",
-    "GpOptions",
-    "GprModel",
-    "GroundTruth",
-    "Hyperparameters",
-    "IirCoefficients",
-    "InvalidBand",
-    "InvalidCutoff",
-    "InvalidOrder",
-    "InvalidSpec",
-    "Joint",
-    "LengthMismatch",
-    "LoadedSession",
-    "LoadedTake",
-    "MetricsReport",
-    "MissingChannel",
-    "ModelConfig",
-    "ModelFormatError",
-    "MultiChannelRecording",
-    "Muscle",
-    "MyotorqueError",
-    "NoMotionDetected",
-    "NoiseSpec",
-    "NonPositiveBaseline",
-    "NormalizationStats",
-    "NotPositiveDefinite",
-    "NumericalError",
-    "SegmentBoundaries",
-    "SeriesTooShort",
-    "SessionSpec",
-    "StreamSample",
-    "StreamingPredictor",
-    "SyntheticSession",
-    "TakeData",
-    "TakeTables",
-    "TargetOutsideSupport",
-    "TimeSeries",
-    "TooFewUnits",
-    "TorqueModel",
-    "TrainedEstimator",
-    "Unit",
-    "ZeroVariance",
-    "apply_calibration",
-    "build_features",
-    "compute_calibration",
-    "concat_tables",
-    "default_session_spec",
-    "design_butterworth_bandpass",
-    "design_butterworth_lowpass",
-    "destandardize",
-    "emg_envelope",
-    "estimate_table",
-    "evaluate_cv",
-    "evaluate_with_exports",
-    "export_scatter",
-    "export_timeseries",
-    "feature_columns",
-    "feature_dimension",
-    "filtfilt",
-    "fit",
-    "fit_stats",
-    "generate_calibration",
-    "generate_session",
-    "generate_take",
-    "gradient",
-    "joint_velocity",
-    "gram_matrix",
-    "kernel_rbf",
-    "kfold_split",
-    "load_estimator",
-    "load_model",
-    "load_session",
-    "load_take",
-    "log_marginal_likelihood",
-    "lml_gradient",
-    "mse",
-    "muscles_for",
-    "optimize_hyperparameters",
-    "pole_magnitudes",
-    "predict",
-    "predict_mean",
-    "read_recording_csv",
-    "rectify",
-    "relative_improvement",
-    "resample_linear",
-    "rmse",
-    "rmse_percent_of_peak",
-    "save_estimator",
-    "save_model",
-    "segment_motions",
-    "single_pass_gain",
-    "standardize",
-    "subsample_stride",
-    "train_model",
-    "write_metrics_csv",
-    "write_recording_csv",
-    "write_session",
-]

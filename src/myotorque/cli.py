@@ -91,11 +91,16 @@ def _check_joint(recorded: Joint, joint: Joint, session_dir) -> None:
         )
 
 
-def _load_or_synthesize(args, joint: Joint):
+def _load_or_synthesize(args, joint: Joint | None = None):
+    """The --session directory, checked against ``joint`` when one is
+    given, or else the default synthetic session of ``joint``."""
     if args.session:
         session = load_session(args.session)
-        _check_joint(session.spec.joint, joint, args.session)
+        if joint is not None:
+            _check_joint(session.spec.joint, joint, args.session)
         return session
+    if joint is None:
+        raise DataError("without --session, --joint is required")
     return generate_session(default_session_spec(joint))
 
 
@@ -171,18 +176,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    joint = Joint(args.joint) if args.joint else None
-    if args.session:
-        session = load_session(args.session)
-        if joint is not None and session.spec.joint is not joint:
-            raise DataError(
-                f"session records the {session.spec.joint.value}, "
-                f"--joint says {joint.value}"
-            )
-    else:
-        if joint is None:
-            raise DataError("without --session, --joint is required")
-        session = generate_session(default_session_spec(joint))
+    session = _load_or_synthesize(args, Joint(args.joint) if args.joint else None)
     config = ModelConfig(args.config)
     cell = _session_cells(session, [config])[(session.spec.joint, config)]
     table = concat_tables(cell.tables)

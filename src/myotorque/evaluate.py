@@ -4,8 +4,8 @@ Splitting happens at the motion-segment level by default so a swing never
 straddles the train/test boundary; rows outside any segment always train.
 Each fold fits its normalization statistics on training rows only and
 scores on the variance-normalized target, which makes results comparable
-across joints and velocities. A separate non-CV training path produces a
-reusable estimator that predicts in physical units.
+across joints and velocities. The same training path, run on every row,
+produces a reusable estimator that predicts in physical units.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .gpr import (
     predict_mean,
     save_model,
 )
-from .preprocess import FeatureTable, Joint, ModelConfig
+from .preprocess import FeatureTable, Joint, ModelConfig, concat_tables
 from .timeseries import NormalizationStats, fit_stats
 
 DEFAULT_FOLDS = 5
@@ -106,26 +106,31 @@ def kfold_split(
     return FoldAssignment(k=k, seed=seed, assignment=assignment, unit=unit)
 
 
-def _test_mask(table: FeatureTable, folds: FoldAssignment, fold: int) -> np.ndarray:
-    if folds.unit == "sample":
-        units = np.arange(table.n_rows)
-    else:
-        units = table.segment_of_row
-    mask = np.zeros(table.n_rows, dtype=bool)
-    for i, u in enumerate(units):
-        if folds.unit == "segment" and u == 0:
-            continue
-        mask[i] = folds.assignment[int(u)] == fold
-    return mask
+def _units_of_rows(table: FeatureTable, unit: str) -> np.ndarray:
+    """CV unit of each row: its motion segment, or for sample units its
+    1-based row number. Unit 0 (rows outside every segment) always trains."""
+    return np.arange(1, table.n_rows + 1) if unit == "sample" else table.segment_of_row
+
+
+def _fold_of_row(table: FeatureTable, folds: FoldAssignment) -> np.ndarray:
+    """Test fold of every row; -1 marks rows that always train."""
+    units = _units_of_rows(table, folds.unit)
+    ids = np.fromiter(folds.assignment, dtype=np.intp, count=len(folds.assignment))
+    fold_of_unit = np.full(max(units.max(initial=0), ids.max(initial=0)) + 1, -1)
+    fold_of_unit[ids] = list(folds.assignment.values())
+    fold_of_unit[0] = -1
+    fold = fold_of_unit[units]
+    if np.any(fold[units > 0] < 0):
+        raise TooFewUnits("the fold assignment misses units of the table")
+    return fold
 
 
 def _normalize_columns(
     rows: np.ndarray, stats: list[NormalizationStats]
 ) -> np.ndarray:
-    out = np.empty_like(rows)
-    for j, st in enumerate(stats):
-        out[:, j] = (rows[:, j] - st.mean) / st.std_dev
-    return out
+    means = np.array([st.mean for st in stats])
+    stds = np.array([st.std_dev for st in stats])
+    return (rows - means) / stds
 
 
 def fold_statistics(
@@ -215,15 +220,13 @@ def evaluate_cv(
     pools squared errors over every tested row; RMSE is its square root.
     """
     if folds is None:
-        if unit == "sample":
-            folds = kfold_split(range(table.n_rows), n_folds, seed, unit)
-        else:
-            folds = kfold_split(table.segment_ids(), n_folds, seed, unit)
+        units = _units_of_rows(table, unit)
+        folds = kfold_split(np.unique(units[units > 0]), n_folds, seed, unit)
     if options is None:
         options = GpOptions(seed=folds.seed)
 
     n = table.n_rows
-    fold_of_row = np.full(n, -1, dtype=np.intp)
+    fold_of_row = _fold_of_row(table, folds)
     predicted_norm = np.full(n, np.nan)
     true_norm = np.full(n, np.nan)
     predicted_nm = np.full(n, np.nan)
@@ -231,25 +234,17 @@ def evaluate_cv(
     noise_variances = np.empty(folds.k)
 
     for fold in range(folds.k):
-        test_mask = _test_mask(table, folds, fold)
-        train_mask = ~test_mask
-        column_stats, target_stats = fold_statistics(table, train_mask)
-        x_all = _normalize_columns(table.rows, column_stats)
-        y_all = (table.targets - target_stats.mean) / target_stats.std_dev
-
-        keep = subsample_stride(int(train_mask.sum()), train_cap)
-        x_train = x_all[train_mask][keep]
-        y_train = y_all[train_mask][keep]
-        hyper = optimize_hyperparameters(x_train, y_train, options=options)
-        model = fit(x_train, y_train, hyper)
-
-        y_hat = predict_mean(model, x_all[test_mask])
-        fold_of_row[test_mask] = fold
+        test_mask = fold_of_row == fold
+        est = _train(table, ~test_mask, options, train_cap)
+        x_test = _normalize_columns(table.rows[test_mask], est.column_stats)
+        t_mean, t_std = est.target_stats.mean, est.target_stats.std_dev
+        y_test = (table.targets[test_mask] - t_mean) / t_std
+        y_hat = predict_mean(est.model, x_test)
         predicted_norm[test_mask] = y_hat
-        true_norm[test_mask] = y_all[test_mask]
-        predicted_nm[test_mask] = y_hat * target_stats.std_dev + target_stats.mean
-        per_fold_mse[fold] = mse(y_all[test_mask], y_hat)
-        noise_variances[fold] = hyper.noise_variance
+        true_norm[test_mask] = y_test
+        predicted_nm[test_mask] = y_hat * t_std + t_mean
+        per_fold_mse[fold] = mse(y_test, y_hat)
+        noise_variances[fold] = est.model.hyper.noise_variance
 
     tested = fold_of_row >= 0
     pooled_mse = mse(true_norm[tested], predicted_norm[tested])
@@ -316,15 +311,23 @@ def train_model(
     """Fit a deployable estimator on every row of the table."""
     if options is None:
         options = GpOptions(seed=seed)
-    all_rows = np.ones(table.n_rows, dtype=bool)
-    column_stats, target_stats = fold_statistics(table, all_rows)
-    x = _normalize_columns(table.rows, column_stats)
-    y = (table.targets - target_stats.mean) / target_stats.std_dev
-    keep = subsample_stride(table.n_rows, train_cap)
-    hyper = optimize_hyperparameters(x[keep], y[keep], options=options)
-    model = fit(x[keep], y[keep], hyper)
+    return _train(table, np.ones(table.n_rows, dtype=bool), options, train_cap)
+
+
+def _train(
+    table: FeatureTable, train_mask: np.ndarray, options: GpOptions, train_cap: int
+) -> TrainedEstimator:
+    """The one training path of CV folds and :func:`train_model`: statistics
+    from the masked rows, an even subsample of at most ``train_cap`` of them
+    normalized by those statistics, the noise tuned on it, the exact fit."""
+    column_stats, target_stats = fold_statistics(table, train_mask)
+    train_rows = np.flatnonzero(train_mask)
+    keep = train_rows[subsample_stride(len(train_rows), train_cap)]
+    x = _normalize_columns(table.rows[keep], column_stats)
+    y = (table.targets[keep] - target_stats.mean) / target_stats.std_dev
+    hyper = optimize_hyperparameters(x, y, options=options)
     return TrainedEstimator(
-        model=model,
+        model=fit(x, y, hyper),
         joint=table.joint,
         config=table.config,
         column_names=table.column_names,
@@ -528,8 +531,6 @@ def evaluate_with_exports(
     60 deg/s (a velocity both joint protocols share), using that take's
     held-out CV predictions.
     """
-    from .preprocess import concat_tables
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = MetricsReport(n_folds=n_folds, seed=seed)

@@ -2,10 +2,9 @@
 
 Designs go through the analog prototype + pre-warped bilinear transform
 (scipy's ``butter``), so the single-pass magnitude at the cutoff is exactly
-1/sqrt(2). Filters are applied as cascaded second-order sections: the
-expanded ``b``/``a`` polynomials are exposed for inspection and testing,
-but direct-form application of a high-order IIR at cutoff ratios like
-6 Hz / 2000 Hz is numerically fragile, so application is section-wise.
+1/sqrt(2). A design is kept and applied as cascaded second-order sections
+only: direct-form application of a high-order IIR at cutoff ratios like
+6 Hz / 2000 Hz is numerically fragile.
 """
 
 from __future__ import annotations
@@ -32,29 +31,23 @@ class FilterDesign:
     cutoffs_hz: tuple[float, ...]
     sample_rate_hz: float
 
+    @property
+    def digital_order(self) -> int:
+        """Order of the digital filter; the band-pass transform doubles it."""
+        return 2 * self.order if self.kind is FilterKind.BANDPASS else self.order
+
 
 @dataclass(frozen=True)
 class IirCoefficients:
-    """Designed digital IIR filter.
+    """Designed digital IIR filter as second-order sections."""
 
-    ``feedforward_b`` / ``feedback_a`` are the expanded transfer-function
-    polynomials with ``a[0] == 1``; ``sos`` holds the equivalent
-    second-order sections actually used for filtering.
-    """
-
-    feedforward_b: np.ndarray
-    feedback_a: np.ndarray
     sos: np.ndarray
     design: FilterDesign
 
-    def __post_init__(self):
-        a = np.asarray(self.feedback_a, dtype=np.float64)
-        if abs(a[0] - 1.0) > 1e-12:
-            raise ValueError("feedback polynomial must be normalized (a[0] = 1)")
-
     @property
     def pad_length(self) -> int:
-        return 3 * (max(len(self.feedforward_b), len(self.feedback_a)) - 1)
+        """Edge padding of :func:`filtfilt`: three times the digital order."""
+        return 3 * self.design.digital_order
 
 
 def _check_order(order: int) -> None:
@@ -72,12 +65,8 @@ def design_butterworth_lowpass(
         raise InvalidCutoff(
             f"cutoff {cutoff_hz} Hz must lie in (0, {nyquist}) Hz at fs={sample_rate_hz}"
         )
-    b, a = signal.butter(order, cutoff_hz, btype="low", fs=sample_rate_hz, output="ba")
-    sos = signal.butter(order, cutoff_hz, btype="low", fs=sample_rate_hz, output="sos")
     return IirCoefficients(
-        feedforward_b=b,
-        feedback_a=a,
-        sos=sos,
+        sos=signal.butter(order, cutoff_hz, btype="low", fs=sample_rate_hz, output="sos"),
         design=FilterDesign(FilterKind.LOWPASS, order, (cutoff_hz,), sample_rate_hz),
     )
 
@@ -98,16 +87,10 @@ def design_butterworth_bandpass(
             f"band edges ({low_hz}, {high_hz}) Hz must satisfy "
             f"0 < low < high < {nyquist} Hz at fs={sample_rate_hz}"
         )
-    b, a = signal.butter(
-        order, [low_hz, high_hz], btype="bandpass", fs=sample_rate_hz, output="ba"
-    )
-    sos = signal.butter(
-        order, [low_hz, high_hz], btype="bandpass", fs=sample_rate_hz, output="sos"
-    )
     return IirCoefficients(
-        feedforward_b=b,
-        feedback_a=a,
-        sos=sos,
+        sos=signal.butter(
+            order, [low_hz, high_hz], btype="bandpass", fs=sample_rate_hz, output="sos"
+        ),
         design=FilterDesign(
             FilterKind.BANDPASS, order, (low_hz, high_hz), sample_rate_hz
         ),
@@ -124,15 +107,17 @@ def single_pass_gain(coeffs: IirCoefficients, freq_hz: float | np.ndarray) -> np
 
 
 def pole_magnitudes(coeffs: IirCoefficients) -> np.ndarray:
-    """Magnitudes of the transfer-function poles (stability: all < 1)."""
-    return np.abs(np.roots(coeffs.feedback_a))
+    """Magnitudes of the poles (stability: all < 1), ascending. The padding
+    pole at the origin of an odd order's first-order section is left out."""
+    _, poles, _ = signal.sos2zpk(coeffs.sos)
+    return np.sort(np.abs(poles))[len(poles) - coeffs.design.digital_order :]
 
 
 def filtfilt(coeffs: IirCoefficients, series: TimeSeries) -> TimeSeries:
     """Zero-phase filtering: forward pass, reverse, second pass, reverse.
 
     Edges are extended by odd (antisymmetric) reflection of
-    ``3 * (filter length - 1)`` samples on each side and trimmed after, which
+    ``3 * digital order`` samples on each side and trimmed after, which
     suppresses start-up transients on signals with non-zero boundary values.
     The net magnitude is the square of the single-pass magnitude.
     """

@@ -124,28 +124,26 @@ def _as_points(x: np.ndarray, what: str = "inputs") -> np.ndarray:
     return arr
 
 
-def _sq_dists(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    # ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b, clamped against rounding.
-    aa = np.sum(xa * xa, axis=1)[:, None]
-    bb = np.sum(xb * xb, axis=1)[None, :]
-    d2 = aa + bb - 2.0 * (xa @ xb.T)
-    return np.maximum(d2, 0.0)
+def _sq_distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """The n x m block of squared distances ||a - b||^2, allocated once."""
+    if xa.shape[1] != xb.shape[1]:
+        raise DimensionMismatch(
+            f"input dimensions differ: {xa.shape[1]} vs {xb.shape[1]}"
+        )
+    # The block starts as ||a||^2 + ||b||^2 and one GEMM adds -2 a.b' into
+    # it; BLAS is column-major, so it works on the transposed view of the
+    # C-ordered block.
+    d2 = np.add.outer(np.sum(xa * xa, axis=1), np.sum(xb * xb, axis=1))
+    if d2.size:  # the BLAS wrapper rejects empty operands
+        d2 = dgemm(-2.0, xb, xa, beta=1.0, c=d2.T, trans_b=1, overwrite_c=1).T
+    np.maximum(d2, 0.0, out=d2)  # clamped against rounding
+    return d2
 
 
 def _cross_covariance(
     xa: np.ndarray, xb: np.ndarray, hyper: Hyperparameters
 ) -> np.ndarray:
-    if xa.shape[1] != xb.shape[1]:
-        raise DimensionMismatch(
-            f"input dimensions differ: {xa.shape[1]} vs {xb.shape[1]}"
-        )
-    # The n x m block is allocated once. It starts as ||a||^2 + ||b||^2 and
-    # one GEMM adds -2 a.b' into it; BLAS is column-major, so it works on
-    # the transposed view of the C-ordered block. The rest is in place.
-    k = np.add.outer(np.sum(xa * xa, axis=1), np.sum(xb * xb, axis=1))
-    if k.size:  # the BLAS wrapper rejects empty operands
-        k = dgemm(-2.0, xb, xa, beta=1.0, c=k.T, trans_b=1, overwrite_c=1).T
-    np.maximum(k, 0.0, out=k)  # squared distances, clamped against rounding
+    k = _sq_distances(xa, xb)  # scaled into the kernel in place
     k *= -0.5
     k /= hyper.length_scale**2
     np.exp(k, out=k)
@@ -259,7 +257,7 @@ def lml_gradient(model: GprModel, active: np.ndarray | None = None) -> np.ndarra
 
     hyper = model.hyper
     k_f = gram_matrix(model.inputs, hyper)
-    d2 = _sq_dists(model.inputs, model.inputs)
+    d2 = _sq_distances(model.inputs, model.inputs)
     grads = np.empty(3)
     grads[0] = 0.5 * float(np.sum(inner * (2.0 * k_f)))
     grads[1] = 0.5 * float(np.sum(inner * (k_f * d2 / hyper.length_scale**2)))
@@ -390,6 +388,16 @@ def optimize_hyperparameters(
     return Hyperparameters.from_log_array(theta)
 
 
+def _query_covariance(model: GprModel, x_star: np.ndarray) -> np.ndarray:
+    """K*, the n_train x n_query covariance between training and query points."""
+    xq = _as_points(x_star, "query points")
+    if xq.shape[1] != model.inputs.shape[1]:
+        raise DimensionMismatch(
+            f"model has {model.inputs.shape[1]} features, query has {xq.shape[1]}"
+        )
+    return _cross_covariance(model.inputs, xq, model.hyper)
+
+
 def predict(
     model: GprModel, x_star: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -399,12 +407,7 @@ def predict(
     at zero. The variance is the latent-function variance; observation
     noise is not added.
     """
-    xq = _as_points(x_star, "query points")
-    if xq.shape[1] != model.inputs.shape[1]:
-        raise DimensionMismatch(
-            f"model has {model.inputs.shape[1]} features, query has {xq.shape[1]}"
-        )
-    k_star = _cross_covariance(model.inputs, xq, model.hyper)
+    k_star = _query_covariance(model, x_star)
     mean = k_star.T @ model.weights
     v = solve_triangular(model.cholesky_lower, k_star, lower=True)
     prior_var = model.hyper.output_scale**2
@@ -414,13 +417,7 @@ def predict(
 
 def predict_mean(model: GprModel, x_star: np.ndarray) -> np.ndarray:
     """Posterior mean only; skips the triangular solve for the variance."""
-    xq = _as_points(x_star, "query points")
-    if xq.shape[1] != model.inputs.shape[1]:
-        raise DimensionMismatch(
-            f"model has {model.inputs.shape[1]} features, query has {xq.shape[1]}"
-        )
-    k_star = _cross_covariance(model.inputs, xq, model.hyper)
-    return k_star.T @ model.weights
+    return _query_covariance(model, x_star).T @ model.weights
 
 
 _FORMAT_VERSION = 1

@@ -21,6 +21,7 @@ from .errors import (
     NoMotionDetected,
 )
 from .filters import (
+    IirCoefficients,
     design_butterworth_bandpass,
     design_butterworth_lowpass,
     filtfilt,
@@ -226,10 +227,15 @@ def emg_envelope(raw: TimeSeries) -> TimeSeries:
     return filtfilt(smooth, rectify(filtfilt(band, raw)))
 
 
+def angle_prefilter(sample_rate_hz: float) -> IirCoefficients:
+    """The 2nd-order 20 Hz low-pass that conditions the angle before its
+    derivative is taken (zero-phase in batch, one-pass when streaming)."""
+    return design_butterworth_lowpass(2, 20.0, sample_rate_hz)
+
+
 def smooth_angle(angle: TimeSeries) -> TimeSeries:
-    """Joint angle after the 2nd-order 20 Hz zero-phase pre-filter."""
-    pre = design_butterworth_lowpass(2, 20.0, angle.sample_rate_hz)
-    return filtfilt(pre, angle)
+    """Joint angle after the zero-phase angle pre-filter."""
+    return filtfilt(angle_prefilter(angle.sample_rate_hz), angle)
 
 
 def joint_velocity(angle: TimeSeries) -> TimeSeries:

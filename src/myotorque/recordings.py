@@ -113,9 +113,15 @@ def read_recording_csv(
         raise DataError(f"{path}: non-numeric cell: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=np.float64)
-    if data.shape[1] != len(header):
+    if any(len(row) != len(header) for row in rows):
         raise DataError(f"{path}: ragged rows")
+    data = np.asarray(rows, dtype=np.float64)
+    bad_rows, bad_cols = np.nonzero(~np.isfinite(data))
+    if bad_rows.size:
+        raise DataError(
+            f"{path}: column {header[bad_cols[0]]!r} has a non-finite value "
+            f"in data row {bad_rows[0] + 1}"
+        )
     times = data[:, 0]
     if len(times) > 1:
         steps = np.diff(times)

@@ -18,8 +18,8 @@ from scipy.signal import sosfilt, sosfilt_zi
 
 from .errors import DataError
 from .evaluate import TrainedEstimator
-from .filters import IirCoefficients, design_butterworth_lowpass
-from .preprocess import CalibrationRecord, ModelConfig, muscles_for
+from .filters import IirCoefficients
+from .preprocess import CalibrationRecord, ModelConfig, angle_prefilter, muscles_for
 
 
 class CausalFilter:
@@ -67,9 +67,7 @@ class StreamingPredictor:
                 "streaming supports baseline and fmg models only; "
                 "the EMG envelope is not causal"
             )
-        self._angle_filter = CausalFilter(
-            design_butterworth_lowpass(2, 20.0, self.estimator.sample_rate_hz)
-        )
+        self._angle_filter = CausalFilter(angle_prefilter(self.estimator.sample_rate_hz))
 
     @property
     def muscles(self):

@@ -4,7 +4,8 @@ fixtures only amortize compute; they never couple test outcomes."""
 import numpy as np
 import pytest
 
-from myotorque import Joint, default_session_spec, generate_session
+from myotorque.preprocess import Joint
+from myotorque.synthgen import default_session_spec, generate_session
 
 
 @pytest.fixture(scope="session")

@@ -14,34 +14,41 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from myotorque import (
-    GpOptions,
-    Hyperparameters,
-    Joint,
-    ModelConfig,
-    StreamingPredictor,
-    build_features,
-    compute_calibration,
-    concat_tables,
-    emg_envelope,
+from myotorque.cli import main
+from myotorque.evaluate import (
     evaluate_cv,
-    fit,
+    fold_statistics,
     kfold_split,
-    log_marginal_likelihood,
-    lml_gradient,
-    predict,
     relative_improvement,
     train_model,
-    write_session,
 )
-from myotorque.cli import main
-from myotorque.evaluate import fold_statistics
 from myotorque.filters import (
     design_butterworth_bandpass,
     design_butterworth_lowpass,
     filtfilt,
 )
-from myotorque.preprocess import FeatureTable, emg_channel, fmg_channel, muscles_for
+from myotorque.gpr import (
+    GpOptions,
+    Hyperparameters,
+    fit,
+    lml_gradient,
+    log_marginal_likelihood,
+    predict,
+)
+from myotorque.preprocess import (
+    FeatureTable,
+    Joint,
+    ModelConfig,
+    build_features,
+    compute_calibration,
+    concat_tables,
+    emg_channel,
+    emg_envelope,
+    fmg_channel,
+    muscles_for,
+)
+from myotorque.recordings import write_session
+from myotorque.streaming import StreamingPredictor
 from myotorque.timeseries import TimeSeries, Unit
 
 

@@ -8,20 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from myotorque import (
-    Joint,
-    NoiseSpec,
-    build_features,
-    compute_calibration,
-    default_session_spec,
-    generate_session,
-    load_estimator,
-    load_model,
-    load_session,
-    save_model,
-    write_session,
-)
 from myotorque.cli import main
+from myotorque.evaluate import load_estimator
+from myotorque.gpr import load_model, save_model
+from myotorque.preprocess import Joint, build_features, compute_calibration
+from myotorque.recordings import load_session, write_session
+from myotorque.synthgen import NoiseSpec, default_session_spec, generate_session
 
 
 def short_spec(joint, noise=None):
@@ -66,6 +58,21 @@ def fmg_model(quiet_knee_dir, tmp_path_factory):
     ])
     assert code == 0
     return path
+
+
+def with_nan_cell(session_dir, tmp_path, csv_name):
+    """A copy of a session directory whose ``csv_name`` has one ``nan`` cell
+    (second column of the third data row)."""
+    copy = tmp_path / "nan_session"
+    copy.mkdir()
+    for p in session_dir.iterdir():
+        (copy / p.name).write_bytes(p.read_bytes())
+    lines = (copy / csv_name).read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[1] = "nan"
+    lines[3] = ",".join(cells)
+    (copy / csv_name).write_text("\n".join(lines) + "\n")
+    return copy
 
 
 class TestExitCodes:
@@ -167,6 +174,46 @@ class TestTrainPredict:
         ])
         assert code == 2
         assert "ankle" in capsys.readouterr().err
+
+    def test_train_session_of_other_joint_is_2(self, knee_dir, tmp_path,
+                                               capsys):
+        code = main([
+            "train", "--session", str(knee_dir), "--joint", "ankle",
+            "--config", "fmg", "--out", str(tmp_path / "m.npz"),
+        ])
+        assert code == 2
+        assert "knee" in capsys.readouterr().err
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_train_without_session_or_joint_is_2(self, tmp_path, capsys):
+        code = main(["train", "--config", "fmg", "--out", str(tmp_path / "m.npz")])
+        assert code == 2
+        assert "--joint" in capsys.readouterr().err
+
+    def test_nan_calibration_cell_is_2(self, fmg_model, quiet_knee_dir,
+                                       tmp_path, capsys):
+        broken = with_nan_cell(quiet_knee_dir, tmp_path, "calibration_standing.csv")
+        code = main([
+            "predict", "--model", str(fmg_model), "--session", str(broken),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "calibration_standing.csv" in err
+        assert "non-finite" in err
+        assert "Traceback" not in err
+
+    def test_nan_take_cell_names_the_csv(self, fmg_model, quiet_knee_dir,
+                                         tmp_path, capsys):
+        broken = with_nan_cell(quiet_knee_dir, tmp_path, "take_v060_t0_fmg.csv")
+        code = main([
+            "predict", "--model", str(fmg_model), "--session", str(broken),
+            "--take", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "take_v060_t0_fmg.csv" in err
+        assert "non-finite" in err
+        assert "manifest" not in err
 
     def test_missing_take_is_2(self, fmg_model, quiet_knee_dir, capsys):
         code = main([
@@ -314,6 +361,18 @@ class TestStream:
         assert "skipping line 3" in captured.err
         assert "non-finite" in captured.err
         assert "processed 4 rows, skipped 1" in captured.err
+
+    def test_nan_calibration_cell_is_2(self, fmg_model, quiet_knee_dir,
+                                       tmp_path, capsys):
+        broken = with_nan_cell(quiet_knee_dir, tmp_path, "calibration_standing.csv")
+        infile = tmp_path / "rows.csv"
+        infile.write_text("0.0,30.0,0.1,0.2,0.1,0.2,0.1\n")
+        code = main(stream_args(fmg_model, broken, infile))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "calibration_standing.csv" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_empty_input_is_silent_success(self, fmg_model, quiet_knee_dir,
                                            tmp_path, capsys):

@@ -5,39 +5,37 @@ import csv
 import numpy as np
 import pytest
 
-from myotorque import (
-    CvResult,
+from myotorque.errors import (
     DegenerateTarget,
-    FoldAssignment,
-    GpOptions,
-    Joint,
     LengthMismatch,
-    MetricsReport,
-    ModelConfig,
     ModelFormatError,
     NonPositiveBaseline,
     TooFewUnits,
     ZeroVariance,
+)
+from myotorque.evaluate import (
+    CvResult,
+    FoldAssignment,
+    MetricsReport,
+    _fold_of_row,
     estimate_table,
     evaluate_cv,
     export_scatter,
     export_timeseries,
-    feature_columns,
+    fold_statistics,
     kfold_split,
     load_estimator,
-    load_model,
     mse,
     relative_improvement,
     rmse,
     rmse_percent_of_peak,
     save_estimator,
-    save_model,
     subsample_stride,
     train_model,
     write_metrics_csv,
 )
-from myotorque.evaluate import fold_statistics
-from myotorque.preprocess import FeatureTable
+from myotorque.gpr import GpOptions, load_model, save_model
+from myotorque.preprocess import FeatureTable, Joint, ModelConfig, feature_columns
 
 
 def make_table(rows, targets, segments, config=ModelConfig.BASELINE):
@@ -132,6 +130,46 @@ class TestFolds:
         assert np.all(diffs == diffs[0])  # even spacing
         with pytest.raises(ValueError):
             subsample_stride(10, 0)
+
+
+def reference_fold_of_row(table, folds):
+    """Per-row loop: the fold of each row's unit, -1 for unit 0. Sample
+    units are 1-based row numbers."""
+    out = np.full(table.n_rows, -1)
+    for i in range(table.n_rows):
+        u = i + 1 if folds.unit == "sample" else int(table.segment_of_row[i])
+        if u != 0:
+            out[i] = folds.assignment[u]
+    return out
+
+
+class TestFoldOfRow:
+    def test_segments_match_the_row_loop(self):
+        table = smooth_table()
+        segs = table.segment_of_row.copy()
+        segs[:150] = 0
+        segs[-30:] = 0
+        table = make_table(table.rows, table.targets, segs)
+        for seed in range(3):
+            folds = kfold_split(table.segment_ids(), k=4, seed=seed)
+            split = _fold_of_row(table, folds)
+            assert np.array_equal(split, reference_fold_of_row(table, folds))
+            assert np.all(split[:150] == -1)
+
+    def test_samples_match_the_row_loop(self):
+        table = smooth_table(n_segments=2, rows_per_segment=60)
+        folds = kfold_split(range(1, table.n_rows + 1), k=5, seed=7, unit="sample")
+        split = _fold_of_row(table, folds)
+        assert np.array_equal(split, reference_fold_of_row(table, folds))
+        # 1-based ids deal each row the fold 0-based ids dealt it.
+        zero_based = kfold_split(range(table.n_rows), k=5, seed=7, unit="sample")
+        assert all(zero_based.assignment[i] == f for i, f in enumerate(split))
+
+    def test_unassigned_unit_rejected(self):
+        table = smooth_table()
+        folds = kfold_split(table.segment_ids()[:-1], k=5, seed=0)
+        with pytest.raises(TooFewUnits):
+            _fold_of_row(table, folds)
 
 
 class TestFoldStatistics:

@@ -8,15 +8,12 @@ and Butterworth magnitudes are checked against the analog prototype
 
 import numpy as np
 import pytest
+from scipy import signal
 from scipy.integrate import cumulative_trapezoid
 
-from myotorque import (
-    InvalidBand,
-    InvalidCutoff,
-    InvalidOrder,
-    SeriesTooShort,
-    TimeSeries,
-    Unit,
+from myotorque.errors import InvalidBand, InvalidCutoff, InvalidOrder, SeriesTooShort
+from myotorque.filters import (
+    FilterKind,
     design_butterworth_bandpass,
     design_butterworth_lowpass,
     filtfilt,
@@ -25,6 +22,7 @@ from myotorque import (
     rectify,
     single_pass_gain,
 )
+from myotorque.timeseries import TimeSeries, Unit
 
 FS = 2000.0
 
@@ -34,13 +32,17 @@ def series(values, rate=FS, unit=Unit.DIMENSIONLESS, label="x"):
 
 
 def h_of_z(coeffs, freq_hz):
-    """Direct |H(e^{j omega})| from the expanded polynomials."""
-    z = np.exp(1j * 2.0 * np.pi * freq_hz / coeffs.design.sample_rate_hz)
+    """Direct |H(e^{j omega})| from the expanded polynomials of the design,
+    taken from scipy rather than from the library's sections."""
+    d = coeffs.design
+    band = d.cutoffs_hz if d.kind is FilterKind.BANDPASS else d.cutoffs_hz[0]
+    b, a = signal.butter(d.order, band, btype=d.kind.value, fs=d.sample_rate_hz)
+    z = np.exp(1j * 2.0 * np.pi * freq_hz / d.sample_rate_hz)
     # H(z) = sum b_k z^-k / sum a_k z^-k with the b[0] + b[1] z^-1 + ...
     # coefficient ordering.
     zi = 1.0 / z
-    num = sum(b * zi**k for k, b in enumerate(coeffs.feedforward_b))
-    den = sum(a * zi**k for k, a in enumerate(coeffs.feedback_a))
+    num = sum(bk * zi**k for k, bk in enumerate(b))
+    den = sum(ak * zi**k for k, ak in enumerate(a))
     return abs(num / den)
 
 
@@ -170,6 +172,39 @@ class TestFiltfilt:
         assert y.start_time_s == 2.5
         assert y.unit is Unit.DEGREES
         assert y.label == s.label
+
+
+def scipy_ba(order, band, btype):
+    return signal.butter(order, band, btype=btype, fs=FS)
+
+
+ORDERS = [1, 2, 3, 4, 5, 6]
+
+
+class TestSectionsOnly:
+    """Pad length and poles follow from the sections and the design alone;
+    the oracle is scipy's expanded transfer function."""
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_pad_length_is_three_filter_orders(self, order):
+        low = design_butterworth_lowpass(order, 50.0, FS)
+        band = design_butterworth_bandpass(order, 20.0, 500.0, FS)
+        for c, (b, a) in (
+            (low, scipy_ba(order, 50.0, "lowpass")),
+            (band, scipy_ba(order, [20.0, 500.0], "bandpass")),
+        ):
+            assert c.pad_length == 3 * (max(len(b), len(a)) - 1)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_poles_match_the_transfer_function(self, order):
+        low = design_butterworth_lowpass(order, 50.0, FS)
+        band = design_butterworth_bandpass(order, 20.0, 500.0, FS)
+        for c, (_, a) in (
+            (low, scipy_ba(order, 50.0, "lowpass")),
+            (band, scipy_ba(order, [20.0, 500.0], "bandpass")),
+        ):
+            expect = np.sort(np.abs(np.roots(a)))
+            assert np.allclose(pole_magnitudes(c), expect, rtol=0, atol=1e-6)
 
 
 class TestRectify:

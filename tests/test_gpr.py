@@ -13,29 +13,29 @@ import pytest
 from scipy.linalg import eigh
 from scipy.optimize import minimize
 
-from myotorque import (
+from myotorque.errors import (
     DegenerateSeries,
     DimensionMismatch,
-    GpOptions,
-    Hyperparameters,
     ModelFormatError,
     NotPositiveDefinite,
-    fit,
-    gram_matrix,
-    kernel_rbf,
-    load_model,
-    log_marginal_likelihood,
-    lml_gradient,
-    optimize_hyperparameters,
-    predict,
-    predict_mean,
-    save_model,
 )
 from myotorque.gpr import (
+    GpOptions,
+    Hyperparameters,
     _cross_covariance,
     _eigen_lml_and_grad,
     _factor,
     _spectrum,
+    fit,
+    gram_matrix,
+    kernel_rbf,
+    lml_gradient,
+    load_model,
+    log_marginal_likelihood,
+    optimize_hyperparameters,
+    predict,
+    predict_mean,
+    save_model,
 )
 
 

@@ -4,16 +4,14 @@ feature assembly. Oracles are constructed signals with known answers."""
 import numpy as np
 import pytest
 
-from myotorque import (
+from myotorque.errors import MissingChannel, NoMotionDetected
+from myotorque.preprocess import (
+    ALIGNED_RATE_HZ,
     CalibrationRecord,
+    FeatureTable,
     Joint,
-    MissingChannel,
     ModelConfig,
-    MultiChannelRecording,
     Muscle,
-    NoMotionDetected,
-    TimeSeries,
-    Unit,
     apply_calibration,
     build_features,
     compute_calibration,
@@ -21,17 +19,14 @@ from myotorque import (
     emg_envelope,
     feature_columns,
     feature_dimension,
+    fmg_channel,
     joint_velocity,
     muscles_for,
-    segment_motions,
-)
-from myotorque.preprocess import (
-    ALIGNED_RATE_HZ,
-    FeatureTable,
-    fmg_channel,
     segment_ids_for_rows,
+    segment_motions,
     smooth_angle,
 )
+from myotorque.timeseries import MultiChannelRecording, TimeSeries, Unit
 
 HI = 2000.0
 
@@ -126,7 +121,7 @@ class TestEmgEnvelope:
         t = np.arange(int(10 * HI)) / HI
         envelope = 1.0 + 0.8 * np.sin(2 * np.pi * 0.4 * t)
         carrier = rng.standard_normal(t.size)
-        from myotorque import design_butterworth_bandpass, filtfilt
+        from myotorque.filters import design_butterworth_bandpass, filtfilt
 
         shaped = filtfilt(
             design_butterworth_bandpass(4, 20.0, 500.0, HI), series(carrier)

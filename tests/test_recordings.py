@@ -6,23 +6,20 @@ import json
 import numpy as np
 import pytest
 
-from myotorque import (
-    DataError,
-    InvalidSpec,
-    Joint,
-    MultiChannelRecording,
-    TimeSeries,
-    Unit,
-    default_session_spec,
-    generate_session,
+from myotorque import recordings
+from myotorque.errors import DataError, InvalidSpec
+from myotorque.preprocess import Joint
+from myotorque.recordings import (
+    load_calibration,
     load_session,
     load_take,
     read_recording_csv,
+    read_session_index,
     write_recording_csv,
     write_session,
 )
-from myotorque import recordings
-from myotorque.recordings import load_calibration, read_session_index
+from myotorque.synthgen import default_session_spec, generate_session
+from myotorque.timeseries import MultiChannelRecording, TimeSeries, Unit
 
 
 def tiny_recording():
@@ -95,6 +92,19 @@ class TestRecordingCsv:
         path = tmp_path / "bad.csv"
         path.write_text("time_s,angle_deg\n0.0,hello\n")
         with pytest.raises(DataError, match="non-numeric"):
+            read_recording_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_file_and_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time_s,angle_deg,torque_nm\n0.0,1.0,2.0\n0.01,1.5,{cell}\n")
+        with pytest.raises(DataError, match=r"bad\.csv: column 'torque_nm'.*row 2"):
+            read_recording_csv(path)
+
+    def test_ragged_rows_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time_s,angle_deg\n0.0,1.0\n0.01\n")
+        with pytest.raises(DataError, match="ragged"):
             read_recording_csv(path)
 
     def test_wrong_first_column_rejected(self, tmp_path):

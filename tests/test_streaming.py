@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 from scipy.signal import sosfilt, sosfilt_zi
 
-from myotorque import (
-    CausalFilter,
-    DataError,
-    GpOptions,
+from myotorque.errors import DataError
+from myotorque.evaluate import train_model
+from myotorque.filters import design_butterworth_lowpass
+from myotorque.gpr import GpOptions
+from myotorque.preprocess import (
     ModelConfig,
-    StreamingPredictor,
     build_features,
     concat_tables,
-    train_model,
+    fmg_channel,
+    muscles_for,
 )
-from myotorque.filters import design_butterworth_lowpass
-from myotorque.preprocess import fmg_channel, muscles_for
+from myotorque.streaming import CausalFilter, StreamingPredictor
 
 
 class TestCausalFilter:

@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from myotorque import (
-    Joint,
+from myotorque.preprocess import Joint, compute_calibration, muscles_for
+from myotorque.synthgen import (
     NoiseSpec,
     SessionSpec,
     TorqueModel,
-    compute_calibration,
     default_session_spec,
     generate_calibration,
     generate_session,
     generate_take,
-    muscles_for,
 )
 
 

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from myotorque import (
-    DegenerateSeries,
+from myotorque.errors import DegenerateSeries, TargetOutsideSupport, ZeroVariance
+from myotorque.timeseries import (
     MultiChannelRecording,
     NormalizationStats,
-    TargetOutsideSupport,
     TimeSeries,
     Unit,
-    ZeroVariance,
     destandardize,
     fit_stats,
     resample_linear,
