@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import DataError, NumericalError
+from .errors import DataError, InvalidSpec, NumericalError
 from .evaluate import (
     DEFAULT_FOLDS,
     DEFAULT_TRAIN_CAP,
@@ -45,6 +45,7 @@ from .recordings import (
     load_session,
     load_take,
     read_session_index,
+    write_float_table,
     write_session,
 )
 from .streaming import StreamingPredictor
@@ -139,7 +140,7 @@ def cmd_simulate(args) -> int:
     if args.spec:
         try:
             spec = SessionSpec.from_dict(json.loads(Path(args.spec).read_text()))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, InvalidSpec) as exc:
             raise DataError(f"cannot load session spec {args.spec}: {exc}") from exc
     else:
         spec = default_session_spec(Joint(args.joint))
@@ -214,19 +215,11 @@ def cmd_predict(args) -> int:
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        writer = csv.writer(out)
-        writer.writerow(
-            ["time_s", "true_torque_nm", "predicted_torque_nm", "predicted_std_nm"]
+        write_float_table(
+            out,
+            ["time_s", "true_torque_nm", "predicted_torque_nm", "predicted_std_nm"],
+            [table.times_s, table.targets, mean, std],
         )
-        for i in range(table.n_rows):
-            writer.writerow(
-                [
-                    format(table.times_s[i], ".17g"),
-                    format(table.targets[i], ".17g"),
-                    format(mean[i], ".17g"),
-                    format(std[i], ".17g"),
-                ]
-            )
     finally:
         if args.out:
             out.close()

@@ -35,6 +35,7 @@ from .gpr import (
     save_model,
 )
 from .preprocess import FeatureTable, Joint, ModelConfig, concat_tables
+from .recordings import write_float_table
 from .timeseries import NormalizationStats, fit_stats
 
 DEFAULT_FOLDS = 5
@@ -445,30 +446,21 @@ def estimate_table(report: MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_metrics_csv(report: MetricsReport, path) -> None:
     """Per-fold normalized scores, one row per (joint, config, fold)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["joint", "config", "fold", "mse_norm", "rmse_norm"])
+        csv.writer(fh).writerow(["joint", "config", "fold", "mse_norm", "rmse_norm"])
         for joint in _JOINT_ORDER:
             for config in _CONFIG_ORDER:
                 cell = report.cells.get((joint, config))
                 if cell is None:
                     continue
-                for fold in range(cell.n_folds):
-                    writer.writerow(
-                        [
-                            joint.value,
-                            config.value,
-                            fold,
-                            _fmt(cell.per_fold_mse[fold]),
-                            _fmt(cell.per_fold_rmse[fold]),
-                        ]
-                    )
+                write_float_table(
+                    fh,
+                    None,
+                    [np.arange(cell.n_folds), cell.per_fold_mse, cell.per_fold_rmse],
+                    f"{joint.value},{config.value},%d,%.17g,%.17g",
+                )
 
 
 def export_scatter(result: CvResult, path) -> None:
@@ -479,13 +471,12 @@ def export_scatter(result: CvResult, path) -> None:
     """
     tested = result.predictions.fold_of_row >= 0
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["measured_nm", "estimated_nm", "split"])
-        for t, p in zip(
-            result.predictions.true_nm[tested],
-            result.predictions.predicted_nm[tested],
-        ):
-            writer.writerow([_fmt(t), _fmt(p), "test"])
+        write_float_table(
+            fh,
+            ["measured_nm", "estimated_nm", "split"],
+            [result.predictions.true_nm[tested], result.predictions.predicted_nm[tested]],
+            "%.17g,%.17g,test",
+        )
 
 
 def export_timeseries(
@@ -498,10 +489,11 @@ def export_timeseries(
     if not (len(times_s) == len(measured_nm) == len(estimated_nm)):
         raise LengthMismatch("timeseries columns must share length")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "measured_nm", "estimated_nm"])
-        for t, m, e in zip(times_s, measured_nm, estimated_nm):
-            writer.writerow([_fmt(t), _fmt(m), _fmt(e)])
+        write_float_table(
+            fh,
+            ["time_s", "measured_nm", "estimated_nm"],
+            [times_s, measured_nm, estimated_nm],
+        )
 
 
 FIG_TIMESERIES_VELOCITY = 60.0

@@ -12,15 +12,23 @@ Layout of a session directory:
 
 Channels recorded at different rates live in separate files; within one
 file every channel shares the time column, which must be strictly
-increasing and uniform to within a part per million. Floats are written
-with 17 significant digits, so a write/read cycle reproduces every
-float64 value bit for bit.
+increasing and uniform to within a part per million.
+
+File format: a header row (``time_s`` first, then the channel labels),
+then one row per sample. Every cell is ``%.17g`` of a float64 (17
+significant digits, so ``-0`` and subnormals keep their exact value)
+and every line ends in CRLF: the bytes ``csv.writer`` produces from
+``format(x, ".17g")`` cells. :func:`write_float_table` formats whole
+chunks of rows at a time; :func:`read_recording_csv` parses the body
+with numpy's correctly rounded C parser (``np.loadtxt``), so a
+write/read cycle reproduces every float64 value bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,10 +40,27 @@ from .timeseries import MultiChannelRecording, TimeSeries, Unit
 
 _FORMAT_VERSION = 1
 TIME_COLUMN = "time_s"
+_CHUNK_ROWS = 4096  # rows formatted per write; bounds the text held at once
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def write_float_table(fh, header, columns, row_format: str | None = None) -> None:
+    """Write equal-length float columns to the open text file ``fh`` as CSV.
+
+    ``header`` (a list of names, or None for no header row) goes through
+    :mod:`csv`. Each data row is ``row_format % row`` plus CRLF; the
+    default format is ``%.17g`` per column, comma separated. A format may
+    hold literal cells and other conversions (``%d``) too. Open ``fh``
+    with ``newline=""`` so the CRLF line ends are written as they are.
+    """
+    if header is not None:
+        csv.writer(fh).writerow(header)
+    table = np.column_stack(columns)
+    if row_format is None:
+        row_format = ",".join(["%.17g"] * table.shape[1])
+    row_format += "\r\n"
+    for start in range(0, len(table), _CHUNK_ROWS):
+        chunk = table[start : start + _CHUNK_ROWS]
+        fh.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _unit_for_label(label: str) -> Unit:
@@ -79,13 +104,40 @@ def write_recording_csv(recording: MultiChannelRecording, path) -> None:
                 f"channel {label!r} is not on the same grid as {labels[0]!r}; "
                 "write it to a separate file"
             )
-    times = first.times
+    columns = [first.times] + [recording[l].values for l in labels]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([TIME_COLUMN] + labels)
-        columns = [recording[l].values for l in labels]
-        for i in range(len(first)):
-            writer.writerow([_fmt(times[i])] + [_fmt(col[i]) for col in columns])
+        write_float_table(fh, [TIME_COLUMN] + labels, columns)
+
+
+def _body_error(path: Path, header: list[str], exc: ValueError) -> DataError:
+    """The diagnostic for a body ``np.loadtxt`` rejected with ``exc``: the
+    first data row that is ragged or holds a cell that is not a number.
+
+    Runs only on the error path; rows are counted as the parser counts
+    them, skipping empty lines.
+    """
+    try:
+        with open(path) as fh:
+            fh.readline()
+            lines = (line.rstrip("\n") for line in fh)
+            for row, line in enumerate(filter(None, lines), start=1):
+                cells = line.split(",")
+                if len(cells) != len(header):
+                    return DataError(
+                        f"{path}: ragged rows: data row {row} has {len(cells)} "
+                        f"cells, the header {len(header)}"
+                    )
+                for label, cell in zip(header, cells):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        return DataError(
+                            f"{path}: non-numeric cell {cell!r} in column "
+                            f"{label!r}, data row {row}"
+                        )
+    except (OSError, ValueError):
+        pass
+    return DataError(f"{path}: non-numeric cell: {exc}")
 
 
 def read_recording_csv(
@@ -98,24 +150,33 @@ def read_recording_csv(
     """
     path = Path(path)
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+        with open(path) as fh:
+            header = next(csv.reader([fh.readline()]), None)
             if not header or header[0] != TIME_COLUMN:
                 raise DataError(
                     f"{path}: first column must be {TIME_COLUMN!r}, "
                     f"got {header[0] if header else 'nothing'!r}"
                 )
-            rows = [[float(cell) for cell in row] for row in reader if row]
+            try:
+                with warnings.catch_warnings():
+                    # An empty body is reported below as "no data rows".
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(
+                        fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64
+                    )
+            except ValueError as exc:
+                raise _body_error(path, header, exc) from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric cell: {exc}") from exc
-    if not rows:
+    if len(data) == 0:
         raise DataError(f"{path}: no data rows")
-    if any(len(row) != len(header) for row in rows):
-        raise DataError(f"{path}: ragged rows")
-    data = np.asarray(rows, dtype=np.float64)
+    if data.shape[1] != len(header):
+        raise DataError(
+            f"{path}: ragged rows: data row 1 has {data.shape[1]} cells, "
+            f"the header {len(header)}"
+        )
     bad_rows, bad_cols = np.nonzero(~np.isfinite(data))
     if bad_rows.size:
         raise DataError(
@@ -310,7 +371,7 @@ def read_session_index(session_dir) -> SessionIndex:
     try:
         spec = SessionSpec.from_dict(index["spec"])
         manifest_files = list(index["takes"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, InvalidSpec) as exc:
         raise InvalidSpec(f"{root / 'session.json'}: bad index: {exc}") from exc
     if not manifest_files:
         raise InvalidSpec(f"{root / 'session.json'}: session lists no takes")

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidSpec
 from .preprocess import CalibrationRecord, Joint, Muscle, muscles_for
 from .timeseries import MultiChannelRecording, TimeSeries, Unit
 
@@ -29,6 +30,35 @@ EMG_GAIN_V = 1e-3      # activation-to-volts gain of the simulated amplifier
 FMG_DECIMATE_HZ = 10.0  # anti-alias cutoff before decimating FMG to its rate
 DRIFT_FREQ_HZ = 0.05   # slow baseline wander frequency on FMG channels
 CALIBRATION_S = 10.0   # length of each calibration recording
+
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string",
+               list: "a list", dict: "a JSON object"}
+
+
+def _checked(value, kind: type, what: str):
+    """``value`` if it is a JSON value of ``kind``, else :class:`InvalidSpec`.
+
+    A number field takes an integer too (returned as a float); no field
+    takes a bool.
+    """
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise InvalidSpec(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _field(d: dict, key: str, kind: type):
+    """``d[key]`` checked by :func:`_checked`; a missing key is InvalidSpec."""
+    if key not in d:
+        raise InvalidSpec(f"session spec lacks {key!r}")
+    return _checked(d[key], kind, repr(key))
+
+
+def _member(enum_cls, name: str, what: str):
+    try:
+        return enum_cls[name.upper()]
+    except KeyError:
+        raise InvalidSpec(f"unknown {what} {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -52,7 +82,13 @@ class NoiseSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "NoiseSpec":
-        return NoiseSpec(**d)
+        """Missing levels keep their defaults; an unknown key is InvalidSpec."""
+        d = _checked(d, dict, "'noise'")
+        known = NoiseSpec().to_dict()
+        unknown = sorted(set(d) - set(known))
+        if unknown:
+            raise InvalidSpec(f"unknown noise keys {unknown}")
+        return NoiseSpec(**{k: _field(d, k, float) for k in d})
 
 
 @dataclass(frozen=True)
@@ -79,10 +115,15 @@ class TorqueModel:
 
     @staticmethod
     def from_dict(d: dict) -> "TorqueModel":
+        d = _checked(d, dict, "'torque'")
+        weights = _field(d, "muscle_weights", dict)
         return TorqueModel(
-            angle_coeff=d["angle_coeff"],
-            velocity_coeff=d["velocity_coeff"],
-            muscle_weights={Muscle[k]: float(v) for k, v in d["muscle_weights"].items()},
+            angle_coeff=_field(d, "angle_coeff", float),
+            velocity_coeff=_field(d, "velocity_coeff", float),
+            muscle_weights={
+                _member(Muscle, k, "muscle"): _checked(v, float, f"weight of {k!r}")
+                for k, v in weights.items()
+            },
         )
 
 
@@ -138,21 +179,31 @@ class SessionSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "SessionSpec":
-        return SessionSpec(
-            joint=Joint[d["joint"].upper()],
-            velocities_deg_s=tuple(float(v) for v in d["velocities_deg_s"]),
-            angle_low_deg=float(d["angle_low_deg"]),
-            angle_high_deg=float(d["angle_high_deg"]),
-            takes_per_velocity=int(d["takes_per_velocity"]),
-            swings_per_take=int(d["swings_per_take"]),
-            rep_amplitude_jitter=float(d["rep_amplitude_jitter"]),
-            hold_s=float(d["hold_s"]),
-            high_rate_hz=float(d["high_rate_hz"]),
-            fmg_rate_hz=float(d["fmg_rate_hz"]),
-            seed=int(d["seed"]),
-            torque=TorqueModel.from_dict(d["torque"]),
-            noise=NoiseSpec.from_dict(d["noise"]),
-        )
+        """Inverse of :meth:`to_dict`; a malformed spec (not an object, a
+        missing key, a wrongly typed or out-of-range field, an unknown
+        joint, muscle or noise key) raises :class:`InvalidSpec`."""
+        d = _checked(d, dict, "a session spec")
+        velocities = _field(d, "velocities_deg_s", list)
+        try:
+            return SessionSpec(
+                joint=_member(Joint, _field(d, "joint", str), "joint"),
+                velocities_deg_s=tuple(
+                    _checked(v, float, "a velocity") for v in velocities
+                ),
+                angle_low_deg=_field(d, "angle_low_deg", float),
+                angle_high_deg=_field(d, "angle_high_deg", float),
+                takes_per_velocity=_field(d, "takes_per_velocity", int),
+                swings_per_take=_field(d, "swings_per_take", int),
+                rep_amplitude_jitter=_field(d, "rep_amplitude_jitter", float),
+                hold_s=_field(d, "hold_s", float),
+                high_rate_hz=_field(d, "high_rate_hz", float),
+                fmg_rate_hz=_field(d, "fmg_rate_hz", float),
+                seed=_field(d, "seed", int),
+                torque=TorqueModel.from_dict(_field(d, "torque", dict)),
+                noise=NoiseSpec.from_dict(_field(d, "noise", dict)),
+            )
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidSpec(f"invalid session spec: {exc}") from exc
 
 
 @dataclass

@@ -75,6 +75,14 @@ def with_nan_cell(session_dir, tmp_path, csv_name):
     return copy
 
 
+def run_cli(*args):
+    """``myotorque`` in a fresh interpreter, so a traceback shows on stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "myotorque.cli", *map(str, args)],
+        capture_output=True, text=True,
+    )
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["evaluate", "--bogus"]) == 1
@@ -118,6 +126,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert str(spec_file) in err
         assert "joint" in err
+
+    def test_spec_that_is_not_an_object_is_2(self, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text("[1,2]")
+        proc = run_cli("simulate", "--spec", spec_file, "--out", tmp_path / "s")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert str(spec_file) in proc.stderr
+        assert "JSON object" in proc.stderr
 
     def test_seed_override_changes_data(self, tmp_path):
         spec_file = tmp_path / "spec.json"
@@ -183,6 +200,22 @@ class TestTrainPredict:
         ])
         assert code == 2
         assert "knee" in capsys.readouterr().err
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_session_spec_with_numeric_joint_is_2(self, knee_dir, tmp_path):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for p in knee_dir.iterdir():
+            (bad / p.name).write_bytes(p.read_bytes())
+        index = json.loads((bad / "session.json").read_text())
+        index["spec"]["joint"] = 5
+        (bad / "session.json").write_text(json.dumps(index))
+        proc = run_cli(
+            "train", "--session", bad, "--config", "fmg", "--out", tmp_path / "m.npz"
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "session.json" in proc.stderr and "'joint'" in proc.stderr
         assert not (tmp_path / "m.npz").exists()
 
     def test_train_without_session_or_joint_is_2(self, tmp_path, capsys):

@@ -1,10 +1,15 @@
 """Disk round trips for recordings, take manifests, and session indexes."""
 
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from myotorque import recordings
 from myotorque.errors import DataError, InvalidSpec
@@ -15,6 +20,7 @@ from myotorque.recordings import (
     load_take,
     read_recording_csv,
     read_session_index,
+    write_float_table,
     write_recording_csv,
     write_session,
 )
@@ -122,6 +128,117 @@ class TestRecordingCsv:
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             read_recording_csv(tmp_path / "nope.csv")
+
+
+def reference_csv(header, columns) -> bytes:
+    """The bytes ``csv.writer`` writes for ``format(x, ".17g")`` cells."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([format(float(x), ".17g") for x in row])
+    return buf.getvalue().encode()
+
+
+# Finite float64 values plus the ones most likely to lose bits in text:
+# signed zeros, subnormals, the smallest normal and the largest values.
+float64_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+        2.2250738585072014e-308, 1.7e308, -1.7e308, 1.7976931348623157e308,
+    ]),
+)
+
+
+class TestFormatRoundTrip:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        values=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 30), st.integers(1, 4)),
+            elements=float64_cells,
+        ),
+        rate=st.sampled_from([10.0, 200.0, 2000.0]),
+        start=st.floats(-1e3, 1e3),
+    )
+    def test_random_columns_survive_bit_for_bit(self, tmp_path, values, rate, start):
+        labels = [f"emg_c{j}" for j in range(values.shape[1])]
+        rec = MultiChannelRecording(
+            channels={
+                label: TimeSeries(
+                    label=label, unit=Unit.VOLTS, sample_rate_hz=rate,
+                    start_time_s=start, values=values[:, j],
+                )
+                for j, label in enumerate(labels)
+            },
+            meta={},
+        )
+        path = tmp_path / "rec.csv"
+        write_recording_csv(rec, path)
+        times = rec[labels[0]].times
+        assert path.read_bytes() == reference_csv(
+            ["time_s"] + labels, [times] + [values[:, j] for j in range(len(labels))]
+        )
+        back = read_recording_csv(path, rate)
+        assert back[labels[0]].start_time_s == start
+        for j, label in enumerate(labels):
+            # Compare bit patterns, so -0.0 must come back as -0.0.
+            assert np.array_equal(
+                back[label].values.view(np.int64), values[:, j].view(np.int64)
+            ), label
+
+    def test_chunked_rows_match_reference(self, rng):
+        # More rows than one formatting chunk, with a partial last chunk.
+        n = 2 * recordings._CHUNK_ROWS + 3
+        columns = [np.arange(n) / 7.0, rng.standard_normal(n) * 1e-300,
+                   rng.standard_normal(n) * 1e300]
+        buf = io.StringIO(newline="")
+        write_float_table(buf, ["a", "b", "c"], columns)
+        assert buf.getvalue().encode() == reference_csv(["a", "b", "c"], columns)
+
+    def test_literal_cells_and_no_header(self):
+        buf = io.StringIO(newline="")
+        write_float_table(buf, None, [[0, 1], [0.1, -0.0]], "knee,%d,%.17g,test")
+        assert buf.getvalue() == (
+            "knee,0,0.10000000000000001,test\r\nknee,1,-0,test\r\n"
+        )
+
+    def test_ragged_row_mid_file_names_data_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "time_s,angle_deg\n0.0,1.0\n0.01,2.0\n\n0.02\n0.03,4.0\n"
+        )
+        with pytest.raises(DataError, match=r"bad\.csv: ragged rows: data row 3 "):
+            read_recording_csv(path)
+
+    def test_non_numeric_cell_mid_file_names_data_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "time_s,angle_deg\r\n0.0,1.0\r\n0.01,2.0\r\n0.02,x3\r\n0.03,4.0\r\n"
+        )
+        with pytest.raises(
+            DataError,
+            match=r"bad\.csv: non-numeric cell 'x3' in column 'angle_deg', data row 3",
+        ):
+            read_recording_csv(path)
+
+    def test_rows_narrower_than_header_are_ragged(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time_s,angle_deg,torque_nm\n0.0,1.0\n0.01,2.0\n")
+        with pytest.raises(DataError, match="ragged rows: data row 1 "):
+            read_recording_csv(path)
+
+    def test_one_row_file(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("time_s,angle_deg\n0.5,-0\n")
+        back = read_recording_csv(path, 100.0)
+        assert back["angle_deg"].start_time_s == 0.5
+        assert np.signbit(back["angle_deg"].values[0])
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from myotorque.errors import InvalidSpec
 from myotorque.preprocess import Joint, compute_calibration, muscles_for
 from myotorque.synthgen import (
     NoiseSpec,
@@ -51,6 +52,38 @@ class TestSpec:
     def test_dict_round_trip(self):
         spec = default_session_spec(Joint.ANKLE)
         assert SessionSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: [1, 2], "JSON object"),
+            (lambda d: {k: v for k, v in d.items() if k != "seed"}, "lacks 'seed'"),
+            (lambda d: {**d, "joint": 5}, "'joint' must be a string"),
+            (lambda d: {**d, "joint": "elbow"}, "unknown joint"),
+            (lambda d: {**d, "seed": "7"}, "'seed' must be an integer"),
+            (lambda d: {**d, "takes_per_velocity": True}, "must be an integer"),
+            (lambda d: {**d, "hold_s": None}, "'hold_s' must be a number"),
+            (lambda d: {**d, "velocities_deg_s": 60}, "must be a list"),
+            (lambda d: {**d, "velocities_deg_s": [60, "x"]}, "velocity must be"),
+            (lambda d: {**d, "torque": []}, "'torque' must be"),
+            (lambda d: {**d, "torque": {**d["torque"], "muscle_weights": {"XX": 1}}},
+             "unknown muscle"),
+            (lambda d: {**d, "noise": {**d["noise"], "snr": 3.0}},
+             r"unknown noise keys \['snr'\]"),
+            (lambda d: {**d, "angle_low_deg": 200.0}, "must exceed"),
+            (lambda d: {**d, "fmg_rate_hz": 0}, "invalid session spec"),
+        ],
+    )
+    def test_malformed_dict_is_invalid_spec(self, edit, message):
+        d = default_session_spec(Joint.KNEE).to_dict()
+        with pytest.raises(InvalidSpec, match=message):
+            SessionSpec.from_dict(edit(d))
+
+    def test_noise_keys_default_when_missing(self):
+        d = default_session_spec(Joint.KNEE).to_dict()
+        d["noise"] = {"emg_snr": 5}
+        spec = SessionSpec.from_dict(d)
+        assert spec.noise == NoiseSpec(emg_snr=5.0)
 
     def test_default_specs_cover_both_joints(self):
         knee = default_session_spec(Joint.KNEE)
