@@ -19,6 +19,9 @@ import itertools
 import json
 import sys
 from pathlib import Path
+from time import perf_counter
+
+import numpy as np
 
 from .errors import DataError, InvalidSpec, NumericalError
 from .evaluate import (
@@ -269,8 +272,8 @@ def cmd_stream(args) -> int:
     muscles = predictor.muscles
     fh = open(args.infile, newline="") if args.infile else sys.stdin
     header_written = False
-    rows = 0
     skipped = 0
+    tick_s = []  # wall time of each successful predictor.push
     try:
         reader = csv.reader(fh)
         first = next(reader, None)
@@ -299,12 +302,14 @@ def cmd_stream(args) -> int:
                 print(f"stream: skipping line {lineno}: {exc}", file=sys.stderr)
                 skipped += 1
                 continue
+            start = perf_counter()
             try:
                 sample = predictor.push(angle, fmg_values, time_s)
             except DataError as exc:
                 print(f"stream: skipping line {lineno}: {exc}", file=sys.stderr)
                 skipped += 1
                 continue
+            tick_s.append(perf_counter() - start)
             if not header_written:
                 print(_STREAM_HEADER)
                 header_written = True
@@ -312,12 +317,15 @@ def cmd_stream(args) -> int:
                 f"{sample.time_s:.6f},{sample.torque_nm:.6f},"
                 f"{sample.torque_std_nm:.6f}"
             )
-            rows += 1
     finally:
         if args.infile:
             fh.close()
-    if rows or skipped:
-        print(f"stream: processed {rows} rows, skipped {skipped}", file=sys.stderr)
+    if tick_s or skipped:
+        summary = f"stream: processed {len(tick_s)} rows, skipped {skipped}"
+        if tick_s:
+            p50, p99 = np.percentile(tick_s, [50, 99]) * 1e3
+            summary += f", tick p50 {p50:.3f} ms, p99 {p99:.3f} ms"
+        print(summary, file=sys.stderr)
     return 0
 
 

@@ -25,6 +25,7 @@ from scipy.linalg.lapack import dsytrd, dsytrd_lwork
 from scipy.optimize import minimize
 
 from .errors import (
+    DataError,
     DegenerateSeries,
     DimensionMismatch,
     ModelFormatError,
@@ -99,6 +100,11 @@ class GprModel:
 
     Immutable in use; every prediction is a pure function of the stored
     arrays. ``weights`` solves (K + noise I) w = y.
+
+    Every model, fitted, loaded or built by hand, is validated once here:
+    the four arrays are finite float64 with consistent shapes and the
+    factor has a positive diagonal. Predictions trust them afterwards and
+    check only their query points.
     """
 
     inputs: np.ndarray
@@ -109,18 +115,56 @@ class GprModel:
     log_marginal: float
     jitter: float = 0.0
 
+    def __post_init__(self):
+        arrays = {
+            "inputs": self.inputs,
+            "targets": self.targets,
+            "cholesky_lower": self.cholesky_lower,
+            "weights": self.weights,
+        }
+        for name, arr in arrays.items():
+            if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
+                raise DataError(f"{name} must be a float64 array")
+        if self.inputs.ndim != 2 or self.inputs.shape[0] == 0:
+            raise DimensionMismatch(
+                f"inputs must be a non-empty 2-D array, got shape {self.inputs.shape}"
+            )
+        n = self.inputs.shape[0]
+        shapes = {"targets": (n,), "cholesky_lower": (n, n), "weights": (n,)}
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
+                raise DimensionMismatch(
+                    f"{name} has shape {arrays[name].shape}, expected {shape} "
+                    f"for {n} training rows"
+                )
+        for name, arr in arrays.items():
+            if not np.isfinite(arr).all():
+                raise DataError(f"{name} has a non-finite value")
+        if not np.all(np.diagonal(self.cholesky_lower) > 0.0):
+            raise DataError("cholesky_lower has a non-positive diagonal entry")
+
     @property
     def n_train(self) -> int:
         return self.inputs.shape[0]
 
 
 def _as_points(x: np.ndarray, what: str = "inputs") -> np.ndarray:
-    """Coerce to an (n, d) float64 matrix; 1-D means n points in 1-D."""
+    """Coerce to a finite (n, d) float64 matrix; 1-D means n points in 1-D."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise DimensionMismatch(f"{what} must be 1-D or 2-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{what} must be finite")
+    return arr
+
+
+def _as_targets(y: np.ndarray) -> np.ndarray:
+    """Coerce training targets to a finite float64 vector."""
+    arr = np.asarray(y, dtype=np.float64).ravel()
+    if not np.isfinite(arr).all():
+        raise DataError("training targets must be finite")
     return arr
 
 
@@ -206,16 +250,14 @@ def fit(
     inputs: np.ndarray, targets: np.ndarray, hyper: Hyperparameters
 ) -> GprModel:
     """Exact fit: factor K + noise I and solve for the dual weights."""
-    x = _as_points(inputs)
-    y = np.asarray(targets, dtype=np.float64).ravel()
+    x = _as_points(inputs, "training inputs")
+    y = _as_targets(targets)
     if x.shape[0] != y.shape[0]:
         raise DimensionMismatch(
             f"{x.shape[0]} input rows but {y.shape[0]} targets"
         )
     if x.shape[0] == 0:
         raise DegenerateSeries("cannot fit a model on zero rows")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("training data must be finite")
 
     k_noisy = gram_matrix(x, hyper)
     k_noisy.flat[:: x.shape[0] + 1] += hyper.noise_variance
@@ -252,7 +294,7 @@ def lml_gradient(model: GprModel, active: np.ndarray | None = None) -> np.ndarra
     """
     n = model.n_train
     alpha = model.weights
-    k_inv = cho_solve((model.cholesky_lower, True), np.eye(n))
+    k_inv = cho_solve((model.cholesky_lower, True), np.eye(n), check_finite=False)
     inner = np.outer(alpha, alpha) - k_inv
 
     hyper = model.hyper
@@ -332,8 +374,8 @@ def optimize_hyperparameters(
     its eigenbasis come from one tridiagonal reduction, and every
     line-search evaluation reuses them.
     """
-    x = _as_points(inputs)
-    y = np.asarray(targets, dtype=np.float64).ravel()
+    x = _as_points(inputs, "training inputs")
+    y = _as_targets(targets)
     if initial is None:
         initial = Hyperparameters()
     free = options.free_mask()
@@ -389,7 +431,8 @@ def optimize_hyperparameters(
 
 
 def _query_covariance(model: GprModel, x_star: np.ndarray) -> np.ndarray:
-    """K*, the n_train x n_query covariance between training and query points."""
+    """K*, the n_train x n_query covariance between training and query points;
+    only the query is checked, the model was validated when built."""
     xq = _as_points(x_star, "query points")
     if xq.shape[1] != model.inputs.shape[1]:
         raise DimensionMismatch(
@@ -406,10 +449,17 @@ def predict(
     mean = K*' w; variance = k(x*, x*) - ||L^-1 K*||^2 per point, clamped
     at zero. The variance is the latent-function variance; observation
     noise is not added.
+
+    Finiteness is checked once per model, when the :class:`GprModel` is
+    built (by :func:`fit`, :func:`load_model` or by hand), and per call
+    only on the query points, which raise :class:`DataError` if any is
+    NaN or infinite. The triangular solve therefore skips scipy's
+    finiteness scan of the n x n factor, which costs several times the
+    O(n^2) solve itself on a one-row query.
     """
     k_star = _query_covariance(model, x_star)
     mean = k_star.T @ model.weights
-    v = solve_triangular(model.cholesky_lower, k_star, lower=True)
+    v = solve_triangular(model.cholesky_lower, k_star, lower=True, check_finite=False)
     prior_var = model.hyper.output_scale**2
     var = np.maximum(prior_var - np.sum(v * v, axis=0), 0.0)
     return mean, var
@@ -452,7 +502,12 @@ def save_model(model: GprModel, path, metadata: dict | None = None) -> None:
 
 
 def load_model(path) -> tuple[GprModel, dict]:
-    """Inverse of :func:`save_model`; validates the container first."""
+    """Inverse of :func:`save_model`; validates the container first.
+
+    A file that is not a saved model, or whose arrays fail the
+    :class:`GprModel` checks (shapes, finiteness, positive factor
+    diagonal), raises :class:`ModelFormatError`.
+    """
     try:
         with np.load(path, allow_pickle=False) as data:
             if "format_version" not in data or "model_kind" not in data:
@@ -477,6 +532,8 @@ def load_model(path) -> tuple[GprModel, dict]:
                 jitter=float(data["jitter"]),
             )
             metadata = json.loads(str(data["metadata_json"]))
-    except (OSError, ValueError, KeyError) as exc:
+    except ModelFormatError:
+        raise
+    except (OSError, ValueError, KeyError, DataError) as exc:
         raise ModelFormatError(f"cannot load model from {path}: {exc}") from exc
     return model, metadata

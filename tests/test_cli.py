@@ -1,17 +1,29 @@
 """Command-line interface: exit codes, outputs, and error reporting."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from myotorque.cli import main
 from myotorque.evaluate import load_estimator
 from myotorque.gpr import load_model, save_model
-from myotorque.preprocess import Joint, build_features, compute_calibration
+from myotorque.preprocess import (
+    Joint,
+    build_features,
+    compute_calibration,
+    fmg_channel,
+    muscles_for,
+)
 from myotorque.recordings import load_session, write_session
 from myotorque.synthgen import NoiseSpec, default_session_spec, generate_session
 
@@ -416,6 +428,130 @@ class TestStream:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ""
+
+    def test_summary_reports_tick_latency(self, fmg_model, quiet_knee_dir,
+                                          tmp_path, capsys):
+        infile = tmp_path / "rows.csv"
+        infile.write_text("".join(
+            f"{i / 200.0},{30.0 + i},0.1,0.2,0.1,0.2,0.1\n" for i in range(5)
+        ) + "0.025,oops,0.1,0.2,0.1,0.2,0.1\n")
+        assert main(stream_args(fmg_model, quiet_knee_dir, infile)) == 0
+        summary = capsys.readouterr().err.splitlines()[-1]
+        match = re.fullmatch(
+            r"stream: processed 5 rows, skipped 1, "
+            r"tick p50 (\d+\.\d{3}) ms, p99 (\d+\.\d{3}) ms",
+            summary,
+        )
+        assert match, summary
+        p50, p99 = float(match[1]), float(match[2])
+        assert 0.0 < p50 <= p99
+
+    def test_summary_without_processed_rows_has_no_latency(
+            self, fmg_model, quiet_knee_dir, tmp_path, capsys):
+        infile = tmp_path / "rows.csv"
+        infile.write_text("0.0,nan,0.1,0.2,0.1,0.2,0.1\n")
+        assert main(stream_args(fmg_model, quiet_knee_dir, infile)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "stream: processed 0 rows, skipped 1"
+        )
+
+
+def with_nan_in_model(model_path, tmp_path, array):
+    """A copy of a saved model whose ``array`` holds one NaN."""
+    with np.load(model_path) as data:
+        arrays = dict(data)
+    arrays[array] = arrays[array].copy()
+    arrays[array].flat[arrays[array].size // 2] = np.nan
+    broken = tmp_path / f"nan_{array}.npz"
+    np.savez(broken, **arrays)
+    return broken
+
+
+@pytest.mark.parametrize("command", ["stream", "predict"])
+@pytest.mark.parametrize(
+    "array", ["inputs", "targets", "cholesky_lower", "weights"]
+)
+def test_non_finite_model_array_is_2(fmg_model, quiet_knee_dir, tmp_path,
+                                     command, array):
+    # A NaN anywhere in the model is caught at load, not mid-stream in
+    # scipy (a traceback) or in the output (nan torques).
+    broken = with_nan_in_model(fmg_model, tmp_path, array)
+    if command == "stream":
+        infile = tmp_path / "rows.csv"
+        infile.write_text("0.0,30.0,0.1,0.2,0.1,0.2,0.1\n")
+        proc = run_cli(*stream_args(broken, quiet_knee_dir, infile))
+    else:
+        proc = run_cli("predict", "--model", broken,
+                       "--session", quiet_knee_dir)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert "data error" in lines[0] and array in lines[0]
+    assert proc.stdout == ""
+
+
+KNEE_STREAM_COLUMNS = [
+    "time_s", "angle_deg", *(fmg_channel(m) for m in muscles_for(Joint.KNEE))
+]
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-90.0, 90.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "1e400"]),
+)
+_CELL = st.one_of(
+    _NUMBER, st.just(""), st.text(alphabet="abxyz .+-e_", max_size=5)
+)
+# Well-formed ticks, rows of hostile cells, and short or over-long rows.
+_LINE = st.one_of(
+    st.lists(st.floats(-90.0, 90.0).map(repr), min_size=7, max_size=7),
+    st.lists(_CELL, min_size=7, max_size=7),
+    st.lists(_CELL, min_size=1, max_size=12),
+).map(",".join)
+
+
+@st.composite
+def stream_inputs(draw):
+    """Lines of a stream input: a header of the knee columns in any order,
+    or none, in which case the first line is numeric (a non-numeric first
+    line would be read as a header)."""
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.permutations(KNEE_STREAM_COLUMNS))))
+        data_from = 1
+    else:
+        lines.append(",".join(draw(st.lists(_NUMBER, min_size=1, max_size=12))))
+        data_from = 0
+    lines += draw(st.lists(_LINE, max_size=25))
+    return lines, data_from
+
+
+@settings(max_examples=40, deadline=None)
+@given(stream_inputs())
+# A huge finite angle overflows the derived features to inf or nan; the
+# model's one-row query must reject them as data, not die in scipy.
+@example(([
+    "0.0,30.0,0.1,0.2,0.1,0.2,0.1",
+    "0.005,1.7e308,0.1,0.2,0.1,0.2,0.1",
+    "0.010,31.0,0.1,0.2,0.1,0.2,0.1",
+], 0))
+def test_stream_survives_fuzzed_rows(fmg_model, quiet_knee_dir, case):
+    lines, data_from = case
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.StringIO("\n".join(lines) + "\n")
+    with mock.patch.object(sys, "stdin", stdin), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([
+            "stream", "--model", str(fmg_model),
+            "--session", str(quiet_knee_dir),
+        ])
+    assert code == 0
+    assert "Traceback" not in err.getvalue()
+    counts = re.search(r"processed (\d+) rows, skipped (\d+)", err.getvalue())
+    handled = int(counts[1]) + int(counts[2]) if counts else 0
+    assert handled == sum(1 for line in lines[data_from:] if line)
 
 
 def test_console_entry_point_runs():

@@ -6,6 +6,7 @@ are rebuilt with explicit loops, the marginal likelihood is computed from
 finite differences in log-parameter space.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.linalg import eigh
 from scipy.optimize import minimize
 
 from myotorque.errors import (
+    DataError,
     DegenerateSeries,
     DimensionMismatch,
     ModelFormatError,
@@ -21,6 +23,7 @@ from myotorque.errors import (
 )
 from myotorque.gpr import (
     GpOptions,
+    GprModel,
     Hyperparameters,
     _cross_covariance,
     _eigen_lml_and_grad,
@@ -239,6 +242,20 @@ class TestFit:
         with pytest.raises(DegenerateSeries):
             fit(np.zeros((0, 2)), np.zeros(0), Hyperparameters())
 
+    @pytest.mark.parametrize("where, bad", [
+        ("inputs", np.nan), ("inputs", np.inf), ("targets", np.nan),
+        ("targets", -np.inf),
+    ])
+    def test_non_finite_training_data_is_data_error(self, where, bad):
+        x, y, hyper = random_problem(3)
+        x, y = x.copy(), y.copy()
+        if where == "inputs":
+            x[2, 0] = bad
+        else:
+            y[2] = bad
+        with pytest.raises(DataError, match="must be finite"):
+            fit(x, y, hyper)
+
     def test_duplicate_rows_still_fit(self):
         x = np.array([[0.0], [0.0], [1.0]])
         y = np.array([1.0, 1.0, 2.0])
@@ -314,6 +331,16 @@ class TestPredict:
         with pytest.raises(DimensionMismatch):
             predict(model, np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [predict, predict_mean])
+    def test_non_finite_query_is_data_error(self, rng, call, bad):
+        x, y, hyper = random_problem(5)
+        model = fit(x, y, hyper)
+        x_star = rng.normal(size=(4, x.shape[1]))
+        x_star[1, 0] = bad
+        with pytest.raises(DataError, match="query points must be finite"):
+            call(model, x_star)
+
     def test_predict_mean_agrees_with_predict(self, rng):
         x, y, hyper = random_problem(5)
         model = fit(x, y, hyper)
@@ -346,6 +373,17 @@ class TestOptimize:
         )
         after = log_marginal_likelihood(fit(x, y, hyper))
         assert after >= before - 1e-9
+
+    @pytest.mark.parametrize("where", ["inputs", "targets"])
+    def test_non_finite_training_data_is_data_error(self, where):
+        x, y, _ = random_problem(6)
+        x, y = x.copy(), y.copy()
+        if where == "inputs":
+            x[1, 0] = np.nan
+        else:
+            y[1] = np.nan
+        with pytest.raises(DataError, match="must be finite"):
+            optimize_hyperparameters(x, y)
 
     def test_noise_only_mode_keeps_scales_fixed(self, rng):
         x = rng.uniform(-2.0, 2.0, (40, 1))
@@ -431,6 +469,62 @@ class TestModelRoundTrip:
     def test_rejects_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "absent.npz")
+
+
+def _corrupt(model: GprModel, name: str, how: str) -> np.ndarray:
+    """A copy of one of the model's arrays with one defect."""
+    arr = getattr(model, name).copy()
+    if how == "nan":
+        arr.flat[arr.size // 2] = np.nan
+    elif how == "inf":
+        arr.flat[0] = np.inf
+    elif how == "short":
+        arr = arr[:-1]
+    elif how == "int":
+        arr = arr.astype(np.int64)
+    elif how == "zero diagonal":
+        arr[1, 1] = 0.0
+    return arr
+
+
+HOSTILE_ARRAYS = [
+    ("inputs", "nan"), ("inputs", "inf"), ("inputs", "int"),
+    ("targets", "nan"), ("targets", "short"),
+    ("cholesky_lower", "nan"), ("cholesky_lower", "inf"),
+    ("cholesky_lower", "short"), ("cholesky_lower", "zero diagonal"),
+    ("weights", "nan"), ("weights", "inf"), ("weights", "short"),
+]
+
+
+class TestModelValidation:
+    """Every model is checked once when built, so predictions can skip
+    rescanning the n x n factor."""
+
+    @pytest.mark.parametrize("name, how", HOSTILE_ARRAYS)
+    def test_hand_built_model_rejected(self, name, how):
+        x, y, hyper = random_problem(4)
+        model = fit(x, y, hyper)
+        with pytest.raises(DataError, match=name):
+            dataclasses.replace(model, **{name: _corrupt(model, name, how)})
+
+    def test_one_dimensional_inputs_rejected(self):
+        x, y, hyper = random_problem(4)
+        model = fit(x, y, hyper)
+        with pytest.raises(DimensionMismatch, match="2-D"):
+            dataclasses.replace(model, inputs=model.inputs[:, 0].copy())
+
+    @pytest.mark.parametrize("name, how", HOSTILE_ARRAYS)
+    def test_hostile_model_file_is_format_error(self, tmp_path, name, how):
+        x, y, hyper = random_problem(4)
+        model = fit(x, y, hyper)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[name] = _corrupt(model, name, how)
+        np.savez(path, **arrays)
+        with pytest.raises(ModelFormatError, match=name):
+            load_model(path)
 
 
 def _spectrum_of(k, y):

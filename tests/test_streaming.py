@@ -10,6 +10,7 @@ from myotorque.filters import design_butterworth_lowpass
 from myotorque.gpr import GpOptions
 from myotorque.preprocess import (
     ModelConfig,
+    angle_prefilter,
     build_features,
     concat_tables,
     fmg_channel,
@@ -18,17 +19,43 @@ from myotorque.preprocess import (
 from myotorque.streaming import CausalFilter, StreamingPredictor
 
 
+class SosfiltFilter:
+    """Reference: the single-sample ``sosfilt`` call per push that the
+    inline recurrence of :class:`CausalFilter` replaced."""
+
+    def __init__(self, coeffs):
+        self._sos = coeffs.sos
+        self._state = None
+
+    def push(self, value):
+        if self._state is None:
+            self._state = sosfilt_zi(self._sos) * value
+        out, self._state = sosfilt(self._sos, [value], zi=self._state)
+        return float(out[0])
+
+
+def primed_single_pass(coeffs, x):
+    """Oracle: one sosfilt call over the whole signal with the state
+    primed to the first sample's step response."""
+    out, _ = sosfilt(coeffs.sos, x, zi=sosfilt_zi(coeffs.sos) * x[0])
+    return out
+
+
 class TestCausalFilter:
     def test_matches_primed_single_pass_filter(self, rng):
-        # Oracle: one sosfilt call over the whole signal with the state
-        # primed to the first sample's step response.
         coeffs = design_butterworth_lowpass(2, 20.0, 200.0)
         x = rng.standard_normal(400) + 3.0
-        zi = sosfilt_zi(coeffs.sos) * x[0]
-        expected, _ = sosfilt(coeffs.sos, x, zi=zi)
         filt = CausalFilter(coeffs)
         got = np.array([filt.push(v) for v in x])
-        assert np.allclose(got, expected, atol=1e-12)
+        assert np.array_equal(got, primed_single_pass(coeffs, x))
+
+    def test_matches_primed_single_pass_filter_two_sections(self, rng):
+        coeffs = design_butterworth_lowpass(4, 20.0, 200.0)
+        assert coeffs.sos.shape[0] == 2
+        x = rng.standard_normal(400) + 3.0
+        filt = CausalFilter(coeffs)
+        got = np.array([filt.push(v) for v in x])
+        assert np.array_equal(got, primed_single_pass(coeffs, x))
 
     def test_constant_input_passes_unchanged(self):
         filt = CausalFilter(design_butterworth_lowpass(2, 20.0, 200.0))
@@ -108,6 +135,27 @@ class TestStreamingPredictor:
         ])
         r = np.corrcoef(est[20:], torque[20:n])[0, 1]
         assert r > 0.9
+
+    def test_replayed_take_matches_sosfilt_predictor(self, fmg_setup):
+        # A whole held-out take through the inline filter gives the same
+        # samples, bit for bit, as a predictor running sosfilt per tick.
+        session, estimator = fmg_setup
+        rec = session.takes[4].recording
+        muscles = muscles_for(session.spec.joint)
+        angle = rec["angle_deg"].values[::10]
+        fmg = np.column_stack([rec[fmg_channel(m)].values for m in muscles])
+        n = min(len(angle), len(fmg))
+        inline = StreamingPredictor(estimator, session.calibration)
+        reference = StreamingPredictor(estimator, session.calibration)
+        reference._angle_filter = SosfiltFilter(
+            angle_prefilter(estimator.sample_rate_hz)
+        )
+        got, expected = [], []
+        for i in range(n):
+            tick = (float(angle[i]), tuple(fmg[i].tolist()))
+            got.append(inline.push(*tick))
+            expected.append(reference.push(*tick))
+        assert got == expected
 
     def test_emitted_clock_counts_ticks(self, fmg_setup):
         session, estimator = fmg_setup
