@@ -11,17 +11,26 @@ coordinates Q'y (Rasmussen & Williams 2006, sections 2.2 and 5.4). It
 gets them from a Householder tridiagonal reduction K = H T H', the
 reflectors applied to y alone, and a tridiagonal eigensolver, so the
 dense eigenvector matrix Q is never formed.
+
+The free-scale search computes the squared distances between training
+points once and builds each evaluation's K from them through the same
+kernel path as :func:`gram_matrix`, so its objective equals
+``fit(...).log_marginal`` bit for bit. The gradient takes (K + noise I)^-1
+from the stored Cholesky factor (LAPACK ``potri``) instead of solving
+against an identity.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, eigh_tridiagonal, solve_triangular
 from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dsytrd, dsytrd_lwork
+from scipy.linalg.lapack import dpotri, dsytrd, dsytrd_lwork
 from scipy.optimize import minimize
 
 from .errors import (
@@ -160,12 +169,21 @@ def _as_points(x: np.ndarray, what: str = "inputs") -> np.ndarray:
     return arr
 
 
-def _as_targets(y: np.ndarray) -> np.ndarray:
-    """Coerce training targets to a finite float64 vector."""
-    arr = np.asarray(y, dtype=np.float64).ravel()
-    if not np.isfinite(arr).all():
+def _training_set(
+    inputs: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Finite training inputs (n, d) and targets (n,) with n >= 1."""
+    x = _as_points(inputs, "training inputs")
+    y = np.asarray(targets, dtype=np.float64).ravel()
+    if not np.isfinite(y).all():
         raise DataError("training targets must be finite")
-    return arr
+    if x.shape[0] != y.shape[0]:
+        raise DimensionMismatch(
+            f"{x.shape[0]} input rows but {y.shape[0]} targets"
+        )
+    if x.shape[0] == 0:
+        raise DegenerateSeries("cannot fit a model on zero rows")
+    return x, y
 
 
 def _sq_distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -184,14 +202,27 @@ def _sq_distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _rbf_from_sq(d2: np.ndarray, hyper: Hyperparameters) -> np.ndarray:
+    """The kernel block from a block of squared distances, in place."""
+    d2 *= -0.5
+    d2 /= hyper.length_scale**2
+    np.exp(d2, out=d2)
+    d2 *= hyper.output_scale**2
+    return d2
+
+
 def _cross_covariance(
     xa: np.ndarray, xb: np.ndarray, hyper: Hyperparameters
 ) -> np.ndarray:
-    k = _sq_distances(xa, xb)  # scaled into the kernel in place
-    k *= -0.5
-    k /= hyper.length_scale**2
-    np.exp(k, out=k)
-    k *= hyper.output_scale**2
+    return _rbf_from_sq(_sq_distances(xa, xb), hyper)
+
+
+def _gram_from_sq(d2: np.ndarray, hyper: Hyperparameters) -> np.ndarray:
+    """The symmetric gram matrix from a square block of squared distances,
+    in place; the GEMM that builds the distances need not be symmetric."""
+    k = _rbf_from_sq(d2, hyper)
+    k += k.T
+    k *= 0.5
     return k
 
 
@@ -220,10 +251,7 @@ def gram_matrix(x: np.ndarray, hyper: Hyperparameters | None = None) -> np.ndarr
     if hyper is None:
         hyper = Hyperparameters()
     pts = _as_points(x)
-    k = _cross_covariance(pts, pts, hyper)
-    k += k.T
-    k *= 0.5
-    return k
+    return _gram_from_sq(_sq_distances(pts, pts), hyper)
 
 
 def _factor(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
@@ -250,18 +278,17 @@ def fit(
     inputs: np.ndarray, targets: np.ndarray, hyper: Hyperparameters
 ) -> GprModel:
     """Exact fit: factor K + noise I and solve for the dual weights."""
-    x = _as_points(inputs, "training inputs")
-    y = _as_targets(targets)
-    if x.shape[0] != y.shape[0]:
-        raise DimensionMismatch(
-            f"{x.shape[0]} input rows but {y.shape[0]} targets"
-        )
-    if x.shape[0] == 0:
-        raise DegenerateSeries("cannot fit a model on zero rows")
+    x, y = _training_set(inputs, targets)
+    return _fit_gram(x, y, gram_matrix(x, hyper), hyper)
 
-    k_noisy = gram_matrix(x, hyper)
-    k_noisy.flat[:: x.shape[0] + 1] += hyper.noise_variance
-    lower, jitter = _factor(k_noisy)
+
+def _fit_gram(
+    x: np.ndarray, y: np.ndarray, k: np.ndarray, hyper: Hyperparameters
+) -> GprModel:
+    """The body of :func:`fit` on checked data and its gram matrix ``k``,
+    which becomes K + noise I in place."""
+    k.flat[:: x.shape[0] + 1] += hyper.noise_variance
+    lower, jitter = _factor(k)
     alpha = cho_solve((lower, True), y)
     model = GprModel(
         inputs=x,
@@ -290,20 +317,41 @@ def lml_gradient(model: GprModel, active: np.ndarray | None = None) -> np.ndarra
 
     Components are ordered (log output_scale, log length_scale,
     log noise_variance); ``active`` selects a subset. Uses
-    tr((ww' - (K + noise I)^-1) dK/dt) / 2 with w the dual weights.
-    """
-    n = model.n_train
-    alpha = model.weights
-    k_inv = cho_solve((model.cholesky_lower, True), np.eye(n), check_finite=False)
-    inner = np.outer(alpha, alpha) - k_inv
+    tr((ww' - (K + noise I)^-1) dK/dt) / 2 with w the dual weights
+    (Rasmussen & Williams 2006, section 5.4.1), so each component is
+    (w' M w - tr((K + noise I)^-1 M)) / 2 for the symmetric dK/dt = M.
 
+    The inverse comes from the stored factor by LAPACK ``potri``, which
+    reads and writes the lower triangle only; the squared distances are
+    computed once per call and serve both kernel derivatives.
+    """
+    alpha = model.weights
     hyper = model.hyper
-    k_f = gram_matrix(model.inputs, hyper)
+    # A cleaned copy of the factor, inverted in place: L.T is the
+    # Fortran-ordered view of the lower factor, LAPACK's upper triangle.
+    k_inv, info = dpotri(np.tril(model.cholesky_lower).T, lower=0, overwrite_c=1)
+    if info != 0:
+        raise NumericalError(f"inverse from the Cholesky factor failed (info={info})")
+    k_inv = k_inv.T  # C-ordered, K^-1 in the lower triangle, zeros above
+    inv_diag = np.diagonal(k_inv)
+
+    def half_trace_term(m: np.ndarray) -> float:
+        # tr(K^-1 M) for a symmetric M from K^-1's lower triangle only.
+        trace = 2.0 * float(np.vdot(k_inv, m)) - float(inv_diag @ np.diagonal(m))
+        return 0.5 * (float(alpha @ (m @ alpha)) - trace)
+
     d2 = _sq_distances(model.inputs, model.inputs)
+    # Not symmetrized like the gram matrix: the traces read one triangle,
+    # and the two differ by rounding only.
+    k_f = _rbf_from_sq(d2.copy(), hyper)
     grads = np.empty(3)
-    grads[0] = 0.5 * float(np.sum(inner * (2.0 * k_f)))
-    grads[1] = 0.5 * float(np.sum(inner * (k_f * d2 / hyper.length_scale**2)))
-    grads[2] = 0.5 * hyper.noise_variance * float(np.trace(inner))
+    grads[0] = 2.0 * half_trace_term(k_f)  # dK/dlog s = 2 K_f
+    d2 *= k_f  # dK/dlog l = K_f * d2 / l^2, in place
+    d2 /= hyper.length_scale**2
+    grads[1] = half_trace_term(d2)
+    grads[2] = 0.5 * hyper.noise_variance * (
+        float(alpha @ alpha) - float(np.sum(inv_diag))
+    )
     if active is not None:
         return grads[np.asarray(active, dtype=bool)]
     return grads
@@ -374,8 +422,7 @@ def optimize_hyperparameters(
     its eigenbasis come from one tridiagonal reduction, and every
     line-search evaluation reuses them.
     """
-    x = _as_points(inputs, "training inputs")
-    y = _as_targets(targets)
+    x, y = _training_set(inputs, targets)
     if initial is None:
         initial = Hyperparameters()
     free = options.free_mask()
@@ -386,6 +433,8 @@ def optimize_hyperparameters(
     if noise_only:
         lam, y_hat = _spectrum(gram_matrix(x, initial), y)
         eig_cache = (np.maximum(lam, 0.0), y_hat)
+    else:
+        d2 = _sq_distances(x, x)  # fixed for the whole search
 
     def negative(theta_free: np.ndarray) -> tuple[float, np.ndarray]:
         if noise_only:
@@ -394,8 +443,9 @@ def optimize_hyperparameters(
             return -lml, np.array([-g])
         theta = theta0.copy()
         theta[free] = theta_free
+        hyper = Hyperparameters.from_log_array(theta)
         try:
-            model = fit(x, y, Hyperparameters.from_log_array(theta))
+            model = _fit_gram(x, y, _gram_from_sq(d2.copy(), hyper), hyper)
         except NotPositiveDefinite:
             return 1e25, np.zeros(int(free.sum()))
         return -model.log_marginal, -lml_gradient(model, active=free)
@@ -504,8 +554,9 @@ def save_model(model: GprModel, path, metadata: dict | None = None) -> None:
 def load_model(path) -> tuple[GprModel, dict]:
     """Inverse of :func:`save_model`; validates the container first.
 
-    A file that is not a saved model, or whose arrays fail the
-    :class:`GprModel` checks (shapes, finiteness, positive factor
+    A file that is not a saved model (not an npz archive, truncated or
+    corrupt, a field of the wrong shape or dtype), or whose arrays fail
+    the :class:`GprModel` checks (shapes, finiteness, positive factor
     diagonal), raises :class:`ModelFormatError`.
     """
     try:
@@ -534,6 +585,13 @@ def load_model(path) -> tuple[GprModel, dict]:
             metadata = json.loads(str(data["metadata_json"]))
     except ModelFormatError:
         raise
-    except (OSError, ValueError, KeyError, DataError) as exc:
+    # A damaged archive fails in zipfile (BadZipFile, EOFError, and a
+    # RuntimeError for a member flagged as encrypted or compressed by an
+    # unsupported method) or in zlib; a field of the wrong shape or dtype
+    # fails the scalar conversions with a TypeError.
+    except (
+        OSError, ValueError, KeyError, TypeError, EOFError, RuntimeError,
+        zipfile.BadZipFile, zlib.error, DataError,
+    ) as exc:
         raise ModelFormatError(f"cannot load model from {path}: {exc}") from exc
     return model, metadata

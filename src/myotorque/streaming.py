@@ -21,6 +21,12 @@ from .evaluate import TrainedEstimator
 from .filters import IirCoefficients
 from .preprocess import CalibrationRecord, ModelConfig, angle_prefilter, muscles_for
 
+# A joint angle beyond this is a sensor fault. Accepting one would leave a
+# value in the angle filter so large that the velocity of every ordinary
+# tick after it overflows, and each of those ticks would be rejected in
+# turn.
+_MAX_ABS_ANGLE_DEG = 1e6
+
 
 class CausalFilter:
     """Stateful single-pass IIR filter (second-order sections).
@@ -37,19 +43,24 @@ class CausalFilter:
             (b0, b1, b2, a1, a2) for b0, b1, b2, _, a1, a2 in coeffs.sos.tolist()
         ]
         self._zi = sosfilt_zi(coeffs.sos).tolist()
-        self._state: list[list[float]] | None = None
+        # One (z0, z1) pair per section. Each push replaces the tuple
+        # rather than mutating it, so a caller can hold on to the state
+        # before a push and put it back.
+        self._state: tuple[tuple[float, float], ...] | None = None
 
     def push(self, value: float) -> float:
         x = float(value)
-        if self._state is None:
+        state = self._state
+        if state is None:
             # Prime to the step response so the first samples are not a
             # decay from zero.
-            self._state = [[z0 * x, z1 * x] for z0, z1 in self._zi]
-        for (b0, b1, b2, a1, a2), z in zip(self._sections, self._state):
-            y = b0 * x + z[0]
-            z[0] = b1 * x - a1 * y + z[1]
-            z[1] = b2 * x - a2 * y
+            state = [(z0 * x, z1 * x) for z0, z1 in self._zi]
+        after = []
+        for (b0, b1, b2, a1, a2), (z0, z1) in zip(self._sections, state):
+            y = b0 * x + z0
+            after.append((b1 * x - a1 * y + z1, b2 * x - a2 * y))
             x = y
+        self._state = tuple(after)
         return x
 
 
@@ -68,6 +79,8 @@ class StreamingPredictor:
 
     Expects one row per FMG-rate tick: the raw angle plus, for FMG models,
     the raw FMG value of each of the model's muscles in their fixed order.
+    A tick rejected with :class:`DataError` moves no state: the filter,
+    the previous angle and the tick clock stay as they were.
     """
 
     estimator: TrainedEstimator
@@ -103,6 +116,10 @@ class StreamingPredictor:
             # Reject before any state moves: a NaN in the filter state
             # would poison every later tick of the stream.
             raise DataError("tick has a non-finite angle or FMG value")
+        if abs(angle_deg) > _MAX_ABS_ANGLE_DEG:
+            raise DataError(
+                f"tick angle {angle_deg:g} deg is beyond ±{_MAX_ABS_ANGLE_DEG:g} deg"
+            )
         rate = self.estimator.sample_rate_hz
         if time_s is None:
             time_s = self._tick / rate
@@ -116,16 +133,24 @@ class StreamingPredictor:
 
         # The angle feature stays raw (matching the batch pipeline); the
         # low-pass only conditions the velocity estimate.
+        filter_state = self._angle_filter._state
         smooth = self._angle_filter.push(angle_deg)
         if self._prev_angle is None:
             velocity = 0.0
         else:
             velocity = (smooth - self._prev_angle) * rate
+        row = np.array([angle_deg, velocity, *fmg_values])
+        try:
+            # The model rejects a row whose normalized features overflow
+            # (a finite but huge FMG value).
+            mean, std = self.estimator.predict_torque(row[None, :])
+        except DataError:
+            # A rejected tick leaves no trace: the stream goes on as if
+            # the line had never arrived.
+            self._angle_filter._state = filter_state
+            raise
         self._prev_angle = smooth
         self._tick += 1
-
-        row = np.array([angle_deg, velocity, *fmg_values])
-        mean, std = self.estimator.predict_torque(row[None, :])
         return StreamSample(
             time_s=float(time_s),
             torque_nm=float(mean[0]),

@@ -407,6 +407,26 @@ class TestStream:
         assert "non-finite" in captured.err
         assert "processed 4 rows, skipped 1" in captured.err
 
+    @pytest.mark.parametrize("position", [0, 1, 30])
+    def test_huge_angle_skips_only_its_own_line(
+            self, fmg_model, quiet_knee_dir, tmp_path, capsys, position):
+        # A finite angle of 1.7e308 used to stay in the causal filter and
+        # overflow the velocity of the next 8 lines, which were skipped too.
+        good = [f"{i / 200.0:.3f},31.0,0.1,0.2,0.1,0.2,0.1" for i in range(59)]
+        clean = tmp_path / "clean.csv"
+        clean.write_text("\n".join(good) + "\n")
+        assert main(stream_args(fmg_model, quiet_knee_dir, clean)) == 0
+        expected = capsys.readouterr().out
+
+        faulty = tmp_path / "faulty.csv"
+        lines = good[:position] + ["0.5,1.7e308,0.1,0.2,0.1,0.2,0.1"] + good[position:]
+        faulty.write_text("\n".join(lines) + "\n")
+        assert main(stream_args(fmg_model, quiet_knee_dir, faulty)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert f"skipping line {position + 1}" in captured.err
+        assert "processed 59 rows, skipped 1" in captured.err
+
     def test_nan_calibration_cell_is_2(self, fmg_model, quiet_knee_dir,
                                        tmp_path, capsys):
         broken = with_nan_cell(quiet_knee_dir, tmp_path, "calibration_standing.csv")
@@ -490,6 +510,51 @@ def test_non_finite_model_array_is_2(fmg_model, quiet_knee_dir, tmp_path,
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert "data error" in lines[0] and array in lines[0]
+    assert proc.stdout == ""
+
+
+def damaged_model(model_path, tmp_path, damage):
+    """A copy of a saved model file with one kind of damage."""
+    broken = tmp_path / f"{damage.replace(' ', '_')}.npz"
+    if damage in ("not a zip", "truncated"):
+        data = model_path.read_bytes()
+        broken.write_bytes(
+            b"PK\x03\x04garbage" if damage == "not a zip" else data[: len(data) // 2]
+        )
+        return broken
+    with np.load(model_path) as data:
+        arrays = dict(data)
+    name, value = {
+        "0-d hyper": ("hyper", np.float64(1.0)),
+        "array format_version": ("format_version", np.array([1, 1])),
+        "array log_marginal": ("log_marginal", np.zeros(2)),
+        "array jitter": ("jitter", np.zeros(2)),
+    }[damage]
+    arrays[name] = value
+    np.savez(broken, **arrays)
+    return broken
+
+
+@pytest.mark.parametrize("command", ["stream", "predict"])
+@pytest.mark.parametrize("damage", [
+    "not a zip", "truncated", "0-d hyper", "array format_version",
+    "array log_marginal", "array jitter",
+])
+def test_damaged_model_file_is_2(fmg_model, quiet_knee_dir, tmp_path,
+                                 command, damage):
+    broken = damaged_model(fmg_model, tmp_path, damage)
+    if command == "stream":
+        infile = tmp_path / "rows.csv"
+        infile.write_text("0.0,30.0,0.1,0.2,0.1,0.2,0.1\n")
+        proc = run_cli(*stream_args(broken, quiet_knee_dir, infile))
+    else:
+        proc = run_cli("predict", "--model", broken,
+                       "--session", quiet_knee_dir)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert "data error" in lines[0] and str(broken) in lines[0]
     assert proc.stdout == ""
 
 

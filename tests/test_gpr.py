@@ -8,12 +8,14 @@ finite differences in log-parameter space.
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import cho_solve, eigh
 from scipy.optimize import minimize
 
+import myotorque.gpr as gpr
 from myotorque.errors import (
     DataError,
     DegenerateSeries,
@@ -29,6 +31,7 @@ from myotorque.gpr import (
     _eigen_lml_and_grad,
     _factor,
     _spectrum,
+    _sq_distances,
     fit,
     gram_matrix,
     kernel_rbf,
@@ -133,6 +136,21 @@ class TestKernel:
         eigvals = np.linalg.eigvalsh(k)
         assert eigvals.min() > -1e-10 * eigvals.max()
 
+    @pytest.mark.parametrize("n, d", [(1, 1), (7, 2), (200, 7)])
+    def test_gram_bit_identical_to_scale_exp_scale_symmetrize(self, rng, n, d):
+        # The one kernel path: squared distances scaled, exponentiated and
+        # scaled in place, then symmetrized, in this order.
+        hyper = Hyperparameters(output_scale=1.3, length_scale=0.7)
+        x = rng.standard_normal((n, d))
+        k = _sq_distances(x, x)
+        k *= -0.5
+        k /= hyper.length_scale**2
+        np.exp(k, out=k)
+        k *= hyper.output_scale**2
+        k += k.T
+        k *= 0.5
+        assert np.array_equal(gram_matrix(x, hyper), k)
+
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
             Hyperparameters(output_scale=0.0)
@@ -210,6 +228,123 @@ class TestGradient:
         noise_only = lml_gradient(model, active=np.array([False, False, True]))
         assert noise_only.shape == (1,)
         assert noise_only[0] == pytest.approx(full[2], rel=1e-12)
+
+
+def identity_solve_gradient(model):
+    """Reference gradient: K^-1 from cho_solve on an identity and every
+    term an elementwise n x n sum."""
+    n = model.n_train
+    alpha = model.weights
+    k_inv = cho_solve((model.cholesky_lower, True), np.eye(n))
+    inner = np.outer(alpha, alpha) - k_inv
+    hyper = model.hyper
+    k_f = gram_matrix(model.inputs, hyper)
+    d2 = _sq_distances(model.inputs, model.inputs)
+    grads = np.empty(3)
+    grads[0] = 0.5 * float(np.sum(inner * (2.0 * k_f)))
+    grads[1] = 0.5 * float(np.sum(inner * (k_f * d2 / hyper.length_scale**2)))
+    grads[2] = 0.5 * hyper.noise_variance * float(np.trace(inner))
+    return grads
+
+
+def exact_identity_solve_gradient(model):
+    """The same formula on the model's stored arrays in exact rational
+    arithmetic: K = L L' and its inverse by Gauss-Jordan on fractions."""
+    n = model.n_train
+    lower = [[Fraction(v) for v in row] for row in model.cholesky_lower.tolist()]
+    k = [[sum(lower[i][m] * lower[j][m] for m in range(min(i, j) + 1))
+          for j in range(n)] for i in range(n)]
+    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(k)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
+    alpha = [Fraction(v) for v in model.weights.tolist()]
+    inner = [[alpha[i] * alpha[j] - aug[i][n + j] for j in range(n)] for i in range(n)]
+    hyper = model.hyper
+    k_f = gram_matrix(model.inputs, hyper).tolist()
+    d2 = _sq_distances(model.inputs, model.inputs).tolist()
+    ell2 = Fraction(hyper.length_scale) ** 2
+
+    def half_trace(m):
+        return float(sum(inner[i][j] * m(i, j) for i in range(n) for j in range(n)) / 2)
+
+    return np.array([
+        half_trace(lambda i, j: 2 * Fraction(k_f[i][j])),
+        half_trace(lambda i, j: Fraction(k_f[i][j]) * Fraction(d2[i][j]) / ell2),
+        float(Fraction(hyper.noise_variance) * sum(inner[i][i] for i in range(n)) / 2),
+    ])
+
+
+class TestGradientFromFactor:
+    """``lml_gradient`` takes K^-1 from the stored factor (potri) and its
+    data terms as mat-vecs; the reference keeps the identity solve."""
+
+    def test_matches_identity_solve_on_random_models(self):
+        for seed in range(30):
+            x, y, hyper = random_problem(seed, n_max=60)
+            model = fit(x, y, hyper)
+            reference = identity_solve_gradient(model)
+            assert np.allclose(lml_gradient(model), reference, rtol=1e-9, atol=0)
+
+    def test_single_point(self):
+        model = fit(np.array([[0.4, -1.0]]), np.array([0.7]),
+                    Hyperparameters(output_scale=1.3, length_scale=0.8,
+                                    noise_variance=0.2))
+        grads = lml_gradient(model)
+        assert np.allclose(grads, identity_solve_gradient(model), rtol=1e-9, atol=0)
+        # Closed form: k = s^2 + v, grad_s = s^2 (y^2/k^2 - 1/k),
+        # grad_l = 0, grad_v = v (y^2/k^2 - 1/k) / 2.
+        k = 1.3**2 + 0.2
+        common = 0.7**2 / k**2 - 1.0 / k
+        assert grads[0] == pytest.approx(1.3**2 * common, rel=1e-12)
+        assert grads[1] == 0.0
+        assert grads[2] == pytest.approx(0.5 * 0.2 * common, rel=1e-12)
+
+    def test_model_that_needed_jitter(self):
+        # Three coincident points: K + noise I holds a rank-one 3 x 3 block
+        # of s^2 plus a noise lost to rounding, so the factor needed jitter
+        # and K^-1 has entries near 1 / jitter. A component that sums such
+        # entries against dK/dt cancels them: in float64 the identity solve
+        # misses the exact value of its own formula by up to 100 % here, so
+        # the reference is that formula in exact arithmetic, to 1e-9
+        # relative or the rounding bound of the n^2-term sum, whichever is
+        # larger, and the new gradient must be no farther from it than the
+        # float64 identity solve, up to one rounding.
+        x = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [2.0, -1.0]])
+        y = np.array([0.4, -1.1, 0.9, 0.3])
+        hyper = Hyperparameters(output_scale=1.5, length_scale=0.7,
+                                noise_variance=1e-20)
+        model = fit(x, y, hyper)
+        assert model.jitter > 0
+        grads = lml_gradient(model)
+        reference = identity_solve_gradient(model)
+        exact = exact_identity_solve_gradient(model)
+        k_f = gram_matrix(x, hyper)
+        derivatives = [2.0 * k_f, k_f * _sq_distances(x, x) / 0.7**2,
+                       1e-20 * np.eye(4)]
+        largest_inverse = np.abs(cho_solve((model.cholesky_lower, True), np.eye(4))).max()
+        for i, dk in enumerate(derivatives):
+            bound = 4 * 4**2 * np.finfo(float).eps * largest_inverse * np.abs(dk).max()
+            assert grads[i] == pytest.approx(exact[i], rel=1e-9, abs=bound)
+            assert abs(grads[i] - exact[i]) <= (
+                abs(reference[i] - exact[i]) + 1e-15 * abs(exact[i])
+            )
+
+    @pytest.mark.parametrize("active", [
+        [True, True, True], [True, False, True], [False, True, True],
+        [False, False, True], [True, True, False], [False, False, False],
+    ])
+    def test_active_subsets(self, active):
+        x, y, hyper = random_problem(11, n_max=30)
+        model = fit(x, y, hyper)
+        full = lml_gradient(model)
+        picked = lml_gradient(model, active=np.array(active))
+        assert np.array_equal(picked, full[np.array(active)])
 
 
 class TestFit:
@@ -401,6 +536,37 @@ class TestOptimize:
         assert hyper.output_scale != 1.0
         assert hyper.length_scale != 1.0
 
+    @pytest.mark.parametrize("free", [(True, True), (False, True), (True, False)])
+    def test_free_scale_objective_is_fit_log_marginal(self, rng, monkeypatch, free):
+        # Every evaluation of the search builds K from squared distances
+        # computed once; it must equal a fresh fit bit for bit, and its
+        # gradient the gradient of that fit.
+        x = rng.uniform(-2.0, 2.0, (40, 2))
+        y = np.sin(x[:, 0]) * x[:, 1] + 0.1 * rng.standard_normal(40)
+        initial = Hyperparameters(output_scale=1.2, length_scale=0.9,
+                                  noise_variance=0.3)
+        mask = np.array([*free, True])
+        seen = []
+
+        def recording_minimize(fun, x0, **kwargs):
+            def wrapped(theta_free):
+                value, grad = fun(theta_free)
+                seen.append((theta_free.copy(), value, grad.copy()))
+                return value, grad
+            return minimize(wrapped, x0, **kwargs)
+
+        monkeypatch.setattr(gpr, "minimize", recording_minimize)
+        opts = GpOptions(seed=3, restarts=2, optimize_output_scale=free[0],
+                         optimize_length_scale=free[1])
+        optimize_hyperparameters(x, y, initial=initial, options=opts)
+        assert len(seen) > 10
+        for theta_free, value, grad in seen:
+            theta = initial.log_array()
+            theta[mask] = theta_free
+            model = fit(x, y, Hyperparameters.from_log_array(theta))
+            assert -value == model.log_marginal
+            assert np.array_equal(-grad, lml_gradient(model, active=mask))
+
     def test_noise_matches_dense_eigendecomposition_reference(self, rng):
         # The same multi-start L-BFGS-B over the same objective, fed by a
         # dense eigh instead of the tridiagonal reduction.
@@ -469,6 +635,27 @@ class TestModelRoundTrip:
     def test_rejects_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "absent.npz")
+
+    def test_damaged_archive_is_format_error_or_loads(self, tmp_path):
+        # Flipped and cut bytes fail inside zipfile, zlib or the scalar
+        # conversions; each must surface as ModelFormatError (exit 2), or
+        # the file must load (a flip in a field zip does not check).
+        x, y, hyper = random_problem(4, n_max=6)
+        path = tmp_path / "model.npz"
+        save_model(fit(x, y, hyper), path)
+        data = path.read_bytes()
+        damaged = [data[:cut] for cut in range(0, len(data), 41)]
+        for i in range(0, len(data), 3):
+            flipped = bytearray(data)
+            flipped[i] ^= 0xFF if i % 2 else 0x01
+            damaged.append(bytes(flipped))
+        broken = tmp_path / "broken.npz"
+        for blob in damaged:
+            broken.write_bytes(blob)
+            try:
+                load_model(broken)
+            except ModelFormatError:
+                pass
 
 
 def _corrupt(model: GprModel, name: str, how: str) -> np.ndarray:

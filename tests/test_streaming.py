@@ -209,3 +209,35 @@ class TestStreamingPredictor:
         # Same torques, stds and tick clock as a stream that never saw
         # the bad row.
         assert got == expected
+
+    @pytest.mark.parametrize("position", [0, 25])
+    @pytest.mark.parametrize("bad, match", [
+        # Finite, but it would have left the filter state overflowing the
+        # velocity of the ordinary ticks after it.
+        ((1.7e308, (0.1, 0.2, 0.1, 0.2, 0.1)), "beyond"),
+        ((-2e6, (0.1, 0.2, 0.1, 0.2, 0.1)), "beyond"),
+        # Finite, but its normalized FMG feature overflows: the model
+        # rejects the row after the filter has already run.
+        ((30.0, (0.1, 0.2, np.finfo(float).max, 0.2, 0.1)), "must be finite"),
+    ])
+    def test_rejected_finite_tick_moves_no_state(self, fmg_setup, bad, match,
+                                                 position):
+        session, estimator = fmg_setup
+        rec = session.takes[4].recording
+        muscles = muscles_for(session.spec.joint)
+        angle = rec["angle_deg"].values[::10][:40]
+        fmg = np.column_stack(
+            [rec[fmg_channel(m)].values[:40] for m in muscles]
+        )
+        ticks = [(float(a), tuple(f)) for a, f in zip(angle, fmg)]
+        clean = StreamingPredictor(estimator, session.calibration)
+        faulty = StreamingPredictor(estimator, session.calibration)
+        expected = [clean.push(a, f) for a, f in ticks]
+        got = []
+        for i, (a, f) in enumerate(ticks):
+            if i == position:
+                with pytest.raises(DataError, match=match):
+                    faulty.push(*bad)
+            got.append(faulty.push(a, f))
+        assert got == expected
+
