@@ -101,7 +101,7 @@ def _load_or_synthesize(args, joint: Joint | None = None):
     if args.session:
         session = load_session(args.session)
         if joint is not None:
-            _check_joint(session.spec.joint, joint, args.session)
+            _check_joint(session.joint, joint, args.session)
         return session
     if joint is None:
         raise DataError("without --session, --joint is required")
@@ -123,7 +123,7 @@ def _pick_take(takes, velocity: float | None, index: int):
 def _session_cells(session, configs) -> dict:
     """Per-take feature tables for every requested config of one session."""
     calib = compute_calibration(session.standing, session.initial_angle)
-    joint = session.spec.joint
+    joint = session.joint
     cells = {}
     for config in configs:
         per_take = [
@@ -143,7 +143,7 @@ def cmd_simulate(args) -> int:
     if args.spec:
         try:
             spec = SessionSpec.from_dict(json.loads(Path(args.spec).read_text()))
-        except (OSError, ValueError, InvalidSpec) as exc:
+        except (OSError, ValueError, RecursionError, InvalidSpec) as exc:
             raise DataError(f"cannot load session spec {args.spec}: {exc}") from exc
     else:
         spec = default_session_spec(Joint(args.joint))
@@ -182,14 +182,14 @@ def cmd_evaluate(args) -> int:
 def cmd_train(args) -> int:
     session = _load_or_synthesize(args, Joint(args.joint) if args.joint else None)
     config = ModelConfig(args.config)
-    cell = _session_cells(session, [config])[(session.spec.joint, config)]
+    cell = _session_cells(session, [config])[(session.joint, config)]
     table = concat_tables(cell.tables)
     estimator = train_model(
         table, options=_gp_options(args), train_cap=args.cap, seed=args.seed
     )
     save_estimator(estimator, args.out)
     print(
-        f"trained {session.spec.joint.value}/{config.value} on "
+        f"trained {session.joint.value}/{config.value} on "
         f"{estimator.model.n_train} rows "
         f"(noise variance {estimator.model.hyper.noise_variance:.4g}); "
         f"saved to {args.out}"
@@ -202,9 +202,9 @@ def cmd_predict(args) -> int:
     if args.session:
         # Read only the scored take's data and the calibration files.
         index = read_session_index(args.session)
-        _check_joint(index.spec.joint, estimator.joint, args.session)
+        _check_joint(index.joint, estimator.joint, args.session)
         entry = _pick_take(index.takes, args.velocity, args.take)
-        take = load_take(entry.path, entry.fields)
+        take = load_take(index, entry)
         standing, initial_angle = load_calibration(index)
     else:
         session = generate_session(default_session_spec(estimator.joint))

@@ -75,7 +75,7 @@ def rmse_percent_of_peak(error: float, targets: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """Which CV fold each unit (motion segment or sample) belongs to.
+    """Which CV fold each unit (motion segment) belongs to.
 
     Units are shuffled once with the given seed, then dealt round-robin,
     so fold sizes differ by at most one unit.
@@ -84,7 +84,6 @@ class FoldAssignment:
     k: int
     seed: int
     assignment: dict[int, int]
-    unit: str = "segment"
 
     def fold_sizes(self) -> list[int]:
         sizes = [0] * self.k
@@ -93,9 +92,7 @@ class FoldAssignment:
         return sizes
 
 
-def kfold_split(
-    unit_ids, k: int = DEFAULT_FOLDS, seed: int = 0, unit: str = "segment"
-) -> FoldAssignment:
+def kfold_split(unit_ids, k: int = DEFAULT_FOLDS, seed: int = 0) -> FoldAssignment:
     ids = [int(u) for u in unit_ids]
     if len(set(ids)) != len(ids):
         raise ValueError("unit ids must be distinct")
@@ -104,18 +101,13 @@ def kfold_split(
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ids))
     assignment = {ids[order[i]]: i % k for i in range(len(ids))}
-    return FoldAssignment(k=k, seed=seed, assignment=assignment, unit=unit)
-
-
-def _units_of_rows(table: FeatureTable, unit: str) -> np.ndarray:
-    """CV unit of each row: its motion segment, or for sample units its
-    1-based row number. Unit 0 (rows outside every segment) always trains."""
-    return np.arange(1, table.n_rows + 1) if unit == "sample" else table.segment_of_row
+    return FoldAssignment(k=k, seed=seed, assignment=assignment)
 
 
 def _fold_of_row(table: FeatureTable, folds: FoldAssignment) -> np.ndarray:
-    """Test fold of every row; -1 marks rows that always train."""
-    units = _units_of_rows(table, folds.unit)
+    """Test fold of every row; -1 marks rows outside every segment, which
+    always train."""
+    units = table.segment_of_row
     ids = np.fromiter(folds.assignment, dtype=np.intp, count=len(folds.assignment))
     fold_of_unit = np.full(max(units.max(initial=0), ids.max(initial=0)) + 1, -1)
     fold_of_unit[ids] = list(folds.assignment.values())
@@ -131,7 +123,10 @@ def _normalize_columns(
 ) -> np.ndarray:
     means = np.array([st.mean for st in stats])
     stds = np.array([st.std_dev for st in stats])
-    return (rows - means) / stds
+    # A value near the float maximum overflows to inf; the model rejects
+    # the non-finite row as a DataError, so numpy's warning is noise.
+    with np.errstate(over="ignore"):
+        return (rows - means) / stds
 
 
 def fold_statistics(
@@ -211,7 +206,6 @@ def evaluate_cv(
     train_cap: int = DEFAULT_TRAIN_CAP,
     n_folds: int = DEFAULT_FOLDS,
     seed: int = 0,
-    unit: str = "segment",
 ) -> CvResult:
     """k-fold CV of the GP estimator on one feature table.
 
@@ -221,8 +215,7 @@ def evaluate_cv(
     pools squared errors over every tested row; RMSE is its square root.
     """
     if folds is None:
-        units = _units_of_rows(table, unit)
-        folds = kfold_split(np.unique(units[units > 0]), n_folds, seed, unit)
+        folds = kfold_split(table.segment_ids(), n_folds, seed)
     if options is None:
         options = GpOptions(seed=folds.seed)
 

@@ -1,14 +1,17 @@
-"""Reading and writing recordings as CSV files plus JSON manifests.
+"""Reading and writing recordings as CSV files under one JSON index.
 
 Layout of a session directory:
 
-    session.json               index: generator spec + take manifest files
-    take_v<vel>_t<idx>.json    take manifest: joint, velocity, data and
-                               calibration file names with their rates
+    session.json               index: joint, both sample rates, the two
+                               calibration file names, and per take its
+                               velocity, index and two data file names
     take_v<vel>_t<idx>_hi.csv  high-rate channels (time, angle, torque, EMG)
     take_v<vel>_t<idx>_fmg.csv FMG channels at their own rate
     calibration_standing.csv   relaxed FMG channels at the FMG rate
     calibration_angle.csv      initial-pose angle at the high rate
+
+``session.json`` is the only JSON file. A synthetic session keeps its
+generator spec there under ``spec`` for provenance; nothing reads it back.
 
 Channels recorded at different rates live in separate files; within one
 file every channel shares the time column, which must be strictly
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,10 +39,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, InvalidSpec, MissingChannel
-from .synthgen import SessionSpec, SyntheticSession
+from .preprocess import Joint
+from .synthgen import SyntheticSession, _checked, _field, _member
 from .timeseries import MultiChannelRecording, TimeSeries, Unit
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_INDEX_FILE = "session.json"
 TIME_COLUMN = "time_s"
 _CHUNK_ROWS = 4096  # rows formatted per write; bounds the text held at once
 
@@ -140,13 +146,11 @@ def _body_error(path: Path, header: list[str], exc: ValueError) -> DataError:
     return DataError(f"{path}: non-numeric cell: {exc}")
 
 
-def read_recording_csv(
-    path, sample_rate_hz: float | None = None, meta: dict | None = None
-) -> MultiChannelRecording:
+def read_recording_csv(path, sample_rate_hz: float | None = None) -> MultiChannelRecording:
     """Inverse of :func:`write_recording_csv`.
 
-    The sample rate comes from the caller (normally the manifest); when
-    omitted it is inferred from the median time step.
+    The sample rate comes from the caller (normally the session index) and
+    must match the time steps; when omitted it is inferred from them.
     """
     path = Path(path)
     try:
@@ -194,10 +198,13 @@ def read_recording_csv(
                 f"{path}: sample interval varies by more than one part per "
                 "million; resample before writing"
             )
-    if sample_rate_hz is None:
-        if len(times) < 2:
-            raise DataError(f"{path}: cannot infer sample rate from one row")
-        sample_rate_hz = 1.0 / float(np.median(np.diff(times)))
+        if sample_rate_hz is None:
+            sample_rate_hz = 1.0 / mid
+        elif abs(mid * sample_rate_hz - 1.0) > 1e-6:
+            raise DataError(f"{path}: time steps of {mid:.9g} s disagree "
+                            f"with the given rate of {sample_rate_hz:g} Hz")
+    elif sample_rate_hz is None:
+        raise DataError(f"{path}: cannot infer sample rate from one row")
     channels = {
         label: TimeSeries(
             label=label,
@@ -208,7 +215,7 @@ def read_recording_csv(
         )
         for j, label in enumerate(header[1:], start=1)
     }
-    return MultiChannelRecording(channels=channels, meta=dict(meta or {}))
+    return MultiChannelRecording(channels=channels)
 
 
 @dataclass
@@ -220,217 +227,161 @@ class LoadedTake:
 
 @dataclass
 class LoadedSession:
-    spec: SessionSpec
+    joint: Joint
     standing: MultiChannelRecording
     initial_angle: TimeSeries
     takes: list[LoadedTake]
 
 
-def _take_stem(velocity_deg_s: float, take_index: int) -> str:
-    return f"take_v{int(round(velocity_deg_s)):03d}_t{take_index}"
+@dataclass(frozen=True)
+class TakeEntry:
+    """One take as session.json lists it; its files are not read yet."""
 
-
-def write_session(session: SyntheticSession, out_dir) -> Path:
-    """Write a full session (manifests, calibration, every take) to a directory.
-
-    Each take gets its own manifest naming the joint, nominal velocity, and
-    the data and calibration files with their sample rates; session.json is
-    just an index over those manifests plus the generator spec.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    spec = session.spec
-
-    standing_file = "calibration_standing.csv"
-    angle_file = "calibration_angle.csv"
-    write_recording_csv(session.standing, out / standing_file)
-    write_recording_csv(
-        MultiChannelRecording(channels={"angle_deg": session.initial_angle}, meta={}),
-        out / angle_file,
-    )
-
-    manifest_files = []
-    for take in session.takes:
-        stem = _take_stem(take.velocity_deg_s, take.take_index)
-        hi_labels = [
-            l for l in take.recording.labels() if not l.startswith("fmg_")
-        ]
-        fmg_labels = [l for l in take.recording.labels() if l.startswith("fmg_")]
-        hi = MultiChannelRecording(
-            channels={l: take.recording[l] for l in hi_labels}, meta={}
-        )
-        fmg = MultiChannelRecording(
-            channels={l: take.recording[l] for l in fmg_labels}, meta={}
-        )
-        write_recording_csv(hi, out / f"{stem}_hi.csv")
-        write_recording_csv(fmg, out / f"{stem}_fmg.csv")
-        take_manifest = {
-            "format_version": _FORMAT_VERSION,
-            "joint": spec.joint.value,
-            "velocity_deg_s": take.velocity_deg_s,
-            "take_index": take.take_index,
-            "high_rate_file": f"{stem}_hi.csv",
-            "high_rate_hz": spec.high_rate_hz,
-            "fmg_file": f"{stem}_fmg.csv",
-            "fmg_rate_hz": spec.fmg_rate_hz,
-            "calibration": {
-                "standing_file": standing_file,
-                "initial_angle_file": angle_file,
-            },
-        }
-        (out / f"{stem}.json").write_text(json.dumps(take_manifest, indent=2) + "\n")
-        manifest_files.append(f"{stem}.json")
-
-    index = {
-        "format_version": _FORMAT_VERSION,
-        "joint": spec.joint.value,
-        "spec": spec.to_dict(),
-        "takes": manifest_files,
-    }
-    (out / "session.json").write_text(json.dumps(index, indent=2) + "\n")
-    return out
-
-
-def _read_json(path: Path) -> dict:
-    try:
-        loaded = json.loads(path.read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise InvalidSpec(f"{path}: expected a JSON object")
-    version = loaded.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise InvalidSpec(f"{path}: unsupported format version {version!r}")
-    return loaded
-
-
-def load_take(manifest_path, manifest: dict | None = None) -> LoadedTake:
-    """Read one take manifest and the data files it points at.
-
-    ``manifest`` is the already parsed content of ``manifest_path``, if
-    the caller has it.
-    """
-    path = Path(manifest_path)
-    if manifest is None:
-        manifest = _read_json(path)
-    root = path.parent
-    try:
-        joint = str(manifest["joint"])
-        velocity = float(manifest["velocity_deg_s"])
-        index = int(manifest["take_index"])
-        hi = read_recording_csv(
-            root / manifest["high_rate_file"], float(manifest["high_rate_hz"])
-        )
-        fmg = read_recording_csv(
-            root / manifest["fmg_file"], float(manifest["fmg_rate_hz"])
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InvalidSpec(f"{path}: bad take manifest: {exc}") from exc
-    overlap = set(hi.labels()) & set(fmg.labels())
-    if overlap:
-        raise DataError(
-            f"{path}: take files repeat channels {sorted(overlap)}; "
-            "labels must be unique"
-        )
-    merged = MultiChannelRecording(
-        channels={**hi.channels, **fmg.channels},
-        meta={"joint": joint, "velocity_deg_s": velocity, "take_index": index},
-    )
-    return LoadedTake(
-        velocity_deg_s=velocity, take_index=index, recording=merged
-    )
-
-
-@dataclass
-class TakeManifest:
-    """One parsed take manifest; its data files are not read yet."""
-
-    path: Path
     velocity_deg_s: float
     take_index: int
-    fields: dict
+    high_rate_file: str
+    fmg_file: str
 
 
 @dataclass
 class SessionIndex:
-    """A session directory's index and take manifests, each parsed once."""
+    """A session directory's session.json, parsed and checked once."""
 
     root: Path
-    spec: SessionSpec
-    takes: list[TakeManifest]
-    calibration: dict
+    joint: Joint
+    high_rate_hz: float
+    fmg_rate_hz: float
+    standing_file: str
+    initial_angle_file: str
+    takes: list[TakeEntry]
+
+
+def write_session(session: SyntheticSession, out_dir) -> Path:
+    """Write a full session (calibration, every take, session.json) to a
+    directory; session.json keeps the generator spec for provenance."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    spec = session.spec
+    index = {
+        "format_version": _FORMAT_VERSION,
+        "joint": session.joint.value,
+        "high_rate_hz": spec.high_rate_hz,
+        "fmg_rate_hz": spec.fmg_rate_hz,
+        "standing_file": "calibration_standing.csv",
+        "initial_angle_file": "calibration_angle.csv",
+        "takes": [],
+        "spec": spec.to_dict(),
+    }
+    write_recording_csv(session.standing, out / index["standing_file"])
+    write_recording_csv(
+        MultiChannelRecording(channels={"angle_deg": session.initial_angle}),
+        out / index["initial_angle_file"],
+    )
+    for take in session.takes:
+        stem = f"take_v{int(round(take.velocity_deg_s)):03d}_t{take.take_index}"
+        entry = {
+            "velocity_deg_s": take.velocity_deg_s,
+            "take_index": take.take_index,
+            "high_rate_file": f"{stem}_hi.csv",
+            "fmg_file": f"{stem}_fmg.csv",
+        }
+        # The FMG channels have their own rate, hence their own file.
+        for key, is_fmg in (("high_rate_file", False), ("fmg_file", True)):
+            channels = {
+                label: series for label, series in take.recording.channels.items()
+                if label.startswith("fmg_") == is_fmg
+            }
+            write_recording_csv(MultiChannelRecording(channels), out / entry[key])
+        index["takes"].append(entry)
+    (out / _INDEX_FILE).write_text(json.dumps(index, indent=2) + "\n")
+    return out
+
+
+def _rate(d: dict, key: str) -> float:
+    rate = _field(d, key, float)
+    if not (math.isfinite(rate) and rate > 0):
+        raise InvalidSpec(f"{key!r} must be finite and > 0, got {rate!r}")
+    return rate
+
+
+def _take_entry(d, i: int) -> TakeEntry:
+    try:
+        d = _checked(d, dict, "the entry")
+        return TakeEntry(
+            velocity_deg_s=_field(d, "velocity_deg_s", float),
+            take_index=_field(d, "take_index", int),
+            high_rate_file=_field(d, "high_rate_file", str),
+            fmg_file=_field(d, "fmg_file", str),
+        )
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"takes[{i}]: {exc}") from None
 
 
 def read_session_index(session_dir) -> SessionIndex:
-    """Parse session.json and every take manifest it lists, reading no data
-    file; checks that the takes agree on the joint and calibration files."""
-    root = Path(session_dir)
-    index = _read_json(root / "session.json")
-    try:
-        spec = SessionSpec.from_dict(index["spec"])
-        manifest_files = list(index["takes"])
-    except (KeyError, ValueError, TypeError, InvalidSpec) as exc:
-        raise InvalidSpec(f"{root / 'session.json'}: bad index: {exc}") from exc
-    if not manifest_files:
-        raise InvalidSpec(f"{root / 'session.json'}: session lists no takes")
+    """Parse session.json and check every field; reads no data file.
 
-    takes = []
-    calibration_ref = None
-    for name in manifest_files:
-        manifest_path = root / name
-        manifest = _read_json(manifest_path)
-        if manifest.get("joint") != spec.joint.value:
-            raise DataError(
-                f"{manifest_path}: take records joint {manifest.get('joint')!r} "
-                f"but the session is for {spec.joint.value!r}"
-            )
-        cal = manifest.get("calibration")
-        if calibration_ref is None:
-            calibration_ref = cal
-        elif cal != calibration_ref:
-            raise DataError(
-                f"{manifest_path}: takes disagree on calibration files"
-            )
-        try:
-            velocity = float(manifest["velocity_deg_s"])
-            take_index = int(manifest["take_index"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise InvalidSpec(f"{manifest_path}: bad take manifest: {exc}") from exc
-        takes.append(TakeManifest(manifest_path, velocity, take_index, manifest))
-    return SessionIndex(root, spec, takes, calibration_ref)
+    An unknown joint, a rate that is not finite and positive, an empty
+    take list, or a missing or wrongly typed key raises
+    :class:`InvalidSpec` naming the file and the key.
+    """
+    root = Path(session_dir)
+    path = root / _INDEX_FILE
+    try:
+        d = json.loads(path.read_text())
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise InvalidSpec(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        d = _checked(d, dict, "the index")
+        version = d.get("format_version")
+        if version != _FORMAT_VERSION:
+            raise InvalidSpec(f"unsupported format version {version!r}")
+        takes = [_take_entry(t, i) for i, t in enumerate(_field(d, "takes", list))]
+        if not takes:
+            raise InvalidSpec("'takes' lists no takes")
+        return SessionIndex(
+            root=root,
+            joint=_member(Joint, _field(d, "joint", str), "joint"),
+            high_rate_hz=_rate(d, "high_rate_hz"),
+            fmg_rate_hz=_rate(d, "fmg_rate_hz"),
+            standing_file=_field(d, "standing_file", str),
+            initial_angle_file=_field(d, "initial_angle_file", str),
+            takes=takes,
+        )
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"{path}: {exc}") from None
+
+
+def load_take(index: SessionIndex, entry: TakeEntry) -> LoadedTake:
+    """Read one take's two data files at the rates the index names."""
+    hi = read_recording_csv(index.root / entry.high_rate_file, index.high_rate_hz)
+    fmg = read_recording_csv(index.root / entry.fmg_file, index.fmg_rate_hz)
+    overlap = set(hi.labels()) & set(fmg.labels())
+    if overlap:
+        raise DataError(
+            f"{index.root / entry.fmg_file}: repeats channels {sorted(overlap)} "
+            f"of {entry.high_rate_file}; labels must be unique"
+        )
+    meta = {"joint": index.joint.value, "velocity_deg_s": entry.velocity_deg_s,
+            "take_index": entry.take_index}
+    recording = MultiChannelRecording({**hi.channels, **fmg.channels}, meta)
+    return LoadedTake(entry.velocity_deg_s, entry.take_index, recording)
 
 
 def load_calibration(index: SessionIndex) -> tuple[MultiChannelRecording, TimeSeries]:
     """The session's standing FMG recording and initial-pose angle."""
-    root, spec, calibration_ref = index.root, index.spec, index.calibration
-    try:
-        standing = read_recording_csv(
-            root / calibration_ref["standing_file"],
-            spec.fmg_rate_hz,
-            {"kind": "standing"},
-        )
-        angle_rec = read_recording_csv(
-            root / calibration_ref["initial_angle_file"], spec.high_rate_hz
-        )
-    except (KeyError, TypeError) as exc:
-        raise InvalidSpec(f"session calibration entry is malformed: {exc}") from exc
+    standing = read_recording_csv(index.root / index.standing_file, index.fmg_rate_hz)
+    angle_path = index.root / index.initial_angle_file
+    angle_rec = read_recording_csv(angle_path, index.high_rate_hz)
     if "angle_deg" not in angle_rec:
-        raise MissingChannel(
-            f"{calibration_ref['initial_angle_file']} lacks an 'angle_deg' column"
-        )
+        raise MissingChannel(f"{angle_path} lacks an 'angle_deg' column")
     return standing, angle_rec["angle_deg"]
 
 
 def load_session(session_dir) -> LoadedSession:
-    """Read a session directory back into memory via its take manifests."""
+    """Read a session directory back into memory through its index."""
     index = read_session_index(session_dir)
-    takes = [load_take(t.path, t.fields) for t in index.takes]
+    takes = [load_take(index, entry) for entry in index.takes]
     standing, initial_angle = load_calibration(index)
-    return LoadedSession(
-        spec=index.spec,
-        standing=standing,
-        initial_angle=initial_angle,
-        takes=takes,
-    )
+    return LoadedSession(index.joint, standing, initial_angle, takes)

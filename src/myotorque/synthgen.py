@@ -50,7 +50,7 @@ def _checked(value, kind: type, what: str):
 def _field(d: dict, key: str, kind: type):
     """``d[key]`` checked by :func:`_checked`; a missing key is InvalidSpec."""
     if key not in d:
-        raise InvalidSpec(f"session spec lacks {key!r}")
+        raise InvalidSpec(f"lacks {key!r}")
     return _checked(d[key], kind, repr(key))
 
 
@@ -245,6 +245,10 @@ class SyntheticSession:
     initial_angle: TimeSeries
     calibration: CalibrationRecord
     takes: list[TakeData]
+
+    @property
+    def joint(self) -> Joint:
+        return self.spec.joint
 
 
 def _session_offsets(spec: SessionSpec) -> tuple[dict[Muscle, float], float]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateSeries, TargetOutsideSupport, ZeroVariance
+from .errors import DataError, DegenerateSeries, TargetOutsideSupport, ZeroVariance
 
 
 class Unit(enum.Enum):
@@ -36,7 +36,7 @@ class TimeSeries:
     unit : Unit
         Physical unit of the values.
     sample_rate_hz : float
-        Sampling rate, strictly positive.
+        Sampling rate, finite and strictly positive.
     start_time_s : float
         Timestamp of the first sample.
     values : ndarray
@@ -50,14 +50,15 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ValueError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise DataError(f"sample_rate_hz must be finite and > 0, "
+                            f"got {self.sample_rate_hz}")
         # Copy unconditionally: freezing a view would freeze the caller's array.
         vals = np.array(self.values, dtype=np.float64, copy=True)
         if vals.ndim != 1:
-            raise ValueError(f"values must be 1-D, got shape {vals.shape}")
+            raise DataError(f"values must be 1-D, got shape {vals.shape}")
         if vals.size and not np.all(np.isfinite(vals)):
-            raise ValueError(f"channel {self.label!r} contains non-finite values")
+            raise DataError(f"channel {self.label!r} contains non-finite values")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -140,7 +141,7 @@ def resample_linear(
             f"cannot resample {series.label!r} with {len(series)} samples"
         )
     if target_rate_hz <= 0 or target_count < 1:
-        raise ValueError("target_rate_hz and target_count must be positive")
+        raise DataError("target_rate_hz and target_count must be positive")
     start = series.start_time_s if target_start_s is None else target_start_s
     t_target = start + np.arange(target_count) / target_rate_hz
     eps = _GRID_EPS / target_rate_hz

@@ -7,6 +7,8 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -148,6 +150,15 @@ class TestSimulate:
         assert str(spec_file) in proc.stderr
         assert "JSON object" in proc.stderr
 
+    def test_deeply_nested_spec_is_2(self, tmp_path):
+        # The JSON parser raises RecursionError, not a ValueError.
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text("[" * 200_000)
+        proc = run_cli("simulate", "--spec", spec_file, "--out", tmp_path / "s")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert str(spec_file) in proc.stderr
+
     def test_seed_override_changes_data(self, tmp_path):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(short_spec(Joint.KNEE).to_dict()))
@@ -220,7 +231,7 @@ class TestTrainPredict:
         for p in knee_dir.iterdir():
             (bad / p.name).write_bytes(p.read_bytes())
         index = json.loads((bad / "session.json").read_text())
-        index["spec"]["joint"] = 5
+        index["joint"] = 5
         (bad / "session.json").write_text(json.dumps(index))
         proc = run_cli(
             "train", "--session", bad, "--config", "fmg", "--out", tmp_path / "m.npz"
@@ -427,6 +438,22 @@ class TestStream:
         assert f"skipping line {position + 1}" in captured.err
         assert "processed 59 rows, skipped 1" in captured.err
 
+    def test_huge_fmg_value_prints_only_the_skip_note(self, fmg_model,
+                                                     quiet_knee_dir, tmp_path):
+        # Normalizing 1.7e308 overflows to inf; numpy's RuntimeWarning and
+        # its source line used to precede the skip note on stderr.
+        infile = tmp_path / "rows.csv"
+        infile.write_text(
+            "0.000,30.0,0.1,0.2,0.1,0.2,0.1\n"
+            "0.005,31.0,0.1,0.2,1.7e308,0.2,0.1\n"
+            "0.010,31.0,0.1,0.2,0.1,0.2,0.1\n"
+        )
+        proc = run_cli(*stream_args(fmg_model, quiet_knee_dir, infile))
+        assert proc.returncode == 0
+        skip, summary = proc.stderr.splitlines()
+        assert skip == "stream: skipping line 2: query points must be finite"
+        assert summary.startswith("stream: processed 2 rows, skipped 1, tick p50")
+
     def test_nan_calibration_cell_is_2(self, fmg_model, quiet_knee_dir,
                                        tmp_path, capsys):
         broken = with_nan_cell(quiet_knee_dir, tmp_path, "calibration_standing.csv")
@@ -617,6 +644,85 @@ def test_stream_survives_fuzzed_rows(fmg_model, quiet_knee_dir, case):
     counts = re.search(r"processed (\d+) rows, skipped (\d+)", err.getvalue())
     handled = int(counts[1]) + int(counts[2]) if counts else 0
     assert handled == sum(1 for line in lines[data_from:] if line)
+
+
+INDEX_KEYS = ["format_version", "joint", "high_rate_hz", "fmg_rate_hz",
+              "standing_file", "initial_angle_file", "takes"]
+TAKE_KEYS = ["velocity_deg_s", "take_index", "high_rate_file", "fmg_file"]
+SESSION_CSVS = ["take_v060_t0_hi.csv", "take_v060_t0_fmg.csv",
+                "calibration_standing.csv", "calibration_angle.csv"]
+_JSON_VALUE = st.sampled_from([None, True, 5, -1.5, "x", "nowhere.csv", [], {}])
+# One kind of damage to a session directory: a session.json edit (a key
+# set to a wrong value, a key dropped, a field of the first take entry
+# set, or the whole index replaced by a version-1 one), or one CSV
+# truncated or garbled at seeded positions.
+_SESSION_DAMAGE = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(INDEX_KEYS), _JSON_VALUE),
+    st.tuples(st.just("set"), st.sampled_from(["high_rate_hz", "fmg_rate_hz"]),
+              st.sampled_from([0, -200.0, float("nan"), float("inf")])),
+    st.tuples(st.just("set"), st.just("joint"), st.sampled_from(["elbow", "ankle"])),
+    st.tuples(st.just("set"), st.just("takes"), st.just([])),
+    st.tuples(st.just("drop"), st.sampled_from(INDEX_KEYS)),
+    st.tuples(st.just("take"), st.sampled_from(TAKE_KEYS), _JSON_VALUE),
+    st.just(("v1",)),
+    st.tuples(st.sampled_from(["truncate", "garble"]),
+              st.sampled_from(SESSION_CSVS), st.integers(0, 2**32 - 1)),
+)
+
+
+def damaged_session(src, dst, damage):
+    """A copy of session directory ``src`` at ``dst`` with one damage."""
+    dst.mkdir()
+    for p in src.iterdir():
+        (dst / p.name).write_bytes(p.read_bytes())
+    kind = damage[0]
+    if kind in ("truncate", "garble"):
+        path, rng = dst / damage[1], np.random.default_rng(damage[2])
+        data = bytearray(path.read_bytes())
+        if kind == "truncate":
+            del data[rng.integers(len(data)):]
+        else:
+            for pos in rng.integers(len(data), size=8):
+                data[pos] = rng.choice(list(b"0123456789e-.,\n\xff"))
+        path.write_bytes(bytes(data))
+        return dst
+    index = json.loads((dst / "session.json").read_text())
+    if kind == "set":
+        index[damage[1]] = damage[2]
+    elif kind == "drop":
+        del index[damage[1]]
+    elif kind == "take":
+        index["takes"][0][damage[1]] = damage[2]
+    else:  # the version-1 layout: per-take manifests listed by name
+        index = {"format_version": 1, "joint": index["joint"],
+                 "spec": index["spec"],
+                 "takes": ["take_v060_t0.json", "take_v060_t1.json"]}
+    (dst / "session.json").write_text(json.dumps(index))
+    return dst
+
+
+@settings(max_examples=30, deadline=None)
+@given(_SESSION_DAMAGE)
+# A negative rate once died in TimeSeries with a ValueError traceback.
+@example(("set", "high_rate_hz", -2000.0))
+def test_damaged_session_exits_0_2_or_3(fmg_model, quiet_knee_dir, damage):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        session = damaged_session(quiet_knee_dir, tmp / "session", damage)
+        rows = tmp / "rows.csv"
+        rows.write_text("0.0,30.0,0.1,0.2,0.1,0.2,0.1\n")
+        for argv in (
+            ["train", "--session", session, "--config", "fmg", "--cap", "50",
+             "--out", tmp / "m.npz"],
+            ["predict", "--model", fmg_model, "--session", session,
+             "--out", tmp / "pred.csv"],
+            stream_args(fmg_model, session, rows),
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([str(a) for a in argv])
+            assert code in (0, 2, 3), (argv[0], code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
 
 
 def test_console_entry_point_runs():

@@ -133,11 +133,10 @@ class TestFolds:
 
 
 def reference_fold_of_row(table, folds):
-    """Per-row loop: the fold of each row's unit, -1 for unit 0. Sample
-    units are 1-based row numbers."""
+    """Per-row loop: the fold of each row's segment, -1 for segment 0."""
     out = np.full(table.n_rows, -1)
     for i in range(table.n_rows):
-        u = i + 1 if folds.unit == "sample" else int(table.segment_of_row[i])
+        u = int(table.segment_of_row[i])
         if u != 0:
             out[i] = folds.assignment[u]
     return out
@@ -155,15 +154,6 @@ class TestFoldOfRow:
             split = _fold_of_row(table, folds)
             assert np.array_equal(split, reference_fold_of_row(table, folds))
             assert np.all(split[:150] == -1)
-
-    def test_samples_match_the_row_loop(self):
-        table = smooth_table(n_segments=2, rows_per_segment=60)
-        folds = kfold_split(range(1, table.n_rows + 1), k=5, seed=7, unit="sample")
-        split = _fold_of_row(table, folds)
-        assert np.array_equal(split, reference_fold_of_row(table, folds))
-        # 1-based ids deal each row the fold 0-based ids dealt it.
-        zero_based = kfold_split(range(table.n_rows), k=5, seed=7, unit="sample")
-        assert all(zero_based.assignment[i] == f for i, f in enumerate(split))
 
     def test_unassigned_unit_rejected(self):
         table = smooth_table()
@@ -272,13 +262,6 @@ class TestEvaluateCv:
         assert not np.array_equal(
             capped.predictions.predicted_nm, uncapped.predictions.predicted_nm
         )
-
-    def test_sample_unit_mode(self):
-        table = smooth_table(n_segments=2, rows_per_segment=100)
-        result = evaluate_cv(table, seed=0, unit="sample")
-        tested = result.predictions.fold_of_row >= 0
-        assert tested.all()
-        assert result.cell.mse < 1e-3
 
 
 class TestTrainedEstimator:

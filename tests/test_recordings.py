@@ -1,9 +1,10 @@
-"""Disk round trips for recordings, take manifests, and session indexes."""
+"""Disk round trips for recordings and session directories."""
 
 import csv
 import dataclasses
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,6 +82,15 @@ class TestRecordingCsv:
         write_recording_csv(tiny_recording(), path)
         back = read_recording_csv(path)
         assert back["angle_deg"].sample_rate_hz == pytest.approx(100.0)
+
+    def test_rate_disagreeing_with_time_column_rejected(self, tmp_path):
+        # A session index whose rate is wrong would otherwise mis-time
+        # every channel of the file without a word.
+        path = tmp_path / "rec.csv"
+        write_recording_csv(tiny_recording(), path)
+        with pytest.raises(DataError, match=r"rec\.csv: time steps of 0\.01 s "
+                           r"disagree with the given rate of 200 Hz"):
+            read_recording_csv(path, 200.0)
 
     def test_non_increasing_time_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -255,21 +265,42 @@ def session_dir(tmp_path_factory):
     return session, out
 
 
+def copy_session(src, dst, mutate_index=None):
+    """A copy of session directory ``src`` at ``dst``; ``mutate_index``
+    edits the parsed session.json before it is written back."""
+    dst.mkdir()
+    for p in src.iterdir():
+        (dst / p.name).write_bytes(p.read_bytes())
+    if mutate_index is not None:
+        index = json.loads((dst / "session.json").read_text())
+        mutate_index(index)
+        (dst / "session.json").write_text(json.dumps(index))
+    return dst
+
+
 class TestSessionRoundTrip:
     def test_directory_layout(self, session_dir):
         _, out = session_dir
         names = sorted(p.name for p in out.iterdir())
-        assert "session.json" in names
+        assert [n for n in names if n.endswith(".json")] == ["session.json"]
         assert "calibration_standing.csv" in names
         assert "calibration_angle.csv" in names
-        assert "take_v060_t0.json" in names
         assert "take_v060_t0_hi.csv" in names
         assert "take_v060_t0_fmg.csv" in names
+        index = json.loads((out / "session.json").read_text())
+        assert index["format_version"] == 2
+        assert index["joint"] == "knee"
+        assert (index["high_rate_hz"], index["fmg_rate_hz"]) == (2000.0, 200.0)
+        assert index["takes"][1] == {
+            "velocity_deg_s": 60.0, "take_index": 1,
+            "high_rate_file": "take_v060_t1_hi.csv",
+            "fmg_file": "take_v060_t1_fmg.csv",
+        }
 
     def test_bit_exact_values(self, session_dir):
         session, out = session_dir
         loaded = load_session(out)
-        assert loaded.spec == session.spec
+        assert loaded.joint is Joint.KNEE
         assert len(loaded.takes) == len(session.takes)
         for orig, back in zip(session.takes, loaded.takes):
             assert back.velocity_deg_s == orig.velocity_deg_s
@@ -292,7 +323,8 @@ class TestSessionRoundTrip:
 
     def test_load_single_take(self, session_dir):
         session, out = session_dir
-        take = load_take(out / "take_v060_t1.json")
+        index = read_session_index(out)
+        take = load_take(index, index.takes[1])
         assert take.velocity_deg_s == 60.0
         assert take.take_index == 1
         assert take.recording.meta["joint"] == "knee"
@@ -305,18 +337,15 @@ class TestSessionRoundTrip:
         assert m.sample_rate_hz == 200.0
         assert take.recording["angle_deg"].sample_rate_hz == 2000.0
 
-    def test_load_session_parses_each_manifest_once(self, session_dir,
-                                                    monkeypatch):
+    def test_load_session_parses_the_index_once(self, session_dir,
+                                                monkeypatch):
         _, out = session_dir
         parsed = []
-        real = recordings._read_json
-        monkeypatch.setattr(
-            recordings, "_read_json", lambda path: parsed.append(path.name) or real(path)
-        )
+        monkeypatch.setattr(recordings, "json", SimpleNamespace(
+            loads=lambda text: parsed.append(text) or json.loads(text),
+        ))
         load_session(out)
-        assert sorted(parsed) == [
-            "session.json", "take_v060_t0.json", "take_v060_t1.json"
-        ]
+        assert parsed == [(out / "session.json").read_text()]
 
     def test_index_and_calibration_read_no_take_data(self, session_dir,
                                                      tmp_path):
@@ -324,10 +353,11 @@ class TestSessionRoundTrip:
         bare = tmp_path / "bare"
         bare.mkdir()
         for p in out.iterdir():
-            if not (p.name.startswith("take_") and p.suffix == ".csv"):
+            if not p.name.startswith("take_"):
                 (bare / p.name).write_bytes(p.read_bytes())
         index = read_session_index(bare)
-        assert index.spec == session.spec
+        assert index.joint is Joint.KNEE
+        assert (index.high_rate_hz, index.fmg_rate_hz) == (2000.0, 200.0)
         assert [(t.velocity_deg_s, t.take_index) for t in index.takes] == [
             (60.0, 0), (60.0, 1)
         ]
@@ -337,41 +367,90 @@ class TestSessionRoundTrip:
             assert np.array_equal(
                 standing[label].values, session.standing[label].values
             )
-        take = load_take(out / "take_v060_t1.json", index.takes[1].fields)
+        take = load_take(dataclasses.replace(index, root=out), index.takes[1])
         assert np.array_equal(
             take.recording["torque_nm"].values,
             session.takes[1].recording["torque_nm"].values,
         )
 
+    def test_generator_spec_is_not_read(self, session_dir, tmp_path):
+        session, out = session_dir
+        for name, mutate in [
+            ("no_spec", lambda d: d.pop("spec")),
+            ("bad_spec", lambda d: d.update(spec={"joint": 5})),
+        ]:
+            loaded = load_session(copy_session(out, tmp_path / name, mutate))
+            assert loaded.joint is Joint.KNEE
+            assert np.array_equal(
+                loaded.takes[0].recording["torque_nm"].values,
+                session.takes[0].recording["torque_nm"].values,
+            )
+
     def test_unknown_format_version(self, session_dir, tmp_path):
         _, out = session_dir
-        manifest = json.loads((out / "take_v060_t0.json").read_text())
-        manifest["format_version"] = 999
-        bad = tmp_path / "take.json"
-        bad.write_text(json.dumps(manifest))
-        with pytest.raises(InvalidSpec, match="format version"):
-            load_take(bad)
+        for version in (1, 999, "2", None):
+            bad = copy_session(
+                out, tmp_path / f"v{version}",
+                lambda d: d.update(format_version=version),
+            )
+            with pytest.raises(InvalidSpec, match="session.json: .*format version"):
+                load_session(bad)
 
-    def test_joint_mismatch_named(self, session_dir, tmp_path):
-        session, out = session_dir
-        dup = tmp_path / "dup"
-        dup.mkdir()
-        for p in out.iterdir():
-            (dup / p.name).write_bytes(p.read_bytes())
-        manifest = json.loads((dup / "take_v060_t0.json").read_text())
-        manifest["joint"] = "ankle"
-        (dup / "take_v060_t0.json").write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match="ankle.*knee"):
-            load_session(dup)
+    @pytest.mark.parametrize("mutate, message", [
+        pytest.param(lambda d: d.update(joint="elbow"), "unknown joint 'elbow'",
+                     id="unknown-joint"),
+        pytest.param(lambda d: d.update(joint=5), "'joint' must be a string",
+                     id="numeric-joint"),
+        pytest.param(lambda d: d.pop("joint"), "lacks 'joint'", id="no-joint"),
+        pytest.param(lambda d: d.update(high_rate_hz=-2000.0),
+                     "'high_rate_hz' must be finite and > 0", id="negative-rate"),
+        pytest.param(lambda d: d.update(fmg_rate_hz=0),
+                     "'fmg_rate_hz' must be finite and > 0", id="zero-rate"),
+        pytest.param(lambda d: d.update(fmg_rate_hz=float("nan")),
+                     "'fmg_rate_hz' must be finite and > 0", id="nan-rate"),
+        pytest.param(lambda d: d.update(high_rate_hz="2000"),
+                     "'high_rate_hz' must be a number", id="string-rate"),
+        pytest.param(lambda d: d.update(standing_file=None),
+                     "'standing_file' must be a string", id="null-file"),
+        pytest.param(lambda d: d.pop("initial_angle_file"),
+                     "lacks 'initial_angle_file'", id="no-angle-file"),
+        pytest.param(lambda d: d.update(takes={}), "'takes' must be a list",
+                     id="takes-not-a-list"),
+        pytest.param(lambda d: d["takes"].append(3),
+                     r"takes\[2\]: the entry must be a JSON object", id="take-not-an-object"),
+        pytest.param(lambda d: d["takes"][1].pop("fmg_file"),
+                     r"takes\[1\]: lacks 'fmg_file'", id="take-without-file"),
+        pytest.param(lambda d: d["takes"][0].update(take_index=True),
+                     r"takes\[0\]: 'take_index' must be an integer", id="bool-take-index"),
+        pytest.param(lambda d: d["takes"][0].update(velocity_deg_s=[60]),
+                     r"takes\[0\]: 'velocity_deg_s' must be a number", id="list-velocity"),
+    ])
+    def test_malformed_index_names_file_and_key(self, session_dir, tmp_path,
+                                                mutate, message):
+        _, out = session_dir
+        bad = copy_session(out, tmp_path / "bad", mutate)
+        with pytest.raises(InvalidSpec, match=r"bad[/\\]session\.json: " + message):
+            read_session_index(bad)
+
+    def test_file_that_points_nowhere(self, session_dir, tmp_path):
+        _, out = session_dir
+        bad = copy_session(
+            out, tmp_path / "bad",
+            lambda d: d["takes"][0].update(fmg_file="gone.csv"),
+        )
+        with pytest.raises(DataError, match="cannot read .*gone.csv"):
+            load_session(bad)
 
     def test_missing_session_index(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_session(tmp_path)
 
     def test_corrupt_index_json(self, tmp_path):
-        (tmp_path / "session.json").write_text("{not json")
-        with pytest.raises(InvalidSpec, match="invalid JSON"):
-            load_session(tmp_path)
+        # Deep nesting makes the JSON parser raise RecursionError.
+        for text in ("{not json", "[" * 200_000):
+            (tmp_path / "session.json").write_text(text)
+            with pytest.raises(InvalidSpec, match="invalid JSON"):
+                load_session(tmp_path)
 
     def test_empty_take_list(self, session_dir, tmp_path):
         _, out = session_dir

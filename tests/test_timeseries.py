@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from myotorque.errors import DegenerateSeries, TargetOutsideSupport, ZeroVariance
+from myotorque.errors import (
+    DataError,
+    DegenerateSeries,
+    TargetOutsideSupport,
+    ZeroVariance,
+)
 from myotorque.timeseries import (
     MultiChannelRecording,
     NormalizationStats,
@@ -29,10 +34,14 @@ class TestTimeSeries:
         assert len(s) == 3
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="non-finite"):
             series([1.0, np.nan])
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="non-finite"):
             series([np.inf, 1.0])
+
+    def test_rejects_values_that_are_not_1d(self):
+        with pytest.raises(DataError, match="1-D"):
+            series([[1.0, 2.0]])
 
     def test_empty_constructs_but_operations_reject(self):
         s = series([])
@@ -42,10 +51,9 @@ class TestTimeSeries:
             resample_linear(s, 10.0, 1)
 
     def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            series([1.0], rate=0.0)
-        with pytest.raises(ValueError):
-            series([1.0], rate=-5.0)
+        for rate in (0.0, -5.0, np.nan, np.inf):
+            with pytest.raises(DataError, match="sample_rate_hz"):
+                series([1.0], rate=rate)
 
     def test_values_are_copied_and_read_only(self):
         raw = np.array([1.0, 2.0])
@@ -109,6 +117,11 @@ class TestResampleLinear:
     def test_rejects_single_sample_source(self):
         with pytest.raises(DegenerateSeries):
             resample_linear(series([1.0]), 10.0, 1)
+
+    @pytest.mark.parametrize("rate, count", [(0.0, 1), (-10.0, 1), (10.0, 0)])
+    def test_rejects_bad_target_rate_or_count(self, rate, count):
+        with pytest.raises(DataError, match="must be positive"):
+            resample_linear(series([0.0, 1.0, 2.0], rate=10.0), rate, count)
 
 
 class TestNormalization:
