@@ -63,6 +63,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= ``low``, else a usage error (exit 1)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _gp_options(args) -> GpOptions:
     free = args.fix_scales == "false"
     return GpOptions(
@@ -337,10 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, folds=False):
-        p.add_argument("--seed", type=int, default=0, help="random seed")
+        p.add_argument("--seed", type=_int_at_least(0), default=0, help="random seed")
         p.add_argument(
             "--cap",
-            type=int,
+            type=_int_at_least(1),
             default=DEFAULT_TRAIN_CAP,
             help="max training rows per fit (even subsample)",
         )
@@ -352,13 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if folds:
             p.add_argument(
-                "--folds", type=int, default=DEFAULT_FOLDS, help="CV folds"
+                "--folds", type=_int_at_least(2), default=DEFAULT_FOLDS,
+                help="CV folds"
             )
 
     p = sub.add_parser("simulate", help="generate a synthetic session")
     p.add_argument("--joint", choices=["ankle", "knee"], default="knee")
     p.add_argument("--spec", help="JSON file overriding the default session spec")
-    p.add_argument("--seed", type=int, default=None, help="override the spec seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
+                   help="override the spec seed")
     p.add_argument("--out", required=True, help="output session directory")
     p.set_defaults(func=cmd_simulate)
 

@@ -93,6 +93,9 @@ class FoldAssignment:
 
 
 def kfold_split(unit_ids, k: int = DEFAULT_FOLDS, seed: int = 0) -> FoldAssignment:
+    if k < 2:
+        # One fold would test on every unit and train on none of them.
+        raise ValueError(f"cross-validation needs at least 2 folds, got {k}")
     ids = [int(u) for u in unit_ids]
     if len(set(ids)) != len(ids):
         raise ValueError("unit ids must be distinct")

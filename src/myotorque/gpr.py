@@ -13,11 +13,12 @@ reflectors applied to y alone, and a tridiagonal eigensolver, so the
 dense eigenvector matrix Q is never formed.
 
 The free-scale search computes the squared distances between training
-points once and builds each evaluation's K from them through the same
-kernel path as :func:`gram_matrix`, so its objective equals
-``fit(...).log_marginal`` bit for bit. The gradient takes (K + noise I)^-1
-from the stored Cholesky factor (LAPACK ``potri``) instead of solving
-against an identity.
+points once. Each evaluation builds the gram matrix from them once,
+through the same kernel path as :func:`gram_matrix`, so its objective
+equals ``fit(...).log_marginal`` bit for bit; factors a copy of it once
+with LAPACK ``potrf``, in place; and hands the distances and the gram
+matrix to :func:`lml_gradient`, which inverts the factor once (LAPACK
+``potri``) and builds no kernel of its own.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, eigh_tridiagonal, solve_triangular
+from scipy.linalg import eigh_tridiagonal, solve_triangular
 from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dpotri, dsytrd, dsytrd_lwork
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dsytrd, dsytrd_lwork
 from scipy.optimize import minimize
 
 from .errors import (
@@ -202,13 +203,16 @@ def _sq_distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _rbf_from_sq(d2: np.ndarray, hyper: Hyperparameters) -> np.ndarray:
-    """The kernel block from a block of squared distances, in place."""
-    d2 *= -0.5
-    d2 /= hyper.length_scale**2
-    np.exp(d2, out=d2)
-    d2 *= hyper.output_scale**2
-    return d2
+def _rbf_from_sq(
+    d2: np.ndarray, hyper: Hyperparameters, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The kernel block from a block of squared distances, written to
+    ``out`` (by default over ``d2`` itself)."""
+    k = np.multiply(d2, -0.5, out=d2 if out is None else out)
+    k /= hyper.length_scale**2
+    np.exp(k, out=k)
+    k *= hyper.output_scale**2
+    return k
 
 
 def _cross_covariance(
@@ -217,12 +221,18 @@ def _cross_covariance(
     return _rbf_from_sq(_sq_distances(xa, xb), hyper)
 
 
-def _gram_from_sq(d2: np.ndarray, hyper: Hyperparameters) -> np.ndarray:
-    """The symmetric gram matrix from a square block of squared distances,
-    in place; the GEMM that builds the distances need not be symmetric."""
-    k = _rbf_from_sq(d2, hyper)
-    k += k.T
-    k *= 0.5
+def _symmetrize(k: np.ndarray) -> np.ndarray:
+    """(k + k') / 2 in place: the GEMM that builds a square block of
+    distances need not return a symmetric one. On a symmetric k this is
+    an exact no-op. It goes one pair of blocks at a time, so it makes no
+    n x n temporary (``k += k.T`` makes one) and stays in cache."""
+    n, step = k.shape[0], 128
+    for i in range(0, n, step):
+        for j in range(i, n, step):
+            mean = k[i : i + step, j : j + step] + k[j : j + step, i : i + step].T
+            mean *= 0.5
+            k[i : i + step, j : j + step] = mean
+            k[j : j + step, i : i + step] = mean.T
     return k
 
 
@@ -251,27 +261,36 @@ def gram_matrix(x: np.ndarray, hyper: Hyperparameters | None = None) -> np.ndarr
     if hyper is None:
         hyper = Hyperparameters()
     pts = _as_points(x)
-    return _gram_from_sq(_sq_distances(pts, pts), hyper)
+    return _symmetrize(_rbf_from_sq(_sq_distances(pts, pts), hyper))
 
 
-def _factor(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor, escalating diagonal jitter until it succeeds."""
-    scale = float(np.mean(np.diag(k_noisy)))
+def _factor(k: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of the symmetric ``k``, in place, escalating
+    diagonal jitter until it succeeds; Fortran-ordered, zeros above.
+
+    LAPACK ``potrf`` on the Fortran view ``k.T`` gives the bits scipy's
+    ``cholesky`` gives, without its finiteness scan and copy (``k`` comes
+    from checked data). It writes one triangle, so a failed attempt is
+    undone from the other before the jitter grows.
+    """
+    n = k.shape[0]
+    diag = np.diagonal(k).copy()
+    scale = float(np.mean(diag))
+    below = np.tri(n, k=-1, dtype=bool)  # the triangle potrf leaves alone
     jitter = 0.0
     while True:
-        try:
-            bumped = k_noisy if jitter == 0.0 else k_noisy + jitter * np.eye(len(k_noisy))
-            return cholesky(bumped, lower=True), jitter
-        except np.linalg.LinAlgError:
-            if jitter == 0.0:
-                jitter = _JITTER_START * scale
-            else:
-                jitter *= 10.0
-            if jitter > _JITTER_LIMIT * scale:
-                raise NotPositiveDefinite(
-                    "covariance matrix is not positive definite even with "
-                    f"jitter up to {_JITTER_LIMIT:g} x mean diagonal"
-                ) from None
+        lower, info = dpotrf(k.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            np.copyto(k, 0.0, where=below)
+            return lower, jitter
+        jitter = _JITTER_START * scale if jitter == 0.0 else 10.0 * jitter
+        if jitter > _JITTER_LIMIT * scale:
+            raise NotPositiveDefinite(
+                "covariance matrix is not positive definite even with "
+                f"jitter up to {_JITTER_LIMIT:g} x mean diagonal"
+            )
+        np.copyto(k.T, k, where=below)  # the upper triangle from the lower
+        k.flat[:: n + 1] = diag + jitter
 
 
 def fit(
@@ -286,10 +305,10 @@ def _fit_gram(
     x: np.ndarray, y: np.ndarray, k: np.ndarray, hyper: Hyperparameters
 ) -> GprModel:
     """The body of :func:`fit` on checked data and its gram matrix ``k``,
-    which becomes K + noise I in place."""
+    which becomes K + noise I and then its factor, in place."""
     k.flat[:: x.shape[0] + 1] += hyper.noise_variance
     lower, jitter = _factor(k)
-    alpha = cho_solve((lower, True), y)
+    alpha, _ = dpotrs(lower, y, lower=1)
     model = GprModel(
         inputs=x,
         targets=y,
@@ -312,7 +331,12 @@ def log_marginal_likelihood(model: GprModel) -> float:
     )
 
 
-def lml_gradient(model: GprModel, active: np.ndarray | None = None) -> np.ndarray:
+def lml_gradient(
+    model: GprModel,
+    active: np.ndarray | None = None,
+    *,
+    blocks: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Marginal-likelihood gradient w.r.t. the log hyperparameters.
 
     Components are ordered (log output_scale, log length_scale,
@@ -321,14 +345,19 @@ def lml_gradient(model: GprModel, active: np.ndarray | None = None) -> np.ndarra
     (Rasmussen & Williams 2006, section 5.4.1), so each component is
     (w' M w - tr((K + noise I)^-1 M)) / 2 for the symmetric dK/dt = M.
 
-    The inverse comes from the stored factor by LAPACK ``potri``, which
-    reads and writes the lower triangle only; the squared distances are
-    computed once per call and serve both kernel derivatives.
+    The inverse comes from the lower triangle of the stored factor by
+    LAPACK ``potri``; whatever lies above the diagonal is never read.
+    ``blocks`` hands over (d2, k_f): the squared distances between the
+    model's inputs and the gram matrix built from them, as the free-scale
+    search already holds them. ``k_f`` is overwritten. Without ``blocks``
+    both are computed here.
     """
     alpha = model.weights
     hyper = model.hyper
-    # A cleaned copy of the factor, inverted in place: L.T is the
-    # Fortran-ordered view of the lower factor, LAPACK's upper triangle.
+    x = model.inputs
+    d2, k_f = blocks or (_sq_distances(x, x), gram_matrix(x, hyper))
+    # The factor's lower triangle, inverted in place: the transpose of the
+    # C-ordered copy is its Fortran-ordered view, LAPACK's upper triangle.
     k_inv, info = dpotri(np.tril(model.cholesky_lower).T, lower=0, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"inverse from the Cholesky factor failed (info={info})")
@@ -340,15 +369,11 @@ def lml_gradient(model: GprModel, active: np.ndarray | None = None) -> np.ndarra
         trace = 2.0 * float(np.vdot(k_inv, m)) - float(inv_diag @ np.diagonal(m))
         return 0.5 * (float(alpha @ (m @ alpha)) - trace)
 
-    d2 = _sq_distances(model.inputs, model.inputs)
-    # Not symmetrized like the gram matrix: the traces read one triangle,
-    # and the two differ by rounding only.
-    k_f = _rbf_from_sq(d2.copy(), hyper)
     grads = np.empty(3)
     grads[0] = 2.0 * half_trace_term(k_f)  # dK/dlog s = 2 K_f
-    d2 *= k_f  # dK/dlog l = K_f * d2 / l^2, in place
-    d2 /= hyper.length_scale**2
-    grads[1] = half_trace_term(d2)
+    k_f *= d2  # dK/dlog l = K_f * d2 / l^2, over K_f
+    k_f /= hyper.length_scale**2
+    grads[1] = half_trace_term(k_f)
     grads[2] = 0.5 * hyper.noise_variance * (
         float(alpha @ alpha) - float(np.sum(inv_diag))
     )
@@ -435,6 +460,12 @@ def optimize_hyperparameters(
         eig_cache = (np.maximum(lam, 0.0), y_hat)
     else:
         d2 = _sq_distances(x, x)  # fixed for the whole search
+        # Then every kernel block built from d2 is symmetric too, and
+        # symmetrizing it, as gram_matrix does, would change no bit.
+        symmetric = np.array_equal(d2, d2.T)
+        # Rewritten by every evaluation: fresh n x n blocks on each one
+        # cost as much in page faults as the kernel build itself.
+        k_f, k = np.empty_like(d2), np.empty_like(d2)
 
     def negative(theta_free: np.ndarray) -> tuple[float, np.ndarray]:
         if noise_only:
@@ -444,11 +475,17 @@ def optimize_hyperparameters(
         theta = theta0.copy()
         theta[free] = theta_free
         hyper = Hyperparameters.from_log_array(theta)
+        # One kernel build per evaluation: the factor gets a copy of the
+        # gram matrix and the gradient the gram matrix itself.
+        _rbf_from_sq(d2, hyper, out=k_f)
+        if not symmetric:
+            _symmetrize(k_f)
+        np.copyto(k, k_f)
         try:
-            model = _fit_gram(x, y, _gram_from_sq(d2.copy(), hyper), hyper)
+            model = _fit_gram(x, y, k, hyper)
         except NotPositiveDefinite:
             return 1e25, np.zeros(int(free.sum()))
-        return -model.log_marginal, -lml_gradient(model, active=free)
+        return -model.log_marginal, -lml_gradient(model, active=free, blocks=(d2, k_f))
 
     rng = np.random.default_rng(options.seed)
     lo, hi = options.init_log_bounds

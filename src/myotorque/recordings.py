@@ -317,12 +317,28 @@ def _take_entry(d, i: int) -> TakeEntry:
         raise InvalidSpec(f"takes[{i}]: {exc}") from None
 
 
+def _check_distinct(takes: list[TakeEntry]) -> None:
+    """A take listed twice would be loaded twice, and cross-validation
+    would deal its copies into different folds."""
+    first: dict = {}
+    for j, take in enumerate(takes):
+        keys = [("velocity and index", (take.velocity_deg_s, take.take_index)),
+                ("data file", take.high_rate_file), ("data file", take.fmg_file)]
+        for what, key in keys:
+            i = first.setdefault(key, j)
+            if i != j:
+                raise InvalidSpec(
+                    f"takes[{j}] repeats the {what} of takes[{i}]: {key!r}"
+                )
+
+
 def read_session_index(session_dir) -> SessionIndex:
     """Parse session.json and check every field; reads no data file.
 
     An unknown joint, a rate that is not finite and positive, an empty
-    take list, or a missing or wrongly typed key raises
-    :class:`InvalidSpec` naming the file and the key.
+    take list, a missing or wrongly typed key, or two takes with the same
+    velocity and index or a data file in common raises
+    :class:`InvalidSpec` naming the file and the key or both takes.
     """
     root = Path(session_dir)
     path = root / _INDEX_FILE
@@ -340,6 +356,7 @@ def read_session_index(session_dir) -> SessionIndex:
         takes = [_take_entry(t, i) for i, t in enumerate(_field(d, "takes", list))]
         if not takes:
             raise InvalidSpec("'takes' lists no takes")
+        _check_distinct(takes)
         return SessionIndex(
             root=root,
             joint=_member(Joint, _field(d, "joint", str), "joint"),

@@ -152,6 +152,8 @@ class SessionSpec:
             raise ValueError("angle_high_deg must exceed angle_low_deg")
         if self.swings_per_take < 1:
             raise ValueError("need at least one swing per take")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         ratio = self.high_rate_hz / self.fmg_rate_hz
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("high rate must be an integer multiple of the FMG rate")

@@ -116,6 +116,72 @@ class TestExitCodes:
         assert "--joint" in capsys.readouterr().err
 
 
+class TestArgumentContract:
+    """Out-of-range numbers are usage errors (exit 1, one message line), and
+    a session index that lists a take twice is a data error (exit 2); none
+    of them prints a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["train", "--joint", "knee", "--config", "fmg", "--cap", "0",
+                      "--out", "m.npz"], id="train-cap-0"),
+        pytest.param(["train", "--joint", "knee", "--config", "fmg", "--cap", "-5",
+                      "--out", "m.npz"], id="train-cap-negative"),
+        pytest.param(["evaluate", "--joint", "knee", "--cap", "0"], id="evaluate-cap-0"),
+        pytest.param(["evaluate", "--joint", "knee", "--folds", "0"], id="evaluate-folds-0"),
+        pytest.param(["evaluate", "--joint", "knee", "--folds", "1"], id="evaluate-folds-1"),
+        pytest.param(["train", "--joint", "knee", "--config", "fmg", "--seed", "-1",
+                      "--out", "m.npz"], id="train-seed-negative"),
+        pytest.param(["evaluate", "--joint", "knee", "--seed", "-1"],
+                     id="evaluate-seed-negative"),
+        pytest.param(["simulate", "--seed", "-1", "--out", "session"],
+                     id="simulate-seed-negative"),
+    ])
+    def test_out_of_range_number_is_usage_error(self, argv, tmp_path):
+        argv = [str(tmp_path / a) if a in ("m.npz", "session") else a for a in argv]
+        proc = run_cli(*argv)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "must be >=" in errors[0], proc.stderr
+        assert not (tmp_path / "m.npz").exists() and not (tmp_path / "session").exists()
+
+    def test_spec_with_negative_seed_is_2(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**default_session_spec(Joint.KNEE).to_dict(), "seed": -1}))
+        proc = run_cli("simulate", "--spec", spec, "--out", tmp_path / "session")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "seed must be >= 0" in proc.stderr
+
+    @pytest.fixture(scope="class")
+    def doubled_take_dir(self, knee_dir, tmp_path_factory):
+        """``knee_dir`` with a copy of takes[0] appended to its index."""
+        out = tmp_path_factory.mktemp("cli") / "doubled"
+        out.mkdir()
+        for p in knee_dir.iterdir():
+            (out / p.name).write_bytes(p.read_bytes())
+        index = json.loads((out / "session.json").read_text())
+        index["takes"].append(dict(index["takes"][0]))
+        (out / "session.json").write_text(json.dumps(index))
+        return out
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_take_listed_twice_is_2(self, command, doubled_take_dir, fmg_model, tmp_path):
+        session = doubled_take_dir
+        argv = {
+            "train": ["train", "--session", session, "--config", "fmg", "--cap", "50",
+                      "--out", tmp_path / "m.npz"],
+            "evaluate": ["evaluate", "--session", session, "--joint", "knee",
+                         "--config", "fmg", "--cap", "50", "--out", tmp_path / "eval"],
+            "predict": ["predict", "--model", fmg_model, "--session", session,
+                        "--out", tmp_path / "pred.csv"],
+        }[command]
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "takes[2] repeats the velocity and index of takes[0]" in proc.stderr
+
+
 class TestSimulate:
     def test_writes_loadable_session(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"

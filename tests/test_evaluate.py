@@ -121,6 +121,12 @@ class TestFolds:
         with pytest.raises(ValueError):
             kfold_split(np.array([1, 2, 2, 3, 4]), k=2)
 
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_fewer_than_two_folds_rejected(self, k):
+        # One fold would train only on the rows outside every segment.
+        with pytest.raises(ValueError, match="at least 2 folds"):
+            kfold_split(np.arange(1, 10), k=k)
+
     def test_subsample_stride(self):
         assert list(subsample_stride(5, 10)) == [0, 1, 2, 3, 4]
         idx = subsample_stride(10, 4)

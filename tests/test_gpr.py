@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, eigh
+from scipy.linalg import cho_solve, cholesky, eigh
+from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
 import myotorque.gpr as gpr
@@ -88,6 +89,12 @@ def random_problem(seed, n_max=50, d_max=4):
 
 
 class TestKernel:
+    @pytest.mark.parametrize("n", [1, 5, 127, 128, 129, 300])
+    def test_symmetrize_is_the_mean_with_the_transpose(self, rng, n):
+        # Block by block, with the bits of (k + k') / 2 on the whole matrix.
+        k = rng.standard_normal((n, n))
+        assert np.array_equal(gpr._symmetrize(k.copy()), (k + k.T) * 0.5)
+
     def test_zero_distance_gives_signal_variance(self):
         h = Hyperparameters(output_scale=1.7)
         v = kernel_rbf(np.array([0.3, -1.0]), np.array([0.3, -1.0]), h)
@@ -347,7 +354,138 @@ class TestGradientFromFactor:
         assert np.array_equal(picked, full[np.array(active)])
 
 
+def pre_change_gradient(model):
+    """``lml_gradient`` as it was before the search handed over its blocks:
+    the distances recomputed, the kernel rebuilt without symmetrizing, and
+    K^-1 by potri on a copy of the factor with zeros above the diagonal."""
+    alpha, hyper = model.weights, model.hyper
+    k_inv, info = dpotri(np.tril(model.cholesky_lower).T, lower=0, overwrite_c=1)
+    assert info == 0
+    k_inv = k_inv.T
+    inv_diag = np.diagonal(k_inv)
+
+    def half_trace_term(m):
+        trace = 2.0 * float(np.vdot(k_inv, m)) - float(inv_diag @ np.diagonal(m))
+        return 0.5 * (float(alpha @ (m @ alpha)) - trace)
+
+    d2 = _sq_distances(model.inputs, model.inputs)
+    k_f = d2 * -0.5
+    k_f /= hyper.length_scale**2
+    np.exp(k_f, out=k_f)
+    k_f *= hyper.output_scale**2
+    grads = np.empty(3)
+    grads[0] = 2.0 * half_trace_term(k_f)
+    d2 *= k_f
+    d2 /= hyper.length_scale**2
+    grads[1] = half_trace_term(d2)
+    grads[2] = 0.5 * hyper.noise_variance * (float(alpha @ alpha) - float(np.sum(inv_diag)))
+    return grads
+
+
+def record_search(monkeypatch, x, y, initial, opts):
+    """Run the search and return (theta_free, value, gradient) of every
+    objective evaluation L-BFGS-B made."""
+    seen = []
+
+    def recording_minimize(fun, x0, **kwargs):
+        def wrapped(theta_free):
+            value, grad = fun(theta_free)
+            seen.append((theta_free.copy(), value, grad.copy()))
+            return value, grad
+        return minimize(wrapped, x0, **kwargs)
+
+    monkeypatch.setattr(gpr, "minimize", recording_minimize)
+    optimize_hyperparameters(x, y, initial=initial, options=opts)
+    return seen
+
+
+class TestSearchEvaluation:
+    """One free-scale evaluation computes the kernel once and hands it, with
+    the search's distance block, to one ``lml_gradient`` call."""
+
+    @pytest.mark.parametrize("free", [(True, True), (False, True), (True, False)])
+    def test_one_gradient_per_evaluation(self, rng, monkeypatch, free):
+        x = rng.uniform(-2.0, 2.0, (30, 3))
+        y = np.cos(x[:, 0]) + 0.1 * rng.standard_normal(30)
+        calls = []
+
+        def counting_gradient(model, active=None, **kwargs):
+            calls.append(kwargs)
+            return lml_gradient(model, active, **kwargs)
+
+        monkeypatch.setattr(gpr, "lml_gradient", counting_gradient)
+        opts = GpOptions(seed=1, restarts=2, optimize_output_scale=free[0],
+                         optimize_length_scale=free[1])
+        seen = record_search(monkeypatch, x, y, Hyperparameters(), opts)
+        assert len(seen) > 5
+        assert len(calls) == len(seen)
+        assert all(set(kw) == {"blocks"} for kw in calls)
+
+    def test_entries_above_the_factor_diagonal_are_ignored(self, rng):
+        for seed in range(10):
+            x, y, hyper = random_problem(seed, n_max=40)
+            clean = fit(x, y, hyper)
+            n = clean.n_train
+            junk = clean.cholesky_lower + np.triu(rng.uniform(-5.0, 5.0, (n, n)), 1)
+            dirty = dataclasses.replace(clean, cholesky_lower=junk)
+            assert np.array_equal(lml_gradient(dirty), lml_gradient(clean))
+
+    def test_matches_pre_change_formula(self):
+        models = [fit(*random_problem(seed, n_max=80)) for seed in range(40)]
+        # Three coincident points and a noise lost to rounding: the factor
+        # needed jitter.
+        x = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [2.0, -1.0]])
+        jittered = fit(x, np.array([0.4, -1.1, 0.9, 0.3]),
+                       Hyperparameters(output_scale=1.5, length_scale=0.7,
+                                       noise_variance=1e-20))
+        assert jittered.jitter > 0
+        for model in models + [jittered]:
+            assert np.allclose(lml_gradient(model), pre_change_gradient(model),
+                               rtol=1e-9, atol=0)
+
+    def test_asymmetric_distance_block(self, rng, monkeypatch):
+        # The GEMM behind the distances need not return a symmetric block
+        # (it does not at some shapes); then each evaluation symmetrizes its
+        # kernel block, as gram_matrix does, and still equals a fresh fit.
+        def nudged(xa, xb):
+            d2 = _sq_distances(xa, xb)
+            if xa is xb:
+                d2[3, 1] = np.nextafter(d2[3, 1], np.inf)
+            return d2
+
+        monkeypatch.setattr(gpr, "_sq_distances", nudged)
+        x = rng.uniform(-2.0, 2.0, (25, 2))
+        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(25)
+        assert not np.array_equal(nudged(x, x), nudged(x, x).T)
+        initial = Hyperparameters(output_scale=1.2, length_scale=0.9, noise_variance=0.3)
+        opts = GpOptions(seed=2, restarts=2, optimize_output_scale=True,
+                         optimize_length_scale=True)
+        seen = record_search(monkeypatch, x, y, initial, opts)
+        assert len(seen) > 5
+        for theta_free, value, grad in seen:
+            model = fit(x, y, Hyperparameters.from_log_array(theta_free))
+            assert -value == model.log_marginal
+            assert np.array_equal(-grad, lml_gradient(model))
+
+
 class TestFit:
+    def test_factor_has_scipy_cholesky_bits(self):
+        # The factor comes from LAPACK potrf directly; it must keep the bits
+        # scipy's cholesky gave it, jitter included, so saved models and
+        # every exported figure stay byte-identical.
+        problems = [random_problem(seed, n_max=80) for seed in range(20)]
+        x = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [2.0, -1.0]])
+        problems.append((x, np.array([0.4, -1.1, 0.9, 0.3]),
+                         Hyperparameters(1.5, 0.7, 1e-20)))
+        for x, y, hyper in problems:
+            model = fit(x, y, hyper)
+            k = gram_matrix(x, hyper) + hyper.noise_variance * np.eye(len(y))
+            if model.jitter:
+                k = k + model.jitter * np.eye(len(y))
+            reference = cholesky(k, lower=True)
+            assert np.array_equal(model.cholesky_lower, reference)
+            assert np.array_equal(model.weights, cho_solve((reference, True), y))
+
     def test_single_point_weight(self):
         # alpha = (K + noise I)^-1 y = 2 / (1 + 1) = 1.
         model = fit(np.array([[0.0]]), np.array([2.0]), Hyperparameters())

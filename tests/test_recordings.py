@@ -432,6 +432,27 @@ class TestSessionRoundTrip:
         with pytest.raises(InvalidSpec, match=r"bad[/\\]session\.json: " + message):
             read_session_index(bad)
 
+    @pytest.mark.parametrize("mutate, message", [
+        pytest.param(lambda d: d["takes"].append(dict(d["takes"][0])),
+                     r"takes\[2\] repeats the velocity and index of takes\[0\]",
+                     id="copy-of-first-take"),
+        pytest.param(lambda d: d["takes"][1].update(take_index=d["takes"][0]["take_index"]),
+                     r"takes\[1\] repeats the velocity and index of takes\[0\]",
+                     id="same-velocity-and-index"),
+        pytest.param(lambda d: d["takes"][1].update(fmg_file=d["takes"][0]["fmg_file"]),
+                     r"takes\[1\] repeats the data file of takes\[0\]: 'take_v060_t0_fmg.csv'",
+                     id="shared-fmg-file"),
+        pytest.param(lambda d: d["takes"][1].update(fmg_file=d["takes"][0]["high_rate_file"]),
+                     r"takes\[1\] repeats the data file of takes\[0\]",
+                     id="fmg-file-is-other-takes-high-rate-file"),
+    ])
+    def test_take_listed_twice_is_rejected(self, session_dir, tmp_path, mutate, message):
+        # Loaded twice, a take's copies would land in different CV folds.
+        _, out = session_dir
+        bad = copy_session(out, tmp_path / "bad", mutate)
+        with pytest.raises(InvalidSpec, match=r"bad[/\\]session\.json: " + message):
+            read_session_index(bad)
+
     def test_file_that_points_nowhere(self, session_dir, tmp_path):
         _, out = session_dir
         bad = copy_session(

@@ -72,6 +72,7 @@ class TestSpec:
              r"unknown noise keys \['snr'\]"),
             (lambda d: {**d, "angle_low_deg": 200.0}, "must exceed"),
             (lambda d: {**d, "fmg_rate_hz": 0}, "invalid session spec"),
+            (lambda d: {**d, "seed": -1}, "seed must be >= 0"),
         ],
     )
     def test_malformed_dict_is_invalid_spec(self, edit, message):
