@@ -14,8 +14,8 @@ dense eigenvector matrix Q is never formed.
 
 The free-scale search computes the squared distances between training
 points once. Each evaluation builds the gram matrix from them once,
-through the same kernel path as :func:`gram_matrix`, so its objective
-equals ``fit(...).log_marginal`` bit for bit; factors a copy of it once
+with the bits :func:`gram_matrix` gives, so its objective equals
+``fit(...).log_marginal`` bit for bit; factors a copy of it once
 with LAPACK ``potrf``, in place; and hands the distances and the gram
 matrix to :func:`lml_gradient`, which inverts the factor once (LAPACK
 ``potri``) and builds no kernel of its own.
@@ -276,6 +276,12 @@ def _factor(k: np.ndarray) -> tuple[np.ndarray, float]:
     n = k.shape[0]
     diag = np.diagonal(k).copy()
     scale = float(np.mean(diag))
+    # Also false for NaN, which finite but huge inputs give: the jitter
+    # ladder below ends only on a finite positive scale.
+    if not 0.0 < scale < np.inf:
+        raise NotPositiveDefinite(
+            "covariance matrix has a non-finite or non-positive mean diagonal"
+        )
     below = np.tri(n, k=-1, dtype=bool)  # the triangle potrf leaves alone
     jitter = 0.0
     while True:
@@ -460,9 +466,11 @@ def optimize_hyperparameters(
         eig_cache = (np.maximum(lam, 0.0), y_hat)
     else:
         d2 = _sq_distances(x, x)  # fixed for the whole search
-        # Then every kernel block built from d2 is symmetric too, and
-        # symmetrizing it, as gram_matrix does, would change no bit.
-        symmetric = np.array_equal(d2, d2.T)
+        # The GEMM behind d2 can leave a few entries asymmetric; a kernel
+        # block built from d2 is asymmetric there only, so taking the mean
+        # with the transpose there gives gram_matrix's bits (the mean of
+        # two equal entries is that entry).
+        rows, cols = np.nonzero(d2 != d2.T)
         # Rewritten by every evaluation: fresh n x n blocks on each one
         # cost as much in page faults as the kernel build itself.
         k_f, k = np.empty_like(d2), np.empty_like(d2)
@@ -478,8 +486,7 @@ def optimize_hyperparameters(
         # One kernel build per evaluation: the factor gets a copy of the
         # gram matrix and the gradient the gram matrix itself.
         _rbf_from_sq(d2, hyper, out=k_f)
-        if not symmetric:
-            _symmetrize(k_f)
+        k_f[rows, cols] = (k_f[rows, cols] + k_f[cols, rows]) * 0.5
         np.copyto(k, k_f)
         try:
             model = _fit_gram(x, y, k, hyper)

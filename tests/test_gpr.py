@@ -548,6 +548,21 @@ class TestFit:
         with pytest.raises(NotPositiveDefinite):
             _factor(np.array([[-1.0, 0.0], [0.0, -1.0]]))
 
+    @pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
+    def test_factor_refuses_a_diagonal_the_jitter_cannot_scale(self, value):
+        # The jitter ladder grows from the mean diagonal; on a zero or
+        # non-finite one it would never reach its ceiling.
+        with pytest.raises(NotPositiveDefinite):
+            _factor(np.full((3, 3), value))
+
+    def test_fit_on_finite_but_huge_inputs_raises(self):
+        # Squared norms overflow, the distances hold inf - inf = NaN, and so
+        # does the gram matrix's diagonal.
+        with np.errstate(over="ignore"):
+            with pytest.raises(NotPositiveDefinite):
+                fit(np.array([[1e160], [0.0]]), np.array([1.0, 2.0]),
+                    Hyperparameters())
+
 
 class TestPredict:
     def test_noise_free_interpolation(self, rng):
