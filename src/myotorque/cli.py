@@ -18,6 +18,7 @@ import csv
 import itertools
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
@@ -61,6 +62,21 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+class _OutputError(Exception):
+    """An ``--out`` path that cannot be written: a usage error (exit 1)."""
+
+
+@contextmanager
+def _writing(path):
+    """Report a failure to create or write ``path`` (its directory missing,
+    a file where a directory is wanted, no permission) as an
+    :class:`_OutputError` naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _int_at_least(low: int):
@@ -165,7 +181,8 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         spec = SessionSpec.from_dict({**spec.to_dict(), "seed": args.seed})
     session = generate_session(spec)
-    out = write_session(session, args.out)
+    with _writing(args.out):
+        out = write_session(session, args.out)
     print(f"wrote {len(session.takes)} takes ({spec.joint.value}) to {out}")
     return 0
 
@@ -181,14 +198,16 @@ def cmd_evaluate(args) -> int:
     for joint in joints:
         session = _load_or_synthesize(args, joint)
         cells.update(_session_cells(session, configs))
-    report = evaluate_with_exports(
-        cells,
-        args.out,
-        n_folds=args.folds,
-        seed=args.seed,
-        options=_gp_options(args),
-        train_cap=args.cap,
-    )
+    # The export directory is made before the first fold runs.
+    with _writing(args.out):
+        report = evaluate_with_exports(
+            cells,
+            args.out,
+            n_folds=args.folds,
+            seed=args.seed,
+            options=_gp_options(args),
+            train_cap=args.cap,
+        )
     sys.stdout.write(estimate_table(report))
     print(f"exports written to {Path(args.out)}")
     return 0
@@ -202,7 +221,8 @@ def cmd_train(args) -> int:
     estimator = train_model(
         table, options=_gp_options(args), train_cap=args.cap, seed=args.seed
     )
-    save_estimator(estimator, args.out)
+    with _writing(args.out):
+        save_estimator(estimator, args.out)
     print(
         f"trained {session.joint.value}/{config.value} on "
         f"{estimator.model.n_train} rows "
@@ -231,7 +251,11 @@ def cmd_predict(args) -> int:
     )
     mean, std = estimator.predict_torque(table.rows)
 
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    if args.out:
+        with _writing(args.out):
+            out = open(args.out, "w", newline="")
+    else:
+        out = sys.stdout
     try:
         write_float_table(
             out,
@@ -431,6 +455,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
+    except _OutputError as exc:
+        print(f"myotorque: error: {exc}", file=sys.stderr)
+        return 1
     except DataError as exc:
         print(f"myotorque: data error: {exc}", file=sys.stderr)
         return 2

@@ -242,6 +242,7 @@ def evaluate_cv(
         predicted_nm[test_mask] = y_hat * t_std + t_mean
         per_fold_mse[fold] = mse(y_test, y_hat)
         noise_variances[fold] = est.model.hyper.noise_variance
+        del est  # the next fold's two n x n blocks need not coexist with it
 
     tested = fold_of_row >= 0
     pooled_mse = mse(true_norm[tested], predicted_norm[tested])

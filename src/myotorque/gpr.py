@@ -6,11 +6,25 @@ configuration keeps the output and length scales fixed at 1, so the
 kernel is exactly exp(-||x - x'||^2 / 2), and tunes only the observation
 noise; both scales can be freed through ``GpOptions``.
 
-The noise-only search needs just the eigenvalues of K and the
-coordinates Q'y (Rasmussen & Williams 2006, sections 2.2 and 5.4). It
-gets them from a Householder tridiagonal reduction K = H T H', the
-reflectors applied to y alone, and a tridiagonal eigensolver, so the
-dense eigenvector matrix Q is never formed.
+The noise-only search (Rasmussen & Williams 2006, sections 2.2 and 5.4)
+builds one n x n block per search: the gram matrix, which a Householder
+reduction K = H T H' overwrites in place. What it keeps is O(n): the
+tridiagonal T, z = H'y (the reflectors applied to y alone) and the
+eigenvalues of T, which are those of K; no eigenvector is computed.
+Each evaluation then solves (T + noise I) u = z with one O(n) LAPACK
+``ptsv``, so y'(K + noise I)^-1 y = z'u and ||(K + noise I)^-1 y||^2 =
+u'u, while the log determinant and the trace come from the eigenvalues.
+
+Predictions run over blocks of at most ``_QUERY_BLOCK`` query rows, so
+the cross-covariance (and, in :func:`predict`, the triangular solve)
+held at any time is n x block whatever the query size.
+
+A cross-validation fold of n training and m held-out rows therefore
+builds two n x n blocks, one after the other: the search's gram matrix,
+freed once it is reduced, and :func:`fit`'s, which becomes the model's
+Cholesky factor in place. The m predictions add one n x
+``_QUERY_BLOCK`` (128) block at a time. At the default cap of 2,000 rows
+that is 32 MB per n x n block and 2 MB per query block.
 
 The free-scale search computes the squared distances between training
 points once. Each evaluation builds the gram matrix from them once,
@@ -27,11 +41,12 @@ import json
 import zipfile
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_triangular
+from scipy.linalg import eigvalsh_tridiagonal, solve_triangular
 from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dsytrd, dsytrd_lwork
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dptsv, dsytrd, dsytrd_lwork
 from scipy.optimize import minimize
 
 from .errors import (
@@ -48,6 +63,9 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # Jitter ladder: relative to mean(diag(K + noise I)), escalating tenfold.
 _JITTER_START = 1e-9
 _JITTER_LIMIT = 1e-3
+
+# Query rows per cross-covariance block in predict and predict_mean.
+_QUERY_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -157,6 +175,12 @@ class GprModel:
     def n_train(self) -> int:
         return self.inputs.shape[0]
 
+    @cached_property
+    def _input_sq_norms(self) -> np.ndarray:
+        """sum(inputs * inputs, axis=1), which every block of prediction
+        distances starts from; computed on first use, once per model."""
+        return np.sum(self.inputs * self.inputs, axis=1)
+
 
 def _as_points(x: np.ndarray, what: str = "inputs") -> np.ndarray:
     """Coerce to a finite (n, d) float64 matrix; 1-D means n points in 1-D."""
@@ -187,16 +211,21 @@ def _training_set(
     return x, y
 
 
-def _sq_distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """The n x m block of squared distances ||a - b||^2, allocated once."""
+def _sq_distances(
+    xa: np.ndarray, xb: np.ndarray, xa_norms: np.ndarray | None = None
+) -> np.ndarray:
+    """The n x m block of squared distances ||a - b||^2, allocated once.
+    ``xa_norms``, when the caller holds it, is sum(xa * xa, axis=1)."""
     if xa.shape[1] != xb.shape[1]:
         raise DimensionMismatch(
             f"input dimensions differ: {xa.shape[1]} vs {xb.shape[1]}"
         )
+    if xa_norms is None:
+        xa_norms = np.sum(xa * xa, axis=1)
     # The block starts as ||a||^2 + ||b||^2 and one GEMM adds -2 a.b' into
     # it; BLAS is column-major, so it works on the transposed view of the
     # C-ordered block.
-    d2 = np.add.outer(np.sum(xa * xa, axis=1), np.sum(xb * xb, axis=1))
+    d2 = np.add.outer(xa_norms, np.sum(xb * xb, axis=1))
     if d2.size:  # the BLAS wrapper rejects empty operands
         d2 = dgemm(-2.0, xb, xa, beta=1.0, c=d2.T, trans_b=1, overwrite_c=1).T
     np.maximum(d2, 0.0, out=d2)  # clamped against rounding
@@ -216,9 +245,12 @@ def _rbf_from_sq(
 
 
 def _cross_covariance(
-    xa: np.ndarray, xb: np.ndarray, hyper: Hyperparameters
+    xa: np.ndarray,
+    xb: np.ndarray,
+    hyper: Hyperparameters,
+    xa_norms: np.ndarray | None = None,
 ) -> np.ndarray:
-    return _rbf_from_sq(_sq_distances(xa, xb), hyper)
+    return _rbf_from_sq(_sq_distances(xa, xb, xa_norms), hyper)
 
 
 def _symmetrize(k: np.ndarray) -> np.ndarray:
@@ -388,12 +420,18 @@ def lml_gradient(
     return grads
 
 
-def _spectrum(k: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a symmetric K (ascending) and y_hat = Q' y, without Q.
+def _spectrum(
+    k: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What the noise-only search needs from a symmetric K, without any
+    eigenvector: (lam, d, e, z).
 
-    K = H T H' by Householder reduction, T = V diag(lam) V' by a
-    tridiagonal eigensolver, so Q = H V and Q' y = V' (H' y): the n - 1
-    reflectors are applied to y only. ``k`` is overwritten.
+    K = H T H' by Householder reduction; d and e are the diagonal and
+    subdiagonal of T, z = H' y (the n - 1 reflectors applied to y only)
+    and lam the eigenvalues of T, which are those of K, ascending and
+    clamped at zero against rounding. d, e and z carry one extra decoupled row (d = 1, e = 0, z = 0): it leaves
+    every solve with T unchanged and keeps e non-empty at n = 1, which
+    the LAPACK wrappers require. ``k`` is overwritten.
     """
     n = k.shape[0]
     lwork, _ = dsytrd_lwork(n, lower=1)
@@ -406,35 +444,44 @@ def _spectrum(k: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # H = H_0 H_1 ... H_{n-2}, H_i = I - tau_i v v' with v[:i+1] = 0,
     # v[i+1] = 1 and v[i+2:] stored below the subdiagonal of column i.
     # H' y applies H_0 first.
-    z = y.copy()
+    z = np.append(y, 0.0)
     for i in range(n - 1):
         v = a[i + 1 :, i]
         v[0] = 1.0  # the slot held e[i], which is already in ``e``
-        z[i + 1 :] -= (tau[i] * (v @ z[i + 1 :])) * v
-    lam, vecs = eigh_tridiagonal(d, e)
-    return lam, vecs.T @ z
+        z[i + 1 : n] -= (tau[i] * (v @ z[i + 1 : n])) * v
+    lam = np.maximum(eigvalsh_tridiagonal(d, e), 0.0)
+    return lam, np.append(d, 1.0), np.append(e, 0.0), z
 
 
-def _eigen_lml_and_grad(
-    lam: np.ndarray, y_hat: np.ndarray, log_noise: float
+def _noise_lml_and_grad(
+    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    log_noise: float,
 ) -> tuple[float, float]:
-    """Noise-only objective from the spectrum of K.
+    """Noise-only objective and its derivative in log noise from
+    :func:`_spectrum`'s output, in O(n).
 
-    With K = Q diag(lam) Q' and y_hat = Q' y, the quadratic and
-    determinant terms decouple per eigenvalue, so each noise evaluation
-    is O(n) instead of a fresh factorization.
+    One tridiagonal solve (T + v I) u = z gives the quadratic term
+    y'(K + v I)^-1 y = z'u and the gradient's data term
+    ||(K + v I)^-1 y||^2 = u'u (H is orthogonal). The log determinant and
+    tr((K + v I)^-1) come from the eigenvalues. Raises
+    :class:`NotPositiveDefinite` when LAPACK ``ptsv`` finds T + v I not
+    positive definite.
     """
+    lam, d, e, z = spectrum
     v = np.exp(log_noise)
+    _, _, u, info = dptsv(d + v, e, z)
+    if info != 0:
+        raise NotPositiveDefinite(
+            f"tridiagonal solve at noise {v:g} failed (info={info})"
+        )
     denom = lam + v
     n = lam.shape[0]
     lml = (
-        -0.5 * float(np.sum(y_hat**2 / denom))
+        -0.5 * float(z @ u)
         - 0.5 * float(np.sum(np.log(denom)))
         - 0.5 * n * _LOG_2PI
     )
-    grad = v * (
-        0.5 * float(np.sum(y_hat**2 / denom**2)) - 0.5 * float(np.sum(1.0 / denom))
-    )
+    grad = 0.5 * v * (float(u @ u) - float(np.sum(1.0 / denom)))
     return lml, grad
 
 
@@ -448,10 +495,17 @@ def optimize_hyperparameters(
 
     Multi-start quasi-Newton ascent (L-BFGS-B on the negated objective),
     returning the best candidate across starts, which is never worse than
-    any start's own objective value. When only the noise is free, the
-    eigenvalues of the covariance matrix and the targets' coordinates in
-    its eigenbasis come from one tridiagonal reduction, and every
-    line-search evaluation reuses them.
+    any start's own objective value.
+
+    When only the noise is free, the search builds one n x n block, the
+    gram matrix, and reduces it in place to a tridiagonal T; it keeps T,
+    the targets' coordinates z = H'y and the eigenvalues, all O(n), and
+    frees the block before the first evaluation. Each evaluation is one
+    O(n) tridiagonal solve (:func:`_noise_lml_and_grad`).
+
+    When a scale is free, the search holds four n x n blocks: the squared
+    distances, and per evaluation the gram matrix, the copy of it that is
+    factored and the inverse :func:`lml_gradient` makes from the factor.
     """
     x, y = _training_set(inputs, targets)
     if initial is None:
@@ -460,10 +514,8 @@ def optimize_hyperparameters(
     theta0 = initial.log_array()
     noise_only = not (options.optimize_output_scale or options.optimize_length_scale)
 
-    eig_cache: tuple[np.ndarray, np.ndarray] | None = None
     if noise_only:
-        lam, y_hat = _spectrum(gram_matrix(x, initial), y)
-        eig_cache = (np.maximum(lam, 0.0), y_hat)
+        spectrum = _spectrum(gram_matrix(x, initial), y)
     else:
         d2 = _sq_distances(x, x)  # fixed for the whole search
         # The GEMM behind d2 can leave a few entries asymmetric; a kernel
@@ -477,8 +529,10 @@ def optimize_hyperparameters(
 
     def negative(theta_free: np.ndarray) -> tuple[float, np.ndarray]:
         if noise_only:
-            lam, y_hat = eig_cache
-            lml, g = _eigen_lml_and_grad(lam, y_hat, float(theta_free[0]))
+            try:
+                lml, g = _noise_lml_and_grad(spectrum, float(theta_free[0]))
+            except NotPositiveDefinite:
+                return 1e25, np.zeros(1)
             return -lml, np.array([-g])
         theta = theta0.copy()
         theta[free] = theta_free
@@ -524,15 +578,25 @@ def optimize_hyperparameters(
     return Hyperparameters.from_log_array(theta)
 
 
-def _query_covariance(model: GprModel, x_star: np.ndarray) -> np.ndarray:
-    """K*, the n_train x n_query covariance between training and query points;
-    only the query is checked, the model was validated when built."""
+def _query_points(model: GprModel, x_star: np.ndarray) -> np.ndarray:
+    """The query as a checked (m, d) matrix; only the query is checked,
+    the model was validated when built."""
     xq = _as_points(x_star, "query points")
     if xq.shape[1] != model.inputs.shape[1]:
         raise DimensionMismatch(
             f"model has {model.inputs.shape[1]} features, query has {xq.shape[1]}"
         )
-    return _cross_covariance(model.inputs, xq, model.hyper)
+    return xq
+
+
+def _query_blocks(model: GprModel, xq: np.ndarray):
+    """(rows, K*) for each block of at most ``_QUERY_BLOCK`` checked query
+    rows, K* the n_train x block covariance with the training points."""
+    for start in range(0, xq.shape[0], _QUERY_BLOCK):
+        rows = slice(start, start + _QUERY_BLOCK)
+        yield rows, _cross_covariance(
+            model.inputs, xq[rows], model.hyper, model._input_sq_norms
+        )
 
 
 def predict(
@@ -542,7 +606,10 @@ def predict(
 
     mean = K*' w; variance = k(x*, x*) - ||L^-1 K*||^2 per point, clamped
     at zero. The variance is the latent-function variance; observation
-    noise is not added.
+    noise is not added. Query rows go through in blocks of
+    ``_QUERY_BLOCK``, so the temporaries are n_train x block whatever
+    the query size; a query of one block computes exactly what a single
+    whole-query expression would.
 
     Finiteness is checked once per model, when the :class:`GprModel` is
     built (by :func:`fit`, :func:`load_model` or by hand), and per call
@@ -551,17 +618,26 @@ def predict(
     finiteness scan of the n x n factor, which costs several times the
     O(n^2) solve itself on a one-row query.
     """
-    k_star = _query_covariance(model, x_star)
-    mean = k_star.T @ model.weights
-    v = solve_triangular(model.cholesky_lower, k_star, lower=True, check_finite=False)
+    xq = _query_points(model, x_star)
+    mean, var = np.empty(xq.shape[0]), np.empty(xq.shape[0])
     prior_var = model.hyper.output_scale**2
-    var = np.maximum(prior_var - np.sum(v * v, axis=0), 0.0)
+    for rows, k_star in _query_blocks(model, xq):
+        mean[rows] = k_star.T @ model.weights
+        v = solve_triangular(
+            model.cholesky_lower, k_star, lower=True, check_finite=False
+        )
+        var[rows] = np.maximum(prior_var - np.sum(v * v, axis=0), 0.0)
     return mean, var
 
 
 def predict_mean(model: GprModel, x_star: np.ndarray) -> np.ndarray:
-    """Posterior mean only; skips the triangular solve for the variance."""
-    return _query_covariance(model, x_star).T @ model.weights
+    """Posterior mean only; skips the triangular solve for the variance.
+    Query rows go through in blocks, as in :func:`predict`."""
+    xq = _query_points(model, x_star)
+    mean = np.empty(xq.shape[0])
+    for rows, k_star in _query_blocks(model, xq):
+        mean[rows] = k_star.T @ model.weights
+    return mean
 
 
 _FORMAT_VERSION = 1

@@ -182,6 +182,31 @@ class TestArgumentContract:
         assert "takes[2] repeats the velocity and index of takes[0]" in proc.stderr
 
 
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "simulate"])
+    def test_unwritable_out_is_usage_error(self, command, knee_dir, fmg_model, tmp_path):
+        # train and predict write into a directory that does not exist;
+        # evaluate and simulate want a directory where a file stands.
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(short_spec(Joint.KNEE).to_dict()))
+        out, argv = {
+            "train": (tmp_path / "nodir" / "m.npz",
+                      ["train", "--session", knee_dir, "--config", "fmg", "--cap", "50"]),
+            "predict": (tmp_path / "nodir" / "p.csv",
+                        ["predict", "--model", fmg_model, "--session", knee_dir]),
+            "evaluate": (afile, ["evaluate", "--session", knee_dir, "--joint", "knee",
+                                 "--config", "fmg", "--cap", "50", "--folds", "2"]),
+            "simulate": (afile, ["simulate", "--spec", spec]),
+        }[command]
+        proc = run_cli(*argv, "--out", out)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and f"cannot write {out}" in lines[0], proc.stderr
+        assert not (tmp_path / "nodir").exists() and afile.read_text() == ""
+
+
 class TestSimulate:
     def test_writes_loadable_session(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"

@@ -1,6 +1,7 @@
 """Scoring metrics, fold assignment, CV hygiene, and result exports."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,20 @@ class TestEvaluateCv:
         )
         # Sanity: the corruption did reach the scores of that fold.
         assert dirty.cell.per_fold_mse[fold] > 10 * clean.cell.per_fold_mse[fold]
+
+    def test_one_fold_model_at_a_time(self):
+        # A fold builds two n x n blocks in turn: the search's gram matrix
+        # and fit's, which becomes the model's factor. The previous fold's
+        # model is gone by then, so the peak stays near one block (n = 1,200
+        # training rows per fold here, 11.5 MB); with it alive it is two.
+        table = smooth_table(n_segments=5, rows_per_segment=300)
+        tracemalloc.start()
+        try:
+            evaluate_cv(table, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 1200**2 * 8
 
     def test_train_cap_is_respected(self):
         table = smooth_table()

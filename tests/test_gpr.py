@@ -8,11 +8,12 @@ finite differences in log-parameter space.
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky, eigh
+from scipy.linalg import cho_solve, cholesky, eigh, eigh_tridiagonal, solve_triangular
 from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
@@ -29,8 +30,8 @@ from myotorque.gpr import (
     GprModel,
     Hyperparameters,
     _cross_covariance,
-    _eigen_lml_and_grad,
     _factor,
+    _noise_lml_and_grad,
     _spectrum,
     _sq_distances,
     fit,
@@ -637,6 +638,85 @@ class TestPredict:
         assert np.array_equal(predict_mean(model, x_star), mean)
 
 
+def whole_query_prediction(model, x_star):
+    """predict and predict_mean as one expression over the whole query:
+    one n x m cross-covariance and one triangular solve."""
+    k_star = _cross_covariance(model.inputs, np.asarray(x_star, dtype=np.float64), model.hyper)
+    mean = k_star.T @ model.weights
+    v = solve_triangular(model.cholesky_lower, k_star, lower=True, check_finite=False)
+    var = np.maximum(model.hyper.output_scale**2 - np.sum(v * v, axis=0), 0.0)
+    return mean, var
+
+
+class TestBlockedPrediction:
+    """Queries go through in blocks of ``_QUERY_BLOCK`` rows. A query of one
+    block, such as a stream tick's single row, computes the whole-query
+    expression and gets its bits; a longer one may differ from it in the
+    last digits, as the distance GEMM and the matrix-vector product round
+    a partial block differently."""
+
+    B = gpr._QUERY_BLOCK
+
+    @pytest.mark.parametrize("m", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    def test_matches_whole_query_expression(self, rng, m):
+        x, y, hyper = random_problem(31, n_max=80)
+        model = fit(x, y, hyper)
+        x_star = rng.normal(0.0, 1.5, (m, x.shape[1]))
+        ref_mean, ref_var = whole_query_prediction(model, x_star)
+        mean, var = predict(model, x_star)
+        only_mean = predict_mean(model, x_star)
+        assert mean.shape == var.shape == only_mean.shape == (m,)
+        assert np.array_equal(only_mean, mean)
+        if m <= self.B:
+            assert np.array_equal(mean, ref_mean)
+            assert np.array_equal(var, ref_var)
+        else:
+            assert np.allclose(mean, ref_mean, rtol=1e-12, atol=1e-12)
+            assert np.allclose(var, ref_var, rtol=1e-12, atol=1e-12)
+
+
+def traced_peak_bytes(call):
+    """The peak of numpy and Python allocations while ``call`` runs, above
+    what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Bounded temporaries at 1,500 training rows, seen by ``tracemalloc``
+    (numpy reports its allocations to it). One n x n block is 18 MB: the
+    search may hold the gram matrix it reduces, but not a second block
+    such as an eigenvector matrix (54 MB with one). One n x m block for
+    6,000 query rows is 72 MB; prediction holds n x ``_QUERY_BLOCK``
+    blocks (216 MB for ``predict`` with whole-query blocks)."""
+
+    N, M = 1500, 6000
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((self.N, 3))
+        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(self.N)
+        return x, y, rng.standard_normal((self.M, 3))
+
+    def test_noise_search_holds_one_gram_block(self, problem):
+        x, y, _ = problem
+        peak = traced_peak_bytes(lambda: optimize_hyperparameters(x, y))
+        assert peak < 1.5 * self.N**2 * 8
+
+    @pytest.mark.parametrize("call", [predict, predict_mean])
+    def test_prediction_holds_a_fraction_of_the_cross_covariance(self, problem, call):
+        x, y, x_star = problem
+        model = fit(x, y, Hyperparameters(noise_variance=0.01))
+        peak = traced_peak_bytes(lambda: call(model, x_star))
+        assert peak < self.N * self.M * 8 / 4
+
+
 class TestOptimize:
     def test_noise_variance_recovered_within_factor_two(self, rng):
         x = rng.uniform(-3.0, 3.0, (120, 1))
@@ -721,18 +801,20 @@ class TestOptimize:
             assert np.array_equal(-grad, lml_gradient(model, active=mask))
 
     def test_noise_matches_dense_eigendecomposition_reference(self, rng):
-        # The same multi-start L-BFGS-B over the same objective, fed by a
-        # dense eigh instead of the tridiagonal reduction.
+        # The same multi-start L-BFGS-B over the eigenvector route: the
+        # dense eigendecomposition T = V diag(lam) V' of the tridiagonal T,
+        # y_hat = V'z, and sums over the clamped eigenvalues.
         x = rng.standard_normal((300, 4))
         y = np.sin(x[:, 0]) * np.cos(x[:, 1]) + 0.1 * rng.standard_normal(300)
         opts = GpOptions(seed=0)
         tuned = optimize_hyperparameters(x, y, options=opts)
 
-        lam, q = eigh(gram_matrix(x))
-        lam, y_hat = np.maximum(lam, 0.0), q.T @ y
+        _, d, e, z = _spectrum(gram_matrix(x), y)
+        lam, vecs = eigh_tridiagonal(d[:-1], e[:-1])
+        y_hat = vecs.T @ z[:-1]
 
         def negative(theta):
-            lml, g = _eigen_lml_and_grad(lam, y_hat, float(theta[0]))
+            lml, g = spectral_objective(lam, y_hat, float(theta[0]))
             return -lml, np.array([-g])
 
         draws = np.random.default_rng(opts.seed)
@@ -749,10 +831,28 @@ class TestOptimize:
             key=lambda r: r.fun,
         )
         reference = math.exp(float(best.x[0]))
-        assert tuned.noise_variance == pytest.approx(reference, rel=1e-8)
+        assert tuned.noise_variance == pytest.approx(reference, rel=1e-6)
+
+    def test_failed_tridiagonal_solve_returns_the_sentinel(self, monkeypatch):
+        # K = [[1, 2], [2, 1]] has the eigenvalue -1, so T + v I is not
+        # positive definite for v <= 1 and LAPACK ptsv reports it.
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        y = np.array([0.5, -0.3])
+        with pytest.raises(NotPositiveDefinite, match="tridiagonal solve"):
+            _noise_lml_and_grad(_spectrum(indefinite.copy(), y), math.log(0.5))
+
+        monkeypatch.setattr(gpr, "gram_matrix", lambda x, hyper=None: indefinite.copy())
+        seen = record_search(monkeypatch, np.zeros((2, 1)), y,
+                             Hyperparameters(noise_variance=2.0),
+                             GpOptions(seed=0, restarts=3))
+        failed = [(value, grad) for theta, value, grad in seen if theta[0] < -1e-9]
+        solved = [value for theta, value, _ in seen if theta[0] > 1e-9]
+        assert failed and solved
+        assert all(value == 1e25 and grad.tolist() == [0.0] for value, grad in failed)
+        assert all(np.isfinite(value) and value < 1e25 for value in solved)
 
     def test_eigendecomposition_path_matches_generic_objective(self, rng):
-        # Noise-only tuning goes through a one-time eigendecomposition; its
+        # Noise-only tuning goes through a one-time tridiagonal reduction; its
         # stationary point must agree with a brute-force scan of the exact
         # marginal likelihood over log noise.
         x = rng.uniform(-2.0, 2.0, (35, 1))
@@ -867,41 +967,48 @@ class TestModelValidation:
             load_model(path)
 
 
-def _spectrum_of(k, y):
-    return _spectrum(np.array(k, dtype=np.float64), np.asarray(y, dtype=np.float64))
+def spectral_objective(lam, y_hat, log_noise):
+    """The noise-only LML and its derivative in log noise from the
+    eigenvalues of K, clamped at zero, and y_hat = Q'y in its eigenbasis."""
+    v = math.exp(log_noise)
+    denom = np.maximum(lam, 0.0) + v
+    lml = (-0.5 * float(np.sum(y_hat**2 / denom))
+           - 0.5 * float(np.sum(np.log(denom))) - 0.5 * len(lam) * math.log(2 * math.pi))
+    grad = 0.5 * v * (float(np.sum(y_hat**2 / denom**2)) - float(np.sum(1.0 / denom)))
+    return lml, grad
+
+
+def dense_noise_objective(k, y, log_noise):
+    """:func:`spectral_objective` from a dense ``eigh`` of K."""
+    lam, q = eigh(k)
+    return spectral_objective(lam, q.T @ y, log_noise)
 
 
 class TestSpectrum:
-    """The tridiagonal route against a dense ``eigh``.
+    """The search's tridiagonal solve against a dense ``eigh``.
 
-    Eigenvalues are compared relative to the largest. Squared components
-    of Q'y are compared relative to ||y||^2 for every eigenvalue the
-    arithmetic resolves (above 1e-6 of the largest); inside the cluster of
-    rounding-level eigenvalues the eigenvectors are not unique, so only
-    the cluster's total there is defined.
+    Log noise runs from -12 up: near the lower bound of -16 the
+    rounding-level eigenvalues of an RBF gram (about 1e-13 of the
+    largest) are no longer small against the noise, and there the two
+    routes differ by how they round them, not by what they compute.
     """
 
+    LOG_NOISES = (-12.0, -8.0, -4.0, -1.0, 0.0, 2.0, 6.0)
+
     def check(self, k, y):
-        k = np.asarray(k, dtype=np.float64)
-        lam_ref, q = eigh(k)
-        z_ref = (q.T @ y) ** 2
-        lam, y_hat = _spectrum_of(k, y)
-        z = y_hat**2
-        scale = max(abs(lam_ref[-1]), abs(lam_ref[0]))
-        assert np.max(np.abs(lam - lam_ref)) <= 1e-9 * scale
-        norm = float(y @ y)
-        resolved = np.abs(lam_ref) > 1e-6 * scale
-        assert np.max(np.abs(z - z_ref)[resolved]) <= 1e-9 * norm
-        assert abs(z[~resolved].sum() - z_ref[~resolved].sum()) <= 1e-9 * norm
-        assert z.sum() == pytest.approx(norm, rel=1e-12)
+        k, y = np.asarray(k, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        spectrum = _spectrum(k.copy(), y)
+        for log_noise in self.LOG_NOISES:
+            lml, grad = _noise_lml_and_grad(spectrum, log_noise)
+            ref_lml, ref_grad = dense_noise_objective(k, y, log_noise)
+            assert lml == pytest.approx(ref_lml, rel=1e-9)
+            assert grad == pytest.approx(ref_grad, rel=1e-9)
 
     def test_one_by_one(self):
-        lam, y_hat = _spectrum_of([[2.5]], [-3.0])
-        assert lam.tolist() == [2.5]
-        assert y_hat.tolist() in ([-3.0], [3.0])
+        self.check([[2.5]], [-3.0])
 
     def test_two_by_two(self):
-        self.check([[2.0, 0.7], [0.7, 1.0]], np.array([0.3, -1.2]))
+        self.check([[2.0, 0.7], [0.7, 1.0]], [0.3, -1.2])
 
     def test_three_by_three(self, rng):
         a = rng.standard_normal((3, 3))
