@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solve_triangular
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dtrsv
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dptsv, dsytrd, dsytrd_lwork
 from scipy.optimize import minimize
 
@@ -616,18 +616,37 @@ def predict(
     only on the query points, which raise :class:`DataError` if any is
     NaN or infinite. The triangular solve therefore skips scipy's
     finiteness scan of the n x n factor, which costs several times the
-    O(n^2) solve itself on a one-row query.
+    O(n^2) solve itself on a one-row query. A block of one row solves
+    with :func:`_lower_solve_vector`, to the same bits.
     """
     xq = _query_points(model, x_star)
     mean, var = np.empty(xq.shape[0]), np.empty(xq.shape[0])
     prior_var = model.hyper.output_scale**2
     for rows, k_star in _query_blocks(model, xq):
         mean[rows] = k_star.T @ model.weights
-        v = solve_triangular(
-            model.cholesky_lower, k_star, lower=True, check_finite=False
-        )
+        if k_star.shape[1] == 1:
+            v = _lower_solve_vector(model.cholesky_lower, k_star[:, 0])[:, None]
+        else:
+            v = solve_triangular(
+                model.cholesky_lower, k_star, lower=True, check_finite=False
+            )
         var[rows] = np.maximum(prior_var - np.sum(v * v, axis=0), 0.0)
     return mean, var
+
+
+def _lower_solve_vector(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^-1 b for one right-hand side by BLAS ``trsv``, with the bits of
+    ``solve_triangular(lower, b, lower=True)``: the same call on the
+    same orientation of ``lower``. LAPACK ``trtrs``, behind
+    ``solve_triangular``, first reads the n diagonal entries, one per
+    column of the n x n factor, to test for a zero; the model's positive
+    diagonal makes that test redundant, and on a one-row query its n
+    scattered reads are about a tenth of the solve."""
+    if lower.flags.f_contiguous:
+        return dtrsv(lower, b, lower=1)
+    # trtrs takes a Fortran-ordered matrix, so scipy solves the transposed
+    # (upper) system of any other layout; so does this.
+    return dtrsv(lower.T, b, lower=0, trans=1)
 
 
 def predict_mean(model: GprModel, x_star: np.ndarray) -> np.ndarray:

@@ -674,6 +674,23 @@ class TestBlockedPrediction:
             assert np.allclose(mean, ref_mean, rtol=1e-12, atol=1e-12)
             assert np.allclose(var, ref_var, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("layout", ["fortran", "c", "strided"])
+    @pytest.mark.parametrize("n", [1, 2, 65, 300])
+    def test_one_row_solve_has_solve_triangular_bits(self, rng, layout, n):
+        # A one-row block solves with BLAS trsv instead of LAPACK trtrs;
+        # scipy picks the orientation of the factor by its layout, and so
+        # must the one-row path, on a factor built by hand as well.
+        x = rng.normal(0.0, 1.5, (n, 3))
+        lower = fit(x, rng.normal(size=n), Hyperparameters(noise_variance=0.01)).cholesky_lower
+        if layout == "c":
+            lower = np.ascontiguousarray(lower)
+        elif layout == "strided":
+            lower = np.asfortranarray(np.repeat(lower, 2, axis=1))[:, ::2]
+        for _ in range(5):
+            b = rng.normal(0.0, 3.0, n)
+            ref = solve_triangular(lower, b[:, None], lower=True, check_finite=False)
+            assert np.array_equal(gpr._lower_solve_vector(lower, b), ref[:, 0])
+
 
 def traced_peak_bytes(call):
     """The peak of numpy and Python allocations while ``call`` runs, above
