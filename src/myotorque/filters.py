@@ -5,11 +5,25 @@ Designs go through the analog prototype + pre-warped bilinear transform
 1/sqrt(2). A design is kept and applied as cascaded second-order sections
 only: direct-form application of a high-order IIR at cutoff ratios like
 6 Hz / 2000 Hz is numerically fragile.
+
+Each distinct design (kind, order, cutoffs, rate) is computed once per
+process and memoized, together with its steady state: the section states
+``sosfilt_zi`` gives for a unit step input. The steady state travels with
+the design in :class:`IirCoefficients`, so neither :func:`filtfilt` nor a
+causal stream recomputes it. Every design call still hands out its own
+writable copies of both arrays.
+
+:func:`filtfilt` extends the signal by odd reflection, then runs two
+``sosfilt`` passes, forward and over the reversed output, each primed with
+the steady state scaled by its first input sample. This is
+``scipy.signal.sosfiltfilt(sos, x, padtype="odd", padlen=pad)``, bit for
+bit, without its per-call steady-state solve.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,15 +53,44 @@ class FilterDesign:
 
 @dataclass(frozen=True)
 class IirCoefficients:
-    """Designed digital IIR filter as second-order sections."""
+    """Designed digital IIR filter as second-order sections.
+
+    ``zi`` is the steady state of the sections (one row of two states per
+    section) for a unit step input; scaled by a constant input, it starts
+    a filter as if that input had always been applied.
+    """
 
     sos: np.ndarray
+    zi: np.ndarray
     design: FilterDesign
 
     @property
     def pad_length(self) -> int:
         """Edge padding of :func:`filtfilt`: three times the digital order."""
         return 3 * self.design.digital_order
+
+
+# Bounded: a caller may design at arbitrarily many sample rates.
+@functools.lru_cache(maxsize=32)
+def _butterworth(design: FilterDesign) -> tuple[np.ndarray, np.ndarray]:
+    """Sections and steady state of a checked design, read-only: shared by
+    every caller, so only copies leave this module."""
+    if design.kind is FilterKind.LOWPASS:
+        band, btype = design.cutoffs_hz[0], "low"
+    else:
+        band, btype = list(design.cutoffs_hz), "bandpass"
+    sos = signal.butter(
+        design.order, band, btype=btype, fs=design.sample_rate_hz, output="sos"
+    )
+    zi = signal.sosfilt_zi(sos)
+    sos.flags.writeable = zi.flags.writeable = False
+    return sos, zi
+
+
+def _coefficients(design: FilterDesign) -> IirCoefficients:
+    # Writable copies: scipy's sosfilt rejects a read-only ``sos``.
+    sos, zi = _butterworth(design)
+    return IirCoefficients(sos=sos.copy(), zi=zi.copy(), design=design)
 
 
 def _check_order(order: int) -> None:
@@ -65,9 +108,8 @@ def design_butterworth_lowpass(
         raise InvalidCutoff(
             f"cutoff {cutoff_hz} Hz must lie in (0, {nyquist}) Hz at fs={sample_rate_hz}"
         )
-    return IirCoefficients(
-        sos=signal.butter(order, cutoff_hz, btype="low", fs=sample_rate_hz, output="sos"),
-        design=FilterDesign(FilterKind.LOWPASS, order, (cutoff_hz,), sample_rate_hz),
+    return _coefficients(
+        FilterDesign(FilterKind.LOWPASS, order, (cutoff_hz,), sample_rate_hz)
     )
 
 
@@ -87,13 +129,8 @@ def design_butterworth_bandpass(
             f"band edges ({low_hz}, {high_hz}) Hz must satisfy "
             f"0 < low < high < {nyquist} Hz at fs={sample_rate_hz}"
         )
-    return IirCoefficients(
-        sos=signal.butter(
-            order, [low_hz, high_hz], btype="bandpass", fs=sample_rate_hz, output="sos"
-        ),
-        design=FilterDesign(
-            FilterKind.BANDPASS, order, (low_hz, high_hz), sample_rate_hz
-        ),
+    return _coefficients(
+        FilterDesign(FilterKind.BANDPASS, order, (low_hz, high_hz), sample_rate_hz)
     )
 
 
@@ -127,8 +164,12 @@ def filtfilt(coeffs: IirCoefficients, series: TimeSeries) -> TimeSeries:
             f"{series.label!r} has {len(series)} samples; zero-phase filtering "
             f"needs more than {3 * pad}"
         )
-    filtered = signal.sosfiltfilt(coeffs.sos, series.values, padtype="odd", padlen=pad)
-    return series.with_values(filtered)
+    x = series.values
+    # scipy's odd extension: 2 * edge - mirror image, ``pad`` samples a side.
+    ext = np.concatenate((2 * x[:1] - x[pad:0:-1], x, 2 * x[-1:] - x[-2 : -pad - 2 : -1]))
+    forward, _ = signal.sosfilt(coeffs.sos, ext, zi=coeffs.zi * ext[:1])
+    backward, _ = signal.sosfilt(coeffs.sos, forward[::-1], zi=coeffs.zi * forward[-1:])
+    return series.with_values(backward[::-1][pad:-pad])
 
 
 def rectify(series: TimeSeries) -> TimeSeries:

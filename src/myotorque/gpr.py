@@ -296,6 +296,18 @@ def gram_matrix(x: np.ndarray, hyper: Hyperparameters | None = None) -> np.ndarr
     return _symmetrize(_rbf_from_sq(_sq_distances(pts, pts), hyper))
 
 
+def _diagonal_scale(k: np.ndarray) -> float:
+    """Mean diagonal of ``k``; raises :class:`NotPositiveDefinite` unless
+    it is finite and positive."""
+    scale = float(np.mean(np.diagonal(k)))
+    # Also false for NaN, which finite but huge inputs give.
+    if not 0.0 < scale < np.inf:
+        raise NotPositiveDefinite(
+            "covariance matrix has a non-finite or non-positive mean diagonal"
+        )
+    return scale
+
+
 def _factor(k: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of the symmetric ``k``, in place, escalating
     diagonal jitter until it succeeds; Fortran-ordered, zeros above.
@@ -307,13 +319,8 @@ def _factor(k: np.ndarray) -> tuple[np.ndarray, float]:
     """
     n = k.shape[0]
     diag = np.diagonal(k).copy()
-    scale = float(np.mean(diag))
-    # Also false for NaN, which finite but huge inputs give: the jitter
-    # ladder below ends only on a finite positive scale.
-    if not 0.0 < scale < np.inf:
-        raise NotPositiveDefinite(
-            "covariance matrix has a non-finite or non-positive mean diagonal"
-        )
+    # The jitter ladder below ends only on a finite positive scale.
+    scale = _diagonal_scale(k)
     below = np.tri(n, k=-1, dtype=bool)  # the triangle potrf leaves alone
     jitter = 0.0
     while True:
@@ -431,8 +438,13 @@ def _spectrum(
     and lam the eigenvalues of T, which are those of K, ascending and
     clamped at zero against rounding. d, e and z carry one extra decoupled row (d = 1, e = 0, z = 0): it leaves
     every solve with T unchanged and keeps e non-empty at n = 1, which
-    the LAPACK wrappers require. ``k`` is overwritten.
+    the LAPACK wrappers require. ``k`` is overwritten. Raises
+    :class:`NotPositiveDefinite`, as :func:`fit` does, on a ``k`` whose
+    mean diagonal is not finite and positive: finite but huge inputs give
+    NaN entries, which the tridiagonal routines reject with a bare
+    ``ValueError``.
     """
+    _diagonal_scale(k)
     n = k.shape[0]
     lwork, _ = dsytrd_lwork(n, lower=1)
     # k.T is the Fortran-ordered view of the symmetric k, so LAPACK reduces

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import sosfilt_zi
 
 from .errors import DataError
 from .evaluate import TrainedEstimator
@@ -42,7 +41,7 @@ class CausalFilter:
         self._sections = [
             (b0, b1, b2, a1, a2) for b0, b1, b2, _, a1, a2 in coeffs.sos.tolist()
         ]
-        self._zi = sosfilt_zi(coeffs.sos).tolist()
+        self._zi = coeffs.zi.tolist()
         # One (z0, z1) pair per section. Each push replaces the tuple
         # rather than mutating it, so a caller can hold on to the state
         # before a push and put it back.

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpec
+from .filters import design_butterworth_bandpass, design_butterworth_lowpass, filtfilt
 from .preprocess import CalibrationRecord, Joint, Muscle, muscles_for
 from .timeseries import MultiChannelRecording, TimeSeries, Unit
 
@@ -323,8 +324,6 @@ def _motion_profile(
 
 def _band_noise(rng: np.random.Generator, n: int, rate_hz: float) -> np.ndarray:
     """Unit-RMS noise restricted to the surface-EMG band (20-500 Hz)."""
-    from .filters import design_butterworth_bandpass, filtfilt
-
     white = TimeSeries(
         label="noise",
         unit=Unit.DIMENSIONLESS,
@@ -338,8 +337,6 @@ def _band_noise(rng: np.random.Generator, n: int, rate_hz: float) -> np.ndarray:
 
 
 def _lowpass_array(x: np.ndarray, cutoff_hz: float, rate_hz: float, order: int = 2) -> np.ndarray:
-    from .filters import design_butterworth_lowpass, filtfilt
-
     series = TimeSeries(
         label="tmp",
         unit=Unit.DIMENSIONLESS,

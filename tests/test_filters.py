@@ -22,6 +22,8 @@ from myotorque.filters import (
     rectify,
     single_pass_gain,
 )
+from myotorque.preprocess import angle_prefilter
+from myotorque.synthgen import FMG_DECIMATE_HZ
 from myotorque.timeseries import TimeSeries, Unit
 
 FS = 2000.0
@@ -172,6 +174,49 @@ class TestFiltfilt:
         assert y.start_time_s == 2.5
         assert y.unit is Unit.DEGREES
         assert y.label == s.label
+
+
+# Every design the package makes: the EMG envelope's band-pass and
+# low-pass, the angle pre-filter at both rates, and the generator's
+# anti-alias low-pass before FMG decimation.
+PACKAGE_DESIGNS = {
+    "emg-band": lambda: design_butterworth_bandpass(4, 20.0, 500.0, FS),
+    "emg-envelope": lambda: design_butterworth_lowpass(4, 6.0, FS),
+    "angle-200": lambda: angle_prefilter(200.0),
+    "angle-2000": lambda: angle_prefilter(FS),
+    "fmg-decimate": lambda: design_butterworth_lowpass(2, FMG_DECIMATE_HZ, FS),
+}
+
+
+class TestFiltfiltMatchesScipy:
+    """filtfilt primes its passes from the stored steady state; scipy's
+    sosfiltfilt solves for it on every call. The outputs are the same bits."""
+
+    @pytest.mark.parametrize("name", sorted(PACKAGE_DESIGNS))
+    @pytest.mark.parametrize("length", ["shortest", 1003, 40_000])
+    def test_bit_identical_to_sosfiltfilt(self, name, length, rng):
+        c = PACKAGE_DESIGNS[name]()
+        pad = c.pad_length
+        n = 3 * pad + 1 if length == "shortest" else length
+        x = np.cumsum(rng.normal(0.0, 1.0, n)) + 5.0  # non-zero edges
+        expect = signal.sosfiltfilt(c.sos, x, padtype="odd", padlen=pad)
+        got = filtfilt(c, series(x, rate=c.design.sample_rate_hz)).values
+        assert np.array_equal(got, expect)
+
+
+class TestDesignCopies:
+    @pytest.mark.parametrize("name", sorted(PACKAGE_DESIGNS))
+    def test_repeated_designs_are_equal_and_independent(self, name):
+        first = PACKAGE_DESIGNS[name]()
+        sos, zi = first.sos.copy(), first.zi.copy()
+        assert np.array_equal(zi, signal.sosfilt_zi(sos))
+        # Writable (sosfilt refuses a read-only sos), and writing to one
+        # design's arrays leaves the next call's arrays as they were.
+        first.sos[...] = 0.0
+        first.zi[...] = 0.0
+        second = PACKAGE_DESIGNS[name]()
+        assert np.array_equal(second.sos, sos)
+        assert np.array_equal(second.zi, zi)
 
 
 def scipy_ba(order, band, btype):

@@ -564,6 +564,15 @@ class TestFit:
                 fit(np.array([[1e160], [0.0]]), np.array([1.0, 2.0]),
                     Hyperparameters())
 
+    def test_noise_search_on_finite_but_huge_inputs_raises(self):
+        # The same NaN gram matrix as above: the noise-only search refuses
+        # it as fit does, before the tridiagonal routines see it.
+        with np.errstate(over="ignore"):
+            with pytest.raises(NotPositiveDefinite):
+                optimize_hyperparameters(
+                    np.array([[1e160], [0.0]]), np.array([1.0, 2.0])
+                )
+
 
 class TestPredict:
     def test_noise_free_interpolation(self, rng):

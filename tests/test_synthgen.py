@@ -1,19 +1,39 @@
 """Synthetic session generator: determinism, physics, and ground truth."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import signal
 
+from myotorque import filters
 from myotorque.errors import InvalidSpec
 from myotorque.preprocess import Joint, compute_calibration, muscles_for
 from myotorque.synthgen import (
     NoiseSpec,
     SessionSpec,
     TorqueModel,
+    _band_noise,
     default_session_spec,
     generate_calibration,
     generate_session,
     generate_take,
 )
+
+
+def arrays_of(obj, path="session"):
+    """Every array reachable from a generated session, by path."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from arrays_of(getattr(obj, f.name), f"{path}.{f.name}")
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from arrays_of(value, f"{path}[{key}]")
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from arrays_of(value, f"{path}[{i}]")
 
 
 def quiet_spec(**overrides):
@@ -123,6 +143,23 @@ class TestDeterminism:
         assert not np.array_equal(
             a.recording["torque_nm"].values, b.recording["torque_nm"].values
         )
+
+    def test_session_is_the_same_with_a_cold_design_cache(self):
+        spec = default_session_spec(Joint.KNEE, seed=5)
+        filters._butterworth.cache_clear()
+        cold = dict(arrays_of(generate_session(spec)))
+        warm = dict(arrays_of(generate_session(spec)))
+        assert cold.keys() == warm.keys() and len(cold) > 100
+        for path, values in cold.items():
+            assert np.array_equal(values, warm[path]), path
+
+    def test_band_noise_matches_scipy_reference(self):
+        n, rate = 5000, 2000.0
+        white = np.random.default_rng(3).standard_normal(n)
+        sos = signal.butter(4, [20.0, 500.0], btype="bandpass", fs=rate, output="sos")
+        shaped = signal.sosfiltfilt(sos, white, padtype="odd", padlen=24)
+        got = _band_noise(np.random.default_rng(3), n, rate)
+        assert np.array_equal(got, shaped / np.std(shaped))
 
     def test_sensor_offsets_shared_across_takes(self):
         spec = default_session_spec(Joint.ANKLE)
