@@ -46,7 +46,8 @@ vel = joint_velocity(take.recording["angle_deg"])
 print(f"velocity range: [{vel.values.min():.1f}, {vel.values.max():.1f}] deg/s")
 
 # Motion segmentation finds the swing boundaries (angle maxima).
-bounds = segment_motions(smooth_angle(take.recording["angle_deg"]))
+smoothed = smooth_angle(take.recording["angle_deg"])
+bounds = segment_motions(smoothed.values, smoothed.sample_rate_hz)
 print(f"segments found: {len(bounds.segments)} "
       f"(protocol swings: {spec.swings_per_take})")
 

@@ -11,6 +11,7 @@ produces a reusable estimator that predicts in physical units.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -360,6 +361,9 @@ def load_estimator(path) -> TrainedEstimator:
                 f"{len(means)} column means and {len(stds)} column stds "
                 f"for {model.inputs.shape[1]} model features"
             )
+        rate = float(meta["sample_rate_hz"])
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"sample_rate_hz must be finite and > 0, got {rate}")
         return TrainedEstimator(
             model=model,
             joint=Joint(meta["joint"]),
@@ -371,7 +375,7 @@ def load_estimator(path) -> TrainedEstimator:
             target_stats=NormalizationStats(
                 mean=meta["target_mean"], std_dev=meta["target_std"]
             ),
-            sample_rate_hz=float(meta["sample_rate_hz"]),
+            sample_rate_hz=rate,
         )
     except KeyError as exc:
         raise ModelFormatError(f"{path}: model metadata lacks {exc}") from exc

@@ -1,4 +1,8 @@
-"""Butterworth IIR design, zero-phase filtering, rectification, differentiation.
+"""Butterworth IIR design, zero-phase filtering and differentiation of arrays.
+
+Arrays go in and arrays come out: nothing here builds a
+:class:`~myotorque.timeseries.TimeSeries`. The channel check (1-D, finite,
+a valid sample rate) runs where a channel is built from the result, once.
 
 Designs go through the analog prototype + pre-warped bilinear transform
 (scipy's ``butter``), so the single-pass magnitude at the cutoff is exactly
@@ -18,19 +22,24 @@ writable copies of both arrays.
 the steady state scaled by its first input sample. This is
 ``scipy.signal.sosfiltfilt(sos, x, padtype="odd", padlen=pad)``, bit for
 bit, without its per-call steady-state solve.
+
+A sample rate that is not finite, or at which scipy cannot make the design
+(at around 1e10 Hz and above the poles of a low cutoff round onto the unit
+circle and the steady state is singular), is an :class:`InvalidCutoff` or
+:class:`InvalidBand`, like a cutoff outside (0, Nyquist).
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
 
 from .errors import InvalidBand, InvalidCutoff, InvalidOrder, SeriesTooShort
-from .timeseries import TimeSeries, Unit
 
 
 class FilterKind(enum.Enum):
@@ -76,13 +85,20 @@ def _butterworth(design: FilterDesign) -> tuple[np.ndarray, np.ndarray]:
     """Sections and steady state of a checked design, read-only: shared by
     every caller, so only copies leave this module."""
     if design.kind is FilterKind.LOWPASS:
-        band, btype = design.cutoffs_hz[0], "low"
+        band, btype, invalid = design.cutoffs_hz[0], "low", InvalidCutoff
     else:
-        band, btype = list(design.cutoffs_hz), "bandpass"
-    sos = signal.butter(
-        design.order, band, btype=btype, fs=design.sample_rate_hz, output="sos"
-    )
-    zi = signal.sosfilt_zi(sos)
+        band, btype, invalid = list(design.cutoffs_hz), "bandpass", InvalidBand
+    try:
+        sos = signal.butter(
+            design.order, band, btype=btype, fs=design.sample_rate_hz, output="sos"
+        )
+        zi = signal.sosfilt_zi(sos)
+    except ValueError as exc:  # numpy's LinAlgError is a ValueError
+        edges = "-".join(f"{f:g}" for f in design.cutoffs_hz)
+        raise invalid(
+            f"no {design.kind.value} design for {edges} Hz "
+            f"at fs={design.sample_rate_hz:g} Hz: {exc}"
+        ) from exc
     sos.flags.writeable = zi.flags.writeable = False
     return sos, zi
 
@@ -104,7 +120,7 @@ def design_butterworth_lowpass(
     """Digital Butterworth low-pass with -3.01 dB exactly at ``cutoff_hz``."""
     _check_order(order)
     nyquist = sample_rate_hz / 2.0
-    if not 0 < cutoff_hz < nyquist:
+    if not (math.isfinite(sample_rate_hz) and 0 < cutoff_hz < nyquist):
         raise InvalidCutoff(
             f"cutoff {cutoff_hz} Hz must lie in (0, {nyquist}) Hz at fs={sample_rate_hz}"
         )
@@ -124,7 +140,7 @@ def design_butterworth_bandpass(
     """
     _check_order(order)
     nyquist = sample_rate_hz / 2.0
-    if not 0 < low_hz < high_hz < nyquist:
+    if not (math.isfinite(sample_rate_hz) and 0 < low_hz < high_hz < nyquist):
         raise InvalidBand(
             f"band edges ({low_hz}, {high_hz}) Hz must satisfy "
             f"0 < low < high < {nyquist} Hz at fs={sample_rate_hz}"
@@ -150,7 +166,7 @@ def pole_magnitudes(coeffs: IirCoefficients) -> np.ndarray:
     return np.sort(np.abs(poles))[len(poles) - coeffs.design.digital_order :]
 
 
-def filtfilt(coeffs: IirCoefficients, series: TimeSeries) -> TimeSeries:
+def filtfilt(coeffs: IirCoefficients, x: np.ndarray) -> np.ndarray:
     """Zero-phase filtering: forward pass, reverse, second pass, reverse.
 
     Edges are extended by odd (antisymmetric) reflection of
@@ -159,40 +175,24 @@ def filtfilt(coeffs: IirCoefficients, series: TimeSeries) -> TimeSeries:
     The net magnitude is the square of the single-pass magnitude.
     """
     pad = coeffs.pad_length
-    if len(series) <= 3 * pad:
+    x = np.asarray(x, dtype=np.float64)
+    if len(x) <= 3 * pad:
         raise SeriesTooShort(
-            f"{series.label!r} has {len(series)} samples; zero-phase filtering "
-            f"needs more than {3 * pad}"
+            f"zero-phase filtering needs more than {3 * pad} samples, got {len(x)}"
         )
-    x = series.values
     # scipy's odd extension: 2 * edge - mirror image, ``pad`` samples a side.
     ext = np.concatenate((2 * x[:1] - x[pad:0:-1], x, 2 * x[-1:] - x[-2 : -pad - 2 : -1]))
     forward, _ = signal.sosfilt(coeffs.sos, ext, zi=coeffs.zi * ext[:1])
     backward, _ = signal.sosfilt(coeffs.sos, forward[::-1], zi=coeffs.zi * forward[-1:])
-    return series.with_values(backward[::-1][pad:-pad])
+    return backward[::-1][pad:-pad]
 
 
-def rectify(series: TimeSeries) -> TimeSeries:
-    """Element-wise absolute value."""
-    return series.with_values(np.abs(series.values))
-
-
-_RATE_UNIT = {
-    Unit.DEGREES: Unit.DEGREES_PER_SECOND,
-    Unit.DIMENSIONLESS: Unit.DIMENSIONLESS,
-}
-
-
-def gradient(series: TimeSeries) -> TimeSeries:
-    """Numerical time derivative.
+def gradient(x: np.ndarray, sample_rate_hz: float) -> np.ndarray:
+    """Numerical time derivative of samples taken at ``sample_rate_hz``.
 
     Central differences ``(x[i+1] - x[i-1]) * rate / 2`` on interior points,
-    one-sided first differences at both ends. Degrees become degrees per
-    second; other units map to dimensionless.
+    one-sided first differences at both ends.
     """
-    if len(series) < 3:
-        raise SeriesTooShort(
-            f"gradient of {series.label!r} needs >= 3 samples, got {len(series)}"
-        )
-    deriv = np.gradient(series.values, 1.0 / series.sample_rate_hz, edge_order=1)
-    return series.with_values(deriv, unit=_RATE_UNIT.get(series.unit, Unit.DIMENSIONLESS))
+    if len(x) < 3:
+        raise SeriesTooShort(f"gradient needs at least 3 samples, got {len(x)}")
+    return np.gradient(x, 1.0 / sample_rate_hz, edge_order=1)

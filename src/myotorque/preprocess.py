@@ -26,7 +26,6 @@ from .filters import (
     design_butterworth_lowpass,
     filtfilt,
     gradient,
-    rectify,
 )
 from .timeseries import MultiChannelRecording, TimeSeries, Unit, resample_linear
 
@@ -224,7 +223,7 @@ def emg_envelope(raw: TimeSeries) -> TimeSeries:
     """
     band = design_butterworth_bandpass(4, 20.0, 500.0, raw.sample_rate_hz)
     smooth = design_butterworth_lowpass(4, 6.0, raw.sample_rate_hz)
-    return filtfilt(smooth, rectify(filtfilt(band, raw)))
+    return raw.with_values(filtfilt(smooth, np.abs(filtfilt(band, raw.values))))
 
 
 def angle_prefilter(sample_rate_hz: float) -> IirCoefficients:
@@ -235,30 +234,43 @@ def angle_prefilter(sample_rate_hz: float) -> IirCoefficients:
 
 def smooth_angle(angle: TimeSeries) -> TimeSeries:
     """Joint angle after the zero-phase angle pre-filter."""
-    return filtfilt(angle_prefilter(angle.sample_rate_hz), angle)
+    return angle.with_values(
+        filtfilt(angle_prefilter(angle.sample_rate_hz), angle.values)
+    )
+
+
+def _velocity(smoothed: TimeSeries) -> TimeSeries:
+    """The time derivative of the smoothed angle, as the velocity channel."""
+    return replace(
+        smoothed,
+        label="velocity_deg_s",
+        unit=Unit.DEGREES_PER_SECOND,
+        values=gradient(smoothed.values, smoothed.sample_rate_hz),
+    )
 
 
 def joint_velocity(angle: TimeSeries) -> TimeSeries:
     """Angular velocity: 20 Hz zero-phase pre-filter, then the gradient."""
-    velocity = gradient(smooth_angle(angle))
-    return replace(velocity, label="velocity_deg_s")
+    return _velocity(smooth_angle(angle))
 
 
 def segment_motions(
-    filtered_angle: TimeSeries,
+    values: np.ndarray,
+    sample_rate_hz: float,
     min_separation_s: float = MIN_SEPARATION_S,
     min_prominence_frac: float = MIN_PROMINENCE_FRAC,
 ) -> SegmentBoundaries:
-    """Detect direction-change extrema and pair consecutive maxima into cycles.
+    """Detect direction-change extrema of a filtered angle sampled at
+    ``sample_rate_hz`` and pair consecutive maxima into cycles.
 
     Extrema must be at least ``min_separation_s`` apart and have prominence
     at least ``min_prominence_frac`` of the signal's global range.
     """
-    vals = filtered_angle.values
+    vals = np.asarray(values, dtype=np.float64)
     span = float(np.max(vals) - np.min(vals)) if len(vals) else 0.0
     if span <= 0:
         raise NoMotionDetected("angle signal has no range; nothing to segment")
-    distance = max(1, int(round(min_separation_s * filtered_angle.sample_rate_hz)))
+    distance = max(1, int(round(min_separation_s * sample_rate_hz)))
     prominence = min_prominence_frac * span
     maxima, _ = find_peaks(vals, distance=distance, prominence=prominence)
     minima, _ = find_peaks(-vals, distance=distance, prominence=prominence)
@@ -352,7 +364,7 @@ def build_features(
     angle = calibrated[ANGLE_CHANNEL]
     torque = calibrated[TORQUE_CHANNEL]
     filtered_angle = smooth_angle(angle)
-    velocity = replace(gradient(filtered_angle), label="velocity_deg_s")
+    velocity = _velocity(filtered_angle)
 
     envelopes = {}
     if config is ModelConfig.EMG:
@@ -389,14 +401,7 @@ def build_features(
         columns += [onto_grid(calibrated[fmg_channel(m)]) for m in muscles]
     targets = onto_grid(torque)
 
-    angle_for_segmentation = TimeSeries(
-        label="angle_filtered",
-        unit=Unit.DEGREES,
-        sample_rate_hz=rate,
-        start_time_s=grid_start,
-        values=onto_grid(filtered_angle),
-    )
-    boundaries = segment_motions(angle_for_segmentation)
+    boundaries = segment_motions(onto_grid(filtered_angle), rate)
     seg_ids = segment_ids_for_rows(boundaries, count)
 
     return FeatureTable(

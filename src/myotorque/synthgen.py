@@ -324,27 +324,9 @@ def _motion_profile(
 
 def _band_noise(rng: np.random.Generator, n: int, rate_hz: float) -> np.ndarray:
     """Unit-RMS noise restricted to the surface-EMG band (20-500 Hz)."""
-    white = TimeSeries(
-        label="noise",
-        unit=Unit.DIMENSIONLESS,
-        sample_rate_hz=rate_hz,
-        start_time_s=0.0,
-        values=rng.standard_normal(n),
-    )
     band = design_butterworth_bandpass(4, 20.0, 500.0, rate_hz)
-    shaped = filtfilt(band, white).values
+    shaped = filtfilt(band, rng.standard_normal(n))
     return shaped / np.std(shaped)
-
-
-def _lowpass_array(x: np.ndarray, cutoff_hz: float, rate_hz: float, order: int = 2) -> np.ndarray:
-    series = TimeSeries(
-        label="tmp",
-        unit=Unit.DIMENSIONLESS,
-        sample_rate_hz=rate_hz,
-        start_time_s=0.0,
-        values=np.asarray(x, dtype=np.float64),
-    )
-    return filtfilt(design_butterworth_lowpass(order, cutoff_hz, rate_hz), series).values
 
 
 def generate_take(
@@ -437,8 +419,9 @@ def generate_take(
     step = int(round(rate / spec.fmg_rate_hz))
     n_fmg = (n + step - 1) // step
     t_fmg = times[::step]
+    anti_alias = design_butterworth_lowpass(2, FMG_DECIMATE_HZ, rate)
     for m in muscles:
-        smooth = _lowpass_array(activations[m].values, FMG_DECIMATE_HZ, rate)[::step]
+        smooth = filtfilt(anti_alias, activations[m].values)[::step]
         drift = noise.fmg_drift_amp * np.sin(
             2.0 * np.pi * DRIFT_FREQ_HZ * t_fmg + rng.uniform(0.0, 2.0 * np.pi)
         )

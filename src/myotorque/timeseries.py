@@ -1,8 +1,10 @@
-"""Uniformly sampled signal carriers and variance normalization.
+"""Uniformly sampled channels and the statistics of variance normalization.
 
-Every signal in the pipeline travels as a :class:`TimeSeries`: a label, a
-physical unit, a sample rate, a start time, and a dense float64 value
-array. Sample ``i`` sits at ``start_time_s + i / sample_rate_hz`` exactly.
+Every channel the pipeline hands out is a :class:`TimeSeries`: a label, a
+physical unit, a sample rate, a start time, and a dense, read-only float64
+value array, checked finite once, when the series is built. Sample ``i``
+sits at ``start_time_s + i / sample_rate_hz`` exactly. The signal math in
+:mod:`myotorque.filters` works on plain arrays in between.
 """
 
 from __future__ import annotations
@@ -80,9 +82,9 @@ class TimeSeries:
     def duration_s(self) -> float:
         return self.end_time_s - self.start_time_s
 
-    def with_values(self, values: np.ndarray, unit: Unit | None = None) -> "TimeSeries":
-        """Copy keeping timing metadata, swapping values (and optionally unit)."""
-        return replace(self, values=values, unit=self.unit if unit is None else unit)
+    def with_values(self, values: np.ndarray) -> "TimeSeries":
+        """Copy keeping label, unit and timing, swapping values."""
+        return replace(self, values=values)
 
 
 @dataclass(frozen=True)
@@ -170,15 +172,3 @@ def fit_stats(values: np.ndarray) -> NormalizationStats:
     if std <= 0:
         raise ZeroVariance("all values identical; variance normalization undefined")
     return NormalizationStats(mean=float(np.mean(vals)), std_dev=std)
-
-
-def standardize(series: TimeSeries, stats: NormalizationStats) -> TimeSeries:
-    """Map values to z-scores ``(x - mean) / std_dev``; unit becomes dimensionless."""
-    return series.with_values(
-        (series.values - stats.mean) / stats.std_dev, unit=Unit.DIMENSIONLESS
-    )
-
-
-def destandardize(series: TimeSeries, stats: NormalizationStats, unit: Unit) -> TimeSeries:
-    """Exact inverse of :func:`standardize`, restoring the supplied unit."""
-    return series.with_values(series.values * stats.std_dev + stats.mean, unit=unit)

@@ -427,6 +427,24 @@ def stream_args(model, session, infile):
 
 
 class TestStream:
+    @pytest.mark.parametrize("rate", [float("inf"), 1e308])
+    def test_degenerate_model_rate_is_2(self, rate, fmg_model, quiet_knee_dir,
+                                        tmp_path):
+        # inf is refused by the model loader; 1e308 is a finite rate at
+        # which the angle pre-filter cannot be designed.
+        model, meta = load_model(fmg_model)
+        meta["sample_rate_hz"] = rate
+        broken = tmp_path / "rate.npz"
+        save_model(model, broken, meta)
+        infile = tmp_path / "rows.csv"
+        infile.write_text("0.0,30.0,0.1,0.2,0.1,0.2,0.1\n")
+        proc = run_cli(*stream_args(broken, quiet_knee_dir, infile))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert f"{rate:g}" in proc.stderr
+
     def test_headerless_rows(self, fmg_model, quiet_knee_dir, tmp_path, capsys):
         infile = tmp_path / "rows.csv"
         lines = [

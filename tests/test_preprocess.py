@@ -3,6 +3,7 @@ feature assembly. Oracles are constructed signals with known answers."""
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from myotorque.errors import MissingChannel, NoMotionDetected
 from myotorque.preprocess import (
@@ -123,9 +124,7 @@ class TestEmgEnvelope:
         carrier = rng.standard_normal(t.size)
         from myotorque.filters import design_butterworth_bandpass, filtfilt
 
-        shaped = filtfilt(
-            design_butterworth_bandpass(4, 20.0, 500.0, HI), series(carrier)
-        ).values
+        shaped = filtfilt(design_butterworth_bandpass(4, 20.0, 500.0, HI), carrier)
         shaped = shaped / np.std(shaped)
         raw = series(envelope * shaped, label="emg_TA", unit=Unit.VOLTS)
         out = emg_envelope(raw)
@@ -136,6 +135,23 @@ class TestEmgEnvelope:
         # scale should come back within ~10 %.
         gain = np.mean(out.values[core]) / np.mean(envelope[core])
         assert gain == pytest.approx(np.sqrt(2.0 / np.pi), rel=0.1)
+
+    def test_matches_scipy_chain(self, rng):
+        # Band-pass, rectify, low-pass: the plain scipy chain, bit for bit,
+        # on the raw channel's grid.
+        x = rng.normal(0.0, 1e-3, 6000)
+        band = signal.butter(4, [20.0, 500.0], btype="bandpass", fs=HI, output="sos")
+        low = signal.butter(4, 6.0, fs=HI, output="sos")
+        expect = signal.sosfiltfilt(
+            low,
+            np.abs(signal.sosfiltfilt(band, x, padtype="odd", padlen=24)),
+            padtype="odd",
+            padlen=12,
+        )
+        out = emg_envelope(series(x, start=1.5, label="emg_TA", unit=Unit.VOLTS))
+        assert np.array_equal(out.values, expect)
+        assert (out.label, out.unit) == ("emg_TA", Unit.VOLTS)
+        assert (out.sample_rate_hz, out.start_time_s) == (HI, 1.5)
 
     def test_removes_dc_offset(self):
         # The 20 Hz highpass edge kills a constant baseline.
@@ -170,6 +186,22 @@ class TestVelocity:
         assert np.max(np.abs(vel[core] - expect[core])) < 0.05 * np.max(expect)
 
 
+    @pytest.mark.parametrize("rate", [HI, ALIGNED_RATE_HZ])
+    def test_matches_scipy_chain(self, rate, rng):
+        # 20 Hz zero-phase low-pass, then the gradient: the plain scipy and
+        # numpy chain, bit for bit, on the angle's grid.
+        x = np.cumsum(rng.normal(0.0, 0.1, 4000)) + 30.0
+        angle_lp = signal.butter(2, 20.0, fs=rate, output="sos")
+        smoothed = signal.sosfiltfilt(angle_lp, x, padtype="odd", padlen=6)
+        expect = np.gradient(smoothed, 1.0 / rate, edge_order=1)
+        angle = series(x, rate=rate, start=0.25, label="angle_deg", unit=Unit.DEGREES)
+        assert np.array_equal(smooth_angle(angle).values, smoothed)
+        vel = joint_velocity(angle)
+        assert np.array_equal(vel.values, expect)
+        assert (vel.label, vel.unit) == ("velocity_deg_s", Unit.DEGREES_PER_SECOND)
+        assert (vel.sample_rate_hz, vel.start_time_s) == (rate, 0.25)
+
+
 class TestSegmentation:
     def test_sine_cycles(self):
         # 5.25 periods of a sine starting at phase 0 contain 5 interior
@@ -177,7 +209,7 @@ class TestSegmentation:
         t = np.arange(int(10.5 * ALIGNED_RATE_HZ)) / ALIGNED_RATE_HZ
         s = series(30.0 * np.sin(2 * np.pi * 0.5 * t), rate=ALIGNED_RATE_HZ,
                    label="angle_deg", unit=Unit.DEGREES)
-        bounds = segment_motions(s)
+        bounds = segment_motions(s.values, s.sample_rate_hz)
         assert len(bounds.segments) == 4
         for (a, b), (c, d) in zip(bounds.segments, bounds.segments[1:]):
             assert b == c  # consecutive cycles share a boundary
@@ -185,7 +217,7 @@ class TestSegmentation:
     def test_flat_signal_rejected(self):
         s = series(np.zeros(1000), rate=ALIGNED_RATE_HZ, label="angle_deg")
         with pytest.raises(NoMotionDetected):
-            segment_motions(s)
+            segment_motions(s.values, s.sample_rate_hz)
 
     def test_single_swing_rejected(self):
         # One maximum cannot form a cycle.
@@ -193,7 +225,7 @@ class TestSegmentation:
         s = series(np.sin(np.pi * t / 2.0), rate=ALIGNED_RATE_HZ,
                    label="angle_deg")
         with pytest.raises(NoMotionDetected):
-            segment_motions(s)
+            segment_motions(s.values, s.sample_rate_hz)
 
     def test_small_ripples_ignored(self, rng):
         # Prominence gating: millimetre-scale ripple on a big swing must not
@@ -201,16 +233,14 @@ class TestSegmentation:
         t = np.arange(int(8 * ALIGNED_RATE_HZ)) / ALIGNED_RATE_HZ
         main = 25.0 * np.sin(2 * np.pi * 0.5 * t)
         ripple = 0.3 * np.sin(2 * np.pi * 7.0 * t)
-        bounds = segment_motions(
-            series(main + ripple, rate=ALIGNED_RATE_HZ, label="angle_deg")
-        )
+        bounds = segment_motions(main + ripple, ALIGNED_RATE_HZ)
         assert len(bounds.segments) == 3
 
     def test_row_ids_cover_segments(self):
         t = np.arange(int(10.5 * ALIGNED_RATE_HZ)) / ALIGNED_RATE_HZ
         s = series(30.0 * np.sin(2 * np.pi * 0.5 * t), rate=ALIGNED_RATE_HZ,
                    label="angle_deg")
-        bounds = segment_motions(s)
+        bounds = segment_motions(s.values, s.sample_rate_hz)
         ids = segment_ids_for_rows(bounds, len(s))
         assert ids.min() == 0  # lead-in before the first maximum
         assert ids.max() == len(bounds.segments)

@@ -14,10 +14,8 @@ from myotorque.timeseries import (
     NormalizationStats,
     TimeSeries,
     Unit,
-    destandardize,
     fit_stats,
     resample_linear,
-    standardize,
 )
 
 
@@ -64,11 +62,11 @@ class TestTimeSeries:
             s.values[0] = 7.0
 
     def test_with_values_keeps_grid(self):
-        s = series([1.0, 2.0], rate=50.0, start=1.0)
-        t = s.with_values(np.array([3.0, 4.0]), unit=Unit.VOLTS)
+        s = series([1.0, 2.0], rate=50.0, start=1.0, label="emg_TA", unit=Unit.VOLTS)
+        t = s.with_values(np.array([3.0, 4.0]))
         assert t.sample_rate_hz == 50.0
         assert t.start_time_s == 1.0
-        assert t.unit is Unit.VOLTS
+        assert (t.label, t.unit) == ("emg_TA", Unit.VOLTS)
         assert np.array_equal(t.values, [3.0, 4.0])
 
 
@@ -144,14 +142,3 @@ class TestNormalization:
             fit_stats([4.0, 4.0, 4.0])
         with pytest.raises(ZeroVariance):
             NormalizationStats(mean=0.0, std_dev=0.0)
-
-    def test_standardize_round_trip(self, rng):
-        s = series(rng.normal(10.0, 5.0, 256), unit=Unit.NEWTON_METERS)
-        st = fit_stats(s.values)
-        z = standardize(s, st)
-        assert abs(float(np.mean(z.values))) < 1e-12
-        assert float(np.std(z.values, ddof=1)) == pytest.approx(1.0, rel=1e-12)
-        assert z.unit is Unit.DIMENSIONLESS
-        back = destandardize(z, st, Unit.NEWTON_METERS)
-        assert np.allclose(back.values, s.values, atol=1e-12)
-        assert back.unit is Unit.NEWTON_METERS
