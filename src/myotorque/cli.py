@@ -300,6 +300,20 @@ def _stream_columns(header: list[str] | None, muscles) -> tuple[int | None, int,
     return time_col, angle_col, fmg_cols
 
 
+def _csv_rows(fh):
+    """The rows of ``fh`` as :mod:`csv` splits them. A line csv rejects (a
+    cell over its field limit) comes as the :class:`csv.Error`; reading
+    goes on at the next line."""
+    reader = csv.reader(fh)
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield exc
+
+
 def cmd_stream(args) -> int:
     estimator = load_estimator(args.model)
     calibration = None
@@ -309,28 +323,46 @@ def cmd_stream(args) -> int:
     predictor = StreamingPredictor(estimator, calibration)
 
     muscles = predictor.muscles
-    fh = open(args.infile, newline="") if args.infile else sys.stdin
+    # Bytes that do not decode become U+FFFD, so their line fails to parse
+    # and is skipped like any other malformed line.
+    if args.infile:
+        try:
+            fh = open(args.infile, newline="", errors="replace")
+        except OSError as exc:
+            raise DataError(f"cannot read {args.infile}: {exc.strerror or exc}") from None
+    else:
+        fh = sys.stdin
+        fh.reconfigure(errors="replace")
     header_written = False
     skipped = 0
     tick_s = []  # wall time of each successful predictor.push
+
+    def skip(lineno, exc):
+        nonlocal skipped
+        print(f"stream: skipping line {lineno}: {exc}", file=sys.stderr)
+        skipped += 1
+
     try:
-        reader = csv.reader(fh)
-        first = next(reader, None)
+        rows = _csv_rows(fh)
+        first = next(rows, None)
         if first is None:
             return 0
-        first = [cell.strip() for cell in first]
-        try:
-            [float(cell) for cell in first]
-            header = None
-            pending = [first]
-        except ValueError:
-            header = first
-            pending = []
+        header = None
+        if isinstance(first, list):
+            first = [cell.strip() for cell in first]
+            try:
+                [float(cell) for cell in first]
+            except ValueError:
+                header = first
+        pending = [first] if header is None else []
         time_col, angle_col, fmg_cols = _stream_columns(header, muscles)
 
         for lineno, row in enumerate(
-            itertools.chain(pending, reader), start=1 if header is None else 2
+            itertools.chain(pending, rows), start=1 if header is None else 2
         ):
+            if isinstance(row, csv.Error):
+                skip(lineno, row)
+                continue
             if not row:
                 continue
             try:
@@ -338,15 +370,13 @@ def cmd_stream(args) -> int:
                 fmg_values = tuple(float(row[j]) for j in fmg_cols)
                 time_s = float(row[time_col]) if time_col is not None else None
             except (ValueError, IndexError) as exc:
-                print(f"stream: skipping line {lineno}: {exc}", file=sys.stderr)
-                skipped += 1
+                skip(lineno, exc)
                 continue
             start = perf_counter()
             try:
                 sample = predictor.push(angle, fmg_values, time_s)
             except DataError as exc:
-                print(f"stream: skipping line {lineno}: {exc}", file=sys.stderr)
-                skipped += 1
+                skip(lineno, exc)
                 continue
             tick_s.append(perf_counter() - start)
             if not header_written:

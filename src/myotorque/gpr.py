@@ -97,23 +97,27 @@ class Hyperparameters:
         )
 
 
+# Hyperparameter search: total L-BFGS-B starts, the iteration cap and
+# gradient tolerance of each, and the log range random starts are drawn from.
+RESTARTS = 5
+MAX_ITERATIONS = 200
+GRADIENT_TOLERANCE = 1e-8
+INIT_LOG_BOUNDS = (-4.0, 1.0)
+
+
 @dataclass(frozen=True)
 class GpOptions:
     """Controls for marginal-likelihood optimization.
 
     Noise is always free; the two kernel scales join the search only when
-    the corresponding flag is set. ``restarts`` counts total starts, the
-    first of which is the initial hyperparameter value; the remaining
-    starts draw log parameters uniformly from ``init_log_bounds`` with a
-    fixed seed, so the search is deterministic.
+    the corresponding flag is set. The search makes :data:`RESTARTS`
+    starts: the first is the initial hyperparameter value, the others draw
+    log parameters uniformly from :data:`INIT_LOG_BOUNDS` with ``seed``,
+    so the search is deterministic.
     """
 
-    restarts: int = 5
-    max_iterations: int = 200
-    gradient_tolerance: float = 1e-8
     optimize_output_scale: bool = False
     optimize_length_scale: bool = False
-    init_log_bounds: tuple[float, float] = (-4.0, 1.0)
     seed: int = 0
 
     def free_mask(self) -> np.ndarray:
@@ -561,10 +565,10 @@ def optimize_hyperparameters(
         return -model.log_marginal, -lml_gradient(model, active=free, blocks=(d2, k_f))
 
     rng = np.random.default_rng(options.seed)
-    lo, hi = options.init_log_bounds
+    lo, hi = INIT_LOG_BOUNDS
     n_free = int(free.sum())
     starts = [theta0[free]]
-    for _ in range(max(0, options.restarts - 1)):
+    for _ in range(RESTARTS - 1):
         starts.append(rng.uniform(lo, hi, size=n_free))
 
     best_theta, best_value = None, np.inf
@@ -576,8 +580,8 @@ def optimize_hyperparameters(
             method="L-BFGS-B",
             bounds=[(-16.0, 8.0)] * n_free,
             options={
-                "maxiter": options.max_iterations,
-                "gtol": options.gradient_tolerance,
+                "maxiter": MAX_ITERATIONS,
+                "gtol": GRADIENT_TOLERANCE,
             },
         )
         if result.fun < best_value:

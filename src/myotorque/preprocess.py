@@ -27,7 +27,7 @@ from .filters import (
     filtfilt,
     gradient,
 )
-from .timeseries import MultiChannelRecording, TimeSeries, Unit, resample_linear
+from .timeseries import MultiChannelRecording, TimeSeries, resample_linear
 
 
 class Joint(enum.Enum):
@@ -145,7 +145,7 @@ ANGLE_CHANNEL = "angle_deg"
 TORQUE_CHANNEL = "torque_nm"
 ALIGNED_RATE_HZ = 200.0
 
-# Segmentation defaults: permissive at the slowest protocol velocity and
+# Segmentation thresholds: permissive at the slowest protocol velocity and
 # robust to ripple on the filtered angle.
 MIN_SEPARATION_S = 0.25
 MIN_PROMINENCE_FRAC = 0.10
@@ -191,27 +191,14 @@ def compute_calibration(
     return CalibrationRecord(fmg_offsets=offsets, angle_offset=angle_offset)
 
 
-def apply_calibration(
-    recording: MultiChannelRecording, calib: CalibrationRecord
-) -> MultiChannelRecording:
-    """Subtract calibration offsets from every FMG channel and the angle.
-
-    EMG and torque channels pass through untouched.
-    """
-    out: dict[str, TimeSeries] = {}
-    for label, series in recording.channels.items():
-        if label.startswith("fmg_"):
-            muscle = _muscle_from_label(label)
-            if muscle not in calib.fmg_offsets:
-                raise MissingChannel(
-                    f"calibration record has no offset for {label!r} ({muscle.name})"
-                )
-            out[label] = series.with_values(series.values - calib.fmg_offsets[muscle])
-        elif label == ANGLE_CHANNEL:
-            out[label] = series.with_values(series.values - calib.angle_offset)
-        else:
-            out[label] = series
-    return MultiChannelRecording(channels=out, meta=dict(recording.meta))
+def _fmg_offset(label: str, calib: CalibrationRecord) -> float:
+    """The calibration offset of FMG channel ``label``."""
+    muscle = _muscle_from_label(label)
+    if muscle not in calib.fmg_offsets:
+        raise MissingChannel(
+            f"calibration record has no offset for {label!r} ({muscle.name})"
+        )
+    return calib.fmg_offsets[muscle]
 
 
 def emg_envelope(raw: TimeSeries) -> TimeSeries:
@@ -244,7 +231,6 @@ def _velocity(smoothed: TimeSeries) -> TimeSeries:
     return replace(
         smoothed,
         label="velocity_deg_s",
-        unit=Unit.DEGREES_PER_SECOND,
         values=gradient(smoothed.values, smoothed.sample_rate_hz),
     )
 
@@ -254,24 +240,20 @@ def joint_velocity(angle: TimeSeries) -> TimeSeries:
     return _velocity(smooth_angle(angle))
 
 
-def segment_motions(
-    values: np.ndarray,
-    sample_rate_hz: float,
-    min_separation_s: float = MIN_SEPARATION_S,
-    min_prominence_frac: float = MIN_PROMINENCE_FRAC,
-) -> SegmentBoundaries:
+def segment_motions(values: np.ndarray, sample_rate_hz: float) -> SegmentBoundaries:
     """Detect direction-change extrema of a filtered angle sampled at
     ``sample_rate_hz`` and pair consecutive maxima into cycles.
 
-    Extrema must be at least ``min_separation_s`` apart and have prominence
-    at least ``min_prominence_frac`` of the signal's global range.
+    Extrema must be at least :data:`MIN_SEPARATION_S` apart and have
+    prominence at least :data:`MIN_PROMINENCE_FRAC` of the signal's global
+    range.
     """
     vals = np.asarray(values, dtype=np.float64)
     span = float(np.max(vals) - np.min(vals)) if len(vals) else 0.0
     if span <= 0:
         raise NoMotionDetected("angle signal has no range; nothing to segment")
-    distance = max(1, int(round(min_separation_s * sample_rate_hz)))
-    prominence = min_prominence_frac * span
+    distance = max(1, int(round(MIN_SEPARATION_S * sample_rate_hz)))
+    prominence = MIN_PROMINENCE_FRAC * span
     maxima, _ = find_peaks(vals, distance=distance, prominence=prominence)
     minima, _ = find_peaks(-vals, distance=distance, prominence=prominence)
 
@@ -344,11 +326,13 @@ def build_features(
 ) -> FeatureTable:
     """Run the full preprocessing pipeline for one recording.
 
-    Order: calibrate; EMG envelopes and angular velocity at the native
-    (high) rate; linear resampling of angle, velocity, torque, and
-    envelopes onto the 200 Hz FMG timeline (FMG channels used as-is);
-    column assembly in the fixed order; per-row segment ids from the
-    resampled filtered angle.
+    Order: subtract the calibration offsets from the angle and the used
+    FMG channels; EMG envelopes and angular velocity at the native (high)
+    rate; linear resampling of angle, velocity, torque, and envelopes onto
+    the 200 Hz timeline of the first FMG channel (FMG channels used
+    as-is); column assembly in the fixed order; per-row segment ids from
+    the resampled filtered angle. Every FMG channel of the recording must
+    have a calibration offset, whether the config uses it or not.
     """
     muscles = muscles_for(joint)
     required = [ANGLE_CHANNEL, TORQUE_CHANNEL]
@@ -359,29 +343,35 @@ def build_features(
     for label in required:
         if label not in recording:
             raise MissingChannel(f"recording lacks required channel {label!r}")
+    offsets = {
+        label: _fmg_offset(label, calib)
+        for label in recording.channels if label.startswith("fmg_")
+    }
 
-    calibrated = apply_calibration(recording, calib)
-    angle = calibrated[ANGLE_CHANNEL]
-    torque = calibrated[TORQUE_CHANNEL]
+    raw_angle = recording[ANGLE_CHANNEL]
+    angle = raw_angle.with_values(raw_angle.values - calib.angle_offset)
+    torque = recording[TORQUE_CHANNEL]
     filtered_angle = smooth_angle(angle)
     velocity = _velocity(filtered_angle)
 
-    envelopes = {}
+    muscle_channels: list[TimeSeries] = []
     if config is ModelConfig.EMG:
-        envelopes = {m: emg_envelope(calibrated[emg_channel(m)]) for m in muscles}
+        muscle_channels = [emg_envelope(recording[emg_channel(m)]) for m in muscles]
+    elif config is ModelConfig.FMG:
+        for m in muscles:
+            fmg = recording[fmg_channel(m)]
+            muscle_channels.append(
+                fmg.with_values(fmg.values - offsets[fmg_channel(m)])
+            )
 
-    fmg_labels = sorted(l for l in calibrated.channels if l.startswith("fmg_"))
-    if fmg_labels:
-        ref = calibrated[fmg_labels[0]]
+    if offsets:
+        ref = recording[min(offsets)]
         rate = ref.sample_rate_hz
     else:
         ref = angle
         rate = ALIGNED_RATE_HZ
 
-    used = [angle, velocity, torque] + list(envelopes.values())
-    if config is ModelConfig.FMG:
-        used += [calibrated[fmg_channel(m)] for m in muscles]
-    i0, i1 = _grid_indices(ref, rate, used)
+    i0, i1 = _grid_indices(ref, rate, [angle, velocity, torque] + muscle_channels)
     count = i1 - i0 + 1
     grid_start = ref.start_time_s + i0 / rate
 
@@ -392,13 +382,9 @@ def build_features(
             and len(series) > i1
         ):
             return series.values[i0 : i1 + 1]
-        return resample_linear(series, rate, count, grid_start).values
+        return resample_linear(series, rate, count, grid_start)
 
-    columns = [onto_grid(angle), onto_grid(velocity)]
-    if config is ModelConfig.EMG:
-        columns += [onto_grid(envelopes[m]) for m in muscles]
-    elif config is ModelConfig.FMG:
-        columns += [onto_grid(calibrated[fmg_channel(m)]) for m in muscles]
+    columns = [onto_grid(ch) for ch in [angle, velocity] + muscle_channels]
     targets = onto_grid(torque)
 
     boundaries = segment_motions(onto_grid(filtered_angle), rate)

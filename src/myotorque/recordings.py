@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DataError, InvalidSpec, MissingChannel
 from .preprocess import Joint
 from .synthgen import SyntheticSession, _checked, _field, _member
-from .timeseries import MultiChannelRecording, TimeSeries, Unit
+from .timeseries import MultiChannelRecording, TimeSeries
 
 _FORMAT_VERSION = 2
 _INDEX_FILE = "session.json"
@@ -67,18 +67,6 @@ def write_float_table(fh, header, columns, row_format: str | None = None) -> Non
     for start in range(0, len(table), _CHUNK_ROWS):
         chunk = table[start : start + _CHUNK_ROWS]
         fh.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
-
-
-def _unit_for_label(label: str) -> Unit:
-    if label == "angle_deg":
-        return Unit.DEGREES
-    if label == "torque_nm":
-        return Unit.NEWTON_METERS
-    if label.startswith("emg_"):
-        return Unit.VOLTS
-    if label.startswith("fmg_"):
-        return Unit.NORMALIZED_FORCE
-    return Unit.DIMENSIONLESS
 
 
 def _column_rank(label: str) -> tuple[int, str]:
@@ -146,16 +134,19 @@ def _body_error(path: Path, header: list[str], exc: ValueError) -> DataError:
     return DataError(f"{path}: non-numeric cell: {exc}")
 
 
-def read_recording_csv(path, sample_rate_hz: float | None = None) -> MultiChannelRecording:
+def read_recording_csv(path, sample_rate_hz: float) -> MultiChannelRecording:
     """Inverse of :func:`write_recording_csv`.
 
     The sample rate comes from the caller (normally the session index) and
-    must match the time steps; when omitted it is inferred from them.
+    must match the time steps.
     """
     path = Path(path)
     try:
         with open(path) as fh:
-            header = next(csv.reader([fh.readline()]), None)
+            try:
+                header = next(csv.reader([fh.readline()]), None)
+            except csv.Error as exc:
+                raise DataError(f"{path}: unreadable header: {exc}") from None
             if not header or header[0] != TIME_COLUMN:
                 raise DataError(
                     f"{path}: first column must be {TIME_COLUMN!r}, "
@@ -198,17 +189,12 @@ def read_recording_csv(path, sample_rate_hz: float | None = None) -> MultiChanne
                 f"{path}: sample interval varies by more than one part per "
                 "million; resample before writing"
             )
-        if sample_rate_hz is None:
-            sample_rate_hz = 1.0 / mid
-        elif abs(mid * sample_rate_hz - 1.0) > 1e-6:
+        if abs(mid * sample_rate_hz - 1.0) > 1e-6:
             raise DataError(f"{path}: time steps of {mid:.9g} s disagree "
                             f"with the given rate of {sample_rate_hz:g} Hz")
-    elif sample_rate_hz is None:
-        raise DataError(f"{path}: cannot infer sample rate from one row")
     channels = {
         label: TimeSeries(
             label=label,
-            unit=_unit_for_label(label),
             sample_rate_hz=sample_rate_hz,
             start_time_s=float(times[0]),
             values=data[:, j],
@@ -380,9 +366,7 @@ def load_take(index: SessionIndex, entry: TakeEntry) -> LoadedTake:
             f"{index.root / entry.fmg_file}: repeats channels {sorted(overlap)} "
             f"of {entry.high_rate_file}; labels must be unique"
         )
-    meta = {"joint": index.joint.value, "velocity_deg_s": entry.velocity_deg_s,
-            "take_index": entry.take_index}
-    recording = MultiChannelRecording({**hi.channels, **fmg.channels}, meta)
+    recording = MultiChannelRecording({**hi.channels, **fmg.channels})
     return LoadedTake(entry.velocity_deg_s, entry.take_index, recording)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidSpec
 from .filters import design_butterworth_bandpass, design_butterworth_lowpass, filtfilt
 from .preprocess import CalibrationRecord, Joint, Muscle, muscles_for
-from .timeseries import MultiChannelRecording, TimeSeries, Unit
+from .timeseries import MultiChannelRecording, TimeSeries
 
 HOLD_S = 0.5           # dwell at the starting pose before and after the sweep
 LEAD_FRAC = 0.3        # lead-in/lead-out travel as a fraction of the angle span
@@ -368,7 +368,6 @@ def generate_take(
         a = effort_of_t * np.maximum(np.sign(w) * drive, 0.0)
         activations[m] = TimeSeries(
             label=f"activation_{m.name}",
-            unit=Unit.DIMENSIONLESS,
             sample_rate_hz=rate,
             start_time_s=0.0,
             values=a,
@@ -387,7 +386,6 @@ def generate_take(
     channels: dict[str, TimeSeries] = {
         "angle_deg": TimeSeries(
             label="angle_deg",
-            unit=Unit.DEGREES,
             sample_rate_hz=rate,
             start_time_s=0.0,
             values=angle_true
@@ -396,7 +394,6 @@ def generate_take(
         ),
         "torque_nm": TimeSeries(
             label="torque_nm",
-            unit=Unit.NEWTON_METERS,
             sample_rate_hz=rate,
             start_time_s=0.0,
             values=clean_torque + noise.torque_noise_std * rng.standard_normal(n),
@@ -410,7 +407,6 @@ def generate_take(
         peak = max(float(np.max(a)), 1e-9)
         channels[f"emg_{m.name}"] = TimeSeries(
             label=f"emg_{m.name}",
-            unit=Unit.VOLTS,
             sample_rate_hz=rate,
             start_time_s=0.0,
             values=EMG_GAIN_V * (a * carrier + (peak / noise.emg_snr) * floor),
@@ -427,7 +423,6 @@ def generate_take(
         )
         channels[f"fmg_{m.name}"] = TimeSeries(
             label=f"fmg_{m.name}",
-            unit=Unit.NORMALIZED_FORCE,
             sample_rate_hz=spec.fmg_rate_hz,
             start_time_s=0.0,
             values=smooth
@@ -439,28 +434,24 @@ def generate_take(
     truth = GroundTruth(
         clean_torque=TimeSeries(
             label="torque_clean",
-            unit=Unit.NEWTON_METERS,
             sample_rate_hz=rate,
             start_time_s=0.0,
             values=clean_torque,
         ),
         clean_torque_fmg=TimeSeries(
             label="torque_clean",
-            unit=Unit.NEWTON_METERS,
             sample_rate_hz=spec.fmg_rate_hz,
             start_time_s=0.0,
             values=clean_torque[::step].copy(),
         ),
         true_angle=TimeSeries(
             label="angle_true",
-            unit=Unit.DEGREES,
             sample_rate_hz=rate,
             start_time_s=0.0,
             values=angle_true,
         ),
         true_velocity=TimeSeries(
             label="velocity_true",
-            unit=Unit.DEGREES_PER_SECOND,
             sample_rate_hz=rate,
             start_time_s=0.0,
             values=omega_true,
@@ -478,18 +469,10 @@ def generate_take(
         ),
         segment_count=spec.swings_per_take,
     )
-    recording = MultiChannelRecording(
-        channels=channels,
-        meta={
-            "joint": spec.joint.value,
-            "velocity_deg_s": velocity_deg_s,
-            "take_index": take_index,
-        },
-    )
     return TakeData(
         velocity_deg_s=velocity_deg_s,
         take_index=take_index,
-        recording=recording,
+        recording=MultiChannelRecording(channels),
         truth=truth,
     )
 
@@ -507,7 +490,6 @@ def generate_calibration(
     channels = {
         f"fmg_{m.name}": TimeSeries(
             label=f"fmg_{m.name}",
-            unit=Unit.NORMALIZED_FORCE,
             sample_rate_hz=spec.fmg_rate_hz,
             start_time_s=0.0,
             values=fmg_offsets[m]
@@ -515,14 +497,11 @@ def generate_calibration(
         )
         for m in muscles_for(spec.joint)
     }
-    standing = MultiChannelRecording(
-        channels=channels, meta={"joint": spec.joint.value, "kind": "standing"}
-    )
+    standing = MultiChannelRecording(channels)
 
     n_angle = int(round(CALIBRATION_S * spec.high_rate_hz))
     initial_angle = TimeSeries(
         label="angle_deg",
-        unit=Unit.DEGREES,
         sample_rate_hz=spec.high_rate_hz,
         start_time_s=0.0,
         values=start_pose

@@ -1,30 +1,20 @@
 """Uniformly sampled channels and the statistics of variance normalization.
 
 Every channel the pipeline hands out is a :class:`TimeSeries`: a label, a
-physical unit, a sample rate, a start time, and a dense, read-only float64
-value array, checked finite once, when the series is built. Sample ``i``
+sample rate, a start time, and a dense, read-only float64 value array,
+checked finite once, when the series is built. Sample ``i``
 sits at ``start_time_s + i / sample_rate_hz`` exactly. The signal math in
 :mod:`myotorque.filters` works on plain arrays in between.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError, DegenerateSeries, TargetOutsideSupport, ZeroVariance
-
-
-class Unit(enum.Enum):
-    DEGREES = "degrees"
-    DEGREES_PER_SECOND = "degrees_per_second"
-    NEWTON_METERS = "newton_meters"
-    VOLTS = "volts"
-    NORMALIZED_FORCE = "normalized_force"
-    DIMENSIONLESS = "dimensionless"
 
 
 @dataclass(frozen=True)
@@ -35,8 +25,6 @@ class TimeSeries:
     ----------
     label : str
         Channel name, e.g. ``"angle_deg"`` or ``"fmg_TA"``.
-    unit : Unit
-        Physical unit of the values.
     sample_rate_hz : float
         Sampling rate, finite and strictly positive.
     start_time_s : float
@@ -46,7 +34,6 @@ class TimeSeries:
     """
 
     label: str
-    unit: Unit
     sample_rate_hz: float
     start_time_s: float
     values: np.ndarray
@@ -78,12 +65,8 @@ class TimeSeries:
             return self.start_time_s
         return self.start_time_s + (self.values.size - 1) / self.sample_rate_hz
 
-    @property
-    def duration_s(self) -> float:
-        return self.end_time_s - self.start_time_s
-
     def with_values(self, values: np.ndarray) -> "TimeSeries":
-        """Copy keeping label, unit and timing, swapping values."""
+        """Copy keeping label and timing, swapping values."""
         return replace(self, values=values)
 
 
@@ -105,12 +88,10 @@ class NormalizationStats:
 class MultiChannelRecording:
     """A bundle of channels with possibly different sample rates.
 
-    Channel labels are the dict keys, hence unique by construction. ``meta``
-    carries free-form tags such as joint, nominal velocity, or take index.
+    Channel labels are the dict keys, hence unique by construction.
     """
 
     channels: dict[str, TimeSeries]
-    meta: dict[str, str] = field(default_factory=dict)
 
     def __getitem__(self, label: str) -> TimeSeries:
         return self.channels[label]
@@ -130,22 +111,21 @@ def resample_linear(
     series: TimeSeries,
     target_rate_hz: float,
     target_count: int,
-    target_start_s: float | None = None,
-) -> TimeSeries:
-    """Linearly interpolate onto an equidistant target grid.
+    target_start_s: float,
+) -> np.ndarray:
+    """Values of ``series`` linearly interpolated onto an equidistant grid.
 
-    The grid starts at ``target_start_s`` (default: the source start) and
-    has ``target_count`` samples spaced ``1 / target_rate_hz``. The grid
-    must lie within the source span; no extrapolation is performed.
+    The grid starts at ``target_start_s`` and has ``target_count`` samples
+    spaced ``1 / target_rate_hz``. The grid must lie within the source
+    span; no extrapolation is performed.
     """
     if len(series) < 2:
         raise DegenerateSeries(
             f"cannot resample {series.label!r} with {len(series)} samples"
         )
-    if target_rate_hz <= 0 or target_count < 1:
-        raise DataError("target_rate_hz and target_count must be positive")
-    start = series.start_time_s if target_start_s is None else target_start_s
-    t_target = start + np.arange(target_count) / target_rate_hz
+    if not (math.isfinite(target_rate_hz) and target_rate_hz > 0) or target_count < 1:
+        raise DataError("target_rate_hz and target_count must be positive and finite")
+    t_target = target_start_s + np.arange(target_count) / target_rate_hz
     eps = _GRID_EPS / target_rate_hz
     if t_target[0] < series.start_time_s - eps or t_target[-1] > series.end_time_s + eps:
         raise TargetOutsideSupport(
@@ -153,14 +133,7 @@ def resample_linear(
             f"source span [{series.start_time_s:.6f}, {series.end_time_s:.6f}] s "
             f"of {series.label!r}"
         )
-    resampled = np.interp(t_target, series.times, series.values)
-    return TimeSeries(
-        label=series.label,
-        unit=series.unit,
-        sample_rate_hz=target_rate_hz,
-        start_time_s=start,
-        values=resampled,
-    )
+    return np.interp(t_target, series.times, series.values)
 
 
 def fit_stats(values: np.ndarray) -> NormalizationStats:

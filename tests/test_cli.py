@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -403,6 +404,17 @@ class TestTrainPredict:
         assert code == 0
         assert pred.read_bytes() == expected
 
+    def test_oversized_csv_header_is_2(self, fmg_model, quiet_knee_dir,
+                                       tmp_path):
+        # A label longer than csv's field limit once ended in a csv.Error
+        # traceback (exit 1).
+        broken = damaged_session(quiet_knee_dir, tmp_path / "wide",
+                                 ("wide header", "take_v060_t0_fmg.csv"))
+        proc = run_cli("predict", "--model", fmg_model, "--session", broken)
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert "take_v060_t0_fmg.csv: unreadable header" in line
+
     def test_model_metadata_missing_key_is_2(self, fmg_model, quiet_knee_dir,
                                              tmp_path, capsys):
         model, meta = load_model(fmg_model)
@@ -547,6 +559,37 @@ class TestStream:
         assert f"skipping line {position + 1}" in captured.err
         assert "processed 59 rows, skipped 1" in captured.err
 
+    @pytest.mark.parametrize("via", ["--in", "stdin"])
+    @pytest.mark.parametrize("bad", [
+        b"0.005,31.0,0.1,\xff\xfe,0.1,0.2,0.1",  # not UTF-8
+        b"0.005,31.0,0.1," + b"9" * 200_000 + b",0.1,0.2,0.1",  # > csv field limit
+    ], ids=["undecodable", "oversized"])
+    def test_unreadable_line_is_skipped(self, fmg_model, quiet_knee_dir,
+                                        tmp_path, via, bad):
+        # Both once ended the stream in a traceback (exit 1).
+        data = (b"0.000,30.0,0.1,0.2,0.1,0.2,0.1\n" + bad
+                + b"\n0.010,31.0,0.1,0.2,0.1,0.2,0.1\n")
+        argv = ["stream", "--model", str(fmg_model),
+                "--session", str(quiet_knee_dir)]
+        if via == "--in":
+            infile = tmp_path / "rows.csv"
+            infile.write_bytes(data)
+            argv += ["--in", str(infile)]
+        # Strict UTF-8 stdin, as under a UTF-8 locale; under the C locale
+        # Python would read it with surrogateescape.
+        proc = subprocess.run(
+            [sys.executable, "-m", "myotorque.cli", *argv],
+            input=None if via == "--in" else data, capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert proc.returncode == 0
+        rows = [l for l in proc.stdout.decode().splitlines()
+                if not l.startswith("#")]
+        assert [r.split(",")[0] for r in rows] == ["0.000000", "0.010000"]
+        skip, summary = proc.stderr.decode().splitlines()
+        assert skip.startswith("stream: skipping line 2: ")
+        assert summary.startswith("stream: processed 2 rows, skipped 1, tick p50")
+
     def test_huge_fmg_value_prints_only_the_skip_note(self, fmg_model,
                                                      quiet_knee_dir, tmp_path):
         # Normalizing 1.7e308 overflows to inf; numpy's RuntimeWarning and
@@ -574,6 +617,13 @@ class TestStream:
         assert "calibration_standing.csv" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_missing_input_file_is_2(self, fmg_model, quiet_knee_dir, tmp_path):
+        # Once a FileNotFoundError traceback (exit 1).
+        proc = run_cli(*stream_args(fmg_model, quiet_knee_dir, tmp_path / "nope.csv"))
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert "cannot read" in line and "nope.csv" in line
 
     def test_empty_input_is_silent_success(self, fmg_model, quiet_knee_dir,
                                            tmp_path, capsys):
@@ -741,7 +791,8 @@ def stream_inputs(draw):
 def test_stream_survives_fuzzed_rows(fmg_model, quiet_knee_dir, case):
     lines, data_from = case
     out, err = io.StringIO(), io.StringIO()
-    stdin = io.StringIO("\n".join(lines) + "\n")
+    stdin = io.TextIOWrapper(io.BytesIO(("\n".join(lines) + "\n").encode()),
+                             encoding="utf-8")
     with mock.patch.object(sys, "stdin", stdin), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([
@@ -763,8 +814,9 @@ SESSION_CSVS = ["take_v060_t0_hi.csv", "take_v060_t0_fmg.csv",
 _JSON_VALUE = st.sampled_from([None, True, 5, -1.5, "x", "nowhere.csv", [], {}])
 # One kind of damage to a session directory: a session.json edit (a key
 # set to a wrong value, a key dropped, a field of the first take entry
-# set, or the whole index replaced by a version-1 one), or one CSV
-# truncated or garbled at seeded positions.
+# set, or the whole index replaced by a version-1 one), one CSV truncated
+# or garbled at seeded positions, or one CSV's last header label made
+# longer than csv's field limit.
 _SESSION_DAMAGE = st.one_of(
     st.tuples(st.just("set"), st.sampled_from(INDEX_KEYS), _JSON_VALUE),
     st.tuples(st.just("set"), st.sampled_from(["high_rate_hz", "fmg_rate_hz"]),
@@ -776,6 +828,7 @@ _SESSION_DAMAGE = st.one_of(
     st.just(("v1",)),
     st.tuples(st.sampled_from(["truncate", "garble"]),
               st.sampled_from(SESSION_CSVS), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("wide header"), st.sampled_from(SESSION_CSVS)),
 )
 
 
@@ -794,6 +847,11 @@ def damaged_session(src, dst, damage):
             for pos in rng.integers(len(data), size=8):
                 data[pos] = rng.choice(list(b"0123456789e-.,\n\xff"))
         path.write_bytes(bytes(data))
+        return dst
+    if kind == "wide header":
+        path = dst / damage[1]
+        header, body = path.read_bytes().split(b"\r\n", 1)
+        path.write_bytes(header + b"x" * 200_000 + b"\r\n" + body)
         return dst
     index = json.loads((dst / "session.json").read_text())
     if kind == "set":
@@ -814,6 +872,7 @@ def damaged_session(src, dst, damage):
 @given(_SESSION_DAMAGE)
 # A negative rate once died in TimeSeries with a ValueError traceback.
 @example(("set", "high_rate_hz", -2000.0))
+@example(("wide header", "take_v060_t0_fmg.csv"))
 def test_damaged_session_exits_0_2_or_3(fmg_model, quiet_knee_dir, damage):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -415,7 +415,8 @@ class TestSearchEvaluation:
             return lml_gradient(model, active, **kwargs)
 
         monkeypatch.setattr(gpr, "lml_gradient", counting_gradient)
-        opts = GpOptions(seed=1, restarts=2, optimize_output_scale=free[0],
+        monkeypatch.setattr(gpr, "RESTARTS", 2)
+        opts = GpOptions(seed=1, optimize_output_scale=free[0],
                          optimize_length_scale=free[1])
         seen = record_search(monkeypatch, x, y, Hyperparameters(), opts)
         assert len(seen) > 5
@@ -459,7 +460,8 @@ class TestSearchEvaluation:
         y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(25)
         assert not np.array_equal(nudged(x, x), nudged(x, x).T)
         initial = Hyperparameters(output_scale=1.2, length_scale=0.9, noise_variance=0.3)
-        opts = GpOptions(seed=2, restarts=2, optimize_output_scale=True,
+        monkeypatch.setattr(gpr, "RESTARTS", 2)
+        opts = GpOptions(seed=2, optimize_output_scale=True,
                          optimize_length_scale=True)
         seen = record_search(monkeypatch, x, y, initial, opts)
         assert len(seen) > 5
@@ -815,7 +817,8 @@ class TestOptimize:
             return minimize(wrapped, x0, **kwargs)
 
         monkeypatch.setattr(gpr, "minimize", recording_minimize)
-        opts = GpOptions(seed=3, restarts=2, optimize_output_scale=free[0],
+        monkeypatch.setattr(gpr, "RESTARTS", 2)
+        opts = GpOptions(seed=3, optimize_output_scale=free[0],
                          optimize_length_scale=free[1])
         optimize_hyperparameters(x, y, initial=initial, options=opts)
         assert len(seen) > 10
@@ -845,14 +848,14 @@ class TestOptimize:
 
         draws = np.random.default_rng(opts.seed)
         starts = [np.zeros(1)] + [
-            draws.uniform(*opts.init_log_bounds, size=1)
-            for _ in range(opts.restarts - 1)
+            draws.uniform(*gpr.INIT_LOG_BOUNDS, size=1)
+            for _ in range(gpr.RESTARTS - 1)
         ]
         best = min(
             (minimize(negative, s, jac=True, method="L-BFGS-B",
                       bounds=[(-16.0, 8.0)],
-                      options={"maxiter": opts.max_iterations,
-                               "gtol": opts.gradient_tolerance})
+                      options={"maxiter": gpr.MAX_ITERATIONS,
+                               "gtol": gpr.GRADIENT_TOLERANCE})
              for s in starts),
             key=lambda r: r.fun,
         )
@@ -868,9 +871,10 @@ class TestOptimize:
             _noise_lml_and_grad(_spectrum(indefinite.copy(), y), math.log(0.5))
 
         monkeypatch.setattr(gpr, "gram_matrix", lambda x, hyper=None: indefinite.copy())
+        monkeypatch.setattr(gpr, "RESTARTS", 3)
         seen = record_search(monkeypatch, np.zeros((2, 1)), y,
                              Hyperparameters(noise_variance=2.0),
-                             GpOptions(seed=0, restarts=3))
+                             GpOptions(seed=0))
         failed = [(value, grad) for theta, value, grad in seen if theta[0] < -1e-9]
         solved = [value for theta, value, _ in seen if theta[0] > 1e-9]
         assert failed and solved

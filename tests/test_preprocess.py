@@ -8,12 +8,10 @@ from scipy import signal
 from myotorque.errors import MissingChannel, NoMotionDetected
 from myotorque.preprocess import (
     ALIGNED_RATE_HZ,
-    CalibrationRecord,
     FeatureTable,
     Joint,
     ModelConfig,
     Muscle,
-    apply_calibration,
     build_features,
     compute_calibration,
     concat_tables,
@@ -27,13 +25,13 @@ from myotorque.preprocess import (
     segment_motions,
     smooth_angle,
 )
-from myotorque.timeseries import MultiChannelRecording, TimeSeries, Unit
+from myotorque.timeseries import MultiChannelRecording, TimeSeries
 
 HI = 2000.0
 
 
-def series(values, rate=HI, start=0.0, label="x", unit=Unit.DIMENSIONLESS):
-    return TimeSeries(label, unit, rate, start, np.asarray(values, dtype=float))
+def series(values, rate=HI, start=0.0, label="x"):
+    return TimeSeries(label, rate, start, np.asarray(values, dtype=float))
 
 
 class TestVocabulary:
@@ -65,15 +63,12 @@ class TestCalibration:
                     offsets[m] + 0.01 * rng.standard_normal(400),
                     rate=200.0,
                     label=fmg_channel(m),
-                    unit=Unit.NORMALIZED_FORCE,
                 )
                 for m in muscles
             },
-            meta={},
         )
         pose = series(
             57.0 + 0.05 * rng.standard_normal(1000), label="angle_deg",
-            unit=Unit.DEGREES,
         )
         calib = compute_calibration(standing, pose)
         # The estimate is exactly the sample mean.
@@ -84,34 +79,43 @@ class TestCalibration:
         assert calib.angle_offset == pytest.approx(float(np.mean(pose.values)),
                                                    abs=1e-12)
 
-    def test_apply_subtracts_offsets(self):
-        m = muscles_for(Joint.ANKLE)[0]
-        rec = MultiChannelRecording(
-            channels={
-                "angle_deg": series([10.0, 11.0], label="angle_deg",
-                                    unit=Unit.DEGREES),
-                fmg_channel(m): series([1.2, 1.3], label=fmg_channel(m)),
-            },
-            meta={},
+    def test_features_subtract_offsets(self, knee_session):
+        # build_features calibrates: the used FMG channels, offset-subtracted,
+        # sliced at the grid bit for bit; the angle, offset-subtracted,
+        # interpolated onto it.
+        take = knee_session.takes[0]
+        calib = compute_calibration(
+            knee_session.standing, knee_session.initial_angle
         )
-        calib = CalibrationRecord(fmg_offsets={m: 1.0}, angle_offset=10.0)
-        out = apply_calibration(rec, calib)
-        assert np.allclose(out["angle_deg"].values, [0.0, 1.0])
-        assert np.allclose(out[fmg_channel(m)].values, [0.2, 0.3])
+        table = build_features(take.recording, Joint.KNEE, ModelConfig.FMG, calib)
+        angle = take.recording["angle_deg"]
+        assert np.array_equal(
+            table.rows[:, 0],
+            np.interp(table.times_s, angle.times, angle.values - calib.angle_offset),
+        )
+        for col, m in enumerate(muscles_for(Joint.KNEE), start=2):
+            fmg = take.recording[fmg_channel(m)]
+            i0 = int(round((table.times_s[0] - fmg.start_time_s) * fmg.sample_rate_hz))
+            calibrated = fmg.values - calib.fmg_offsets[m]
+            assert np.array_equal(table.rows[:, col],
+                                  calibrated[i0 : i0 + table.n_rows])
 
-    def test_uncovered_fmg_channel_rejected(self):
-        # Every FMG channel present in the recording needs an offset.
-        rec = MultiChannelRecording(
-            channels={
-                "angle_deg": series([1.0, 2.0], label="angle_deg"),
-                fmg_channel(Muscle.TA): series([1.0, 2.0],
-                                               label=fmg_channel(Muscle.TA)),
-            },
-            meta={},
+    def test_uncovered_fmg_channel_rejected(self, knee_session):
+        # Every FMG channel present in the recording needs an offset, whether
+        # the config uses it or not, and must name a known muscle.
+        take = knee_session.takes[0]
+        calib = compute_calibration(
+            knee_session.standing, knee_session.initial_angle
         )
-        calib = CalibrationRecord(fmg_offsets={Muscle.GM: 1.0}, angle_offset=0.0)
-        with pytest.raises(MissingChannel):
-            apply_calibration(rec, calib)
+        extra = take.recording[fmg_channel(Muscle.BF)]
+        for label, message in [("fmg_TA", "no offset for 'fmg_TA'"),
+                               ("fmg_XX", "does not name a known muscle")]:
+            recording = MultiChannelRecording(
+                {**take.recording.channels, label: extra}
+            )
+            for config in ModelConfig:
+                with pytest.raises(MissingChannel, match=message):
+                    build_features(recording, Joint.KNEE, config, calib)
 
 
 class TestEmgEnvelope:
@@ -126,7 +130,7 @@ class TestEmgEnvelope:
 
         shaped = filtfilt(design_butterworth_bandpass(4, 20.0, 500.0, HI), carrier)
         shaped = shaped / np.std(shaped)
-        raw = series(envelope * shaped, label="emg_TA", unit=Unit.VOLTS)
+        raw = series(envelope * shaped, label="emg_TA")
         out = emg_envelope(raw)
         core = slice(int(HI), int(9 * HI))
         r = np.corrcoef(out.values[core], envelope[core])[0, 1]
@@ -148,14 +152,14 @@ class TestEmgEnvelope:
             padtype="odd",
             padlen=12,
         )
-        out = emg_envelope(series(x, start=1.5, label="emg_TA", unit=Unit.VOLTS))
+        out = emg_envelope(series(x, start=1.5, label="emg_TA"))
         assert np.array_equal(out.values, expect)
-        assert (out.label, out.unit) == ("emg_TA", Unit.VOLTS)
+        assert out.label == "emg_TA"
         assert (out.sample_rate_hz, out.start_time_s) == (HI, 1.5)
 
     def test_removes_dc_offset(self):
         # The 20 Hz highpass edge kills a constant baseline.
-        raw = series(np.full(8000, 0.5), label="emg_TA", unit=Unit.VOLTS)
+        raw = series(np.full(8000, 0.5), label="emg_TA")
         out = emg_envelope(raw)
         assert np.max(np.abs(out.values[2000:-2000])) < 1e-6
 
@@ -167,9 +171,8 @@ class TestVelocity:
         period = 2.0
         t = np.arange(int(8 * HI)) / HI
         tri = 20.0 * np.abs(2.0 * (t / period - np.floor(t / period + 0.5)))
-        s = series(tri, label="angle_deg", unit=Unit.DEGREES)
+        s = series(tri, label="angle_deg")
         vel = joint_velocity(s)
-        assert vel.unit is Unit.DEGREES_PER_SECOND
         slope = 20.0 * 2.0 / period
         falling = (t % period > 1.2) & (t % period < 1.8)
         rising = (t % period > 0.2) & (t % period < 0.8)
@@ -178,8 +181,7 @@ class TestVelocity:
 
     def test_sine_derivative(self):
         t = np.arange(int(4 * HI)) / HI
-        s = series(10.0 * np.sin(2 * np.pi * 0.5 * t), label="angle_deg",
-                   unit=Unit.DEGREES)
+        s = series(10.0 * np.sin(2 * np.pi * 0.5 * t), label="angle_deg")
         vel = joint_velocity(s).values
         expect = 10.0 * 2 * np.pi * 0.5 * np.cos(2 * np.pi * 0.5 * t)
         core = slice(500, -500)
@@ -194,11 +196,11 @@ class TestVelocity:
         angle_lp = signal.butter(2, 20.0, fs=rate, output="sos")
         smoothed = signal.sosfiltfilt(angle_lp, x, padtype="odd", padlen=6)
         expect = np.gradient(smoothed, 1.0 / rate, edge_order=1)
-        angle = series(x, rate=rate, start=0.25, label="angle_deg", unit=Unit.DEGREES)
+        angle = series(x, rate=rate, start=0.25, label="angle_deg")
         assert np.array_equal(smooth_angle(angle).values, smoothed)
         vel = joint_velocity(angle)
         assert np.array_equal(vel.values, expect)
-        assert (vel.label, vel.unit) == ("velocity_deg_s", Unit.DEGREES_PER_SECOND)
+        assert vel.label == "velocity_deg_s"
         assert (vel.sample_rate_hz, vel.start_time_s) == (rate, 0.25)
 
 
@@ -208,7 +210,7 @@ class TestSegmentation:
         # maxima, which pair into 4 cycles.
         t = np.arange(int(10.5 * ALIGNED_RATE_HZ)) / ALIGNED_RATE_HZ
         s = series(30.0 * np.sin(2 * np.pi * 0.5 * t), rate=ALIGNED_RATE_HZ,
-                   label="angle_deg", unit=Unit.DEGREES)
+                   label="angle_deg")
         bounds = segment_motions(s.values, s.sample_rate_hz)
         assert len(bounds.segments) == 4
         for (a, b), (c, d) in zip(bounds.segments, bounds.segments[1:]):
@@ -305,7 +307,7 @@ class TestBuildFeatures(object):
         channels = dict(take.recording.channels)
         victim = fmg_channel(muscles_for(Joint.KNEE)[0])
         del channels[victim]
-        crippled = MultiChannelRecording(channels=channels, meta={})
+        crippled = MultiChannelRecording(channels=channels)
         with pytest.raises(MissingChannel, match=victim):
             build_features(crippled, Joint.KNEE, ModelConfig.FMG, calib)
 

@@ -26,20 +26,19 @@ from myotorque.recordings import (
     write_session,
 )
 from myotorque.synthgen import default_session_spec, generate_session
-from myotorque.timeseries import MultiChannelRecording, TimeSeries, Unit
+from myotorque.timeseries import MultiChannelRecording, TimeSeries
 
 
 def tiny_recording():
-    mk = lambda label, unit, vals: TimeSeries(
-        label=label, unit=unit, sample_rate_hz=100.0, start_time_s=0.0,
+    mk = lambda label, vals: TimeSeries(
+        label=label, sample_rate_hz=100.0, start_time_s=0.0,
         values=np.asarray(vals, dtype=np.float64),
     )
     return MultiChannelRecording(
         channels={
-            "angle_deg": mk("angle_deg", Unit.DEGREES, [1.0, 2.5, -0.125]),
-            "torque_nm": mk("torque_nm", Unit.NEWTON_METERS, [0.1, 0.2, 0.3]),
+            "angle_deg": mk("angle_deg", [1.0, 2.5, -0.125]),
+            "torque_nm": mk("torque_nm", [0.1, 0.2, 0.3]),
         },
-        meta={},
     )
 
 
@@ -50,11 +49,10 @@ class TestRecordingCsv:
         rec = MultiChannelRecording(
             channels={
                 "angle_deg": TimeSeries(
-                    label="angle_deg", unit=Unit.DEGREES,
+                    label="angle_deg",
                     sample_rate_hz=2000.0, start_time_s=0.0, values=values,
                 )
             },
-            meta={},
         )
         path = tmp_path / "rec.csv"
         write_recording_csv(rec, path)
@@ -71,17 +69,19 @@ class TestRecordingCsv:
     def test_mixed_grids_rejected(self, tmp_path):
         rec = tiny_recording()
         rec.channels["fmg_TA"] = TimeSeries(
-            label="fmg_TA", unit=Unit.NORMALIZED_FORCE, sample_rate_hz=10.0,
+            label="fmg_TA", sample_rate_hz=10.0,
             start_time_s=0.0, values=np.zeros(3),
         )
         with pytest.raises(DataError, match="grid"):
             write_recording_csv(rec, tmp_path / "rec.csv")
 
-    def test_rate_inferred_from_time_column(self, tmp_path):
+    def test_given_rate_within_a_ppm_is_kept(self, tmp_path):
+        # The time steps only check the rate; the channels carry the rate
+        # the caller gave, not one derived from the steps.
         path = tmp_path / "rec.csv"
         write_recording_csv(tiny_recording(), path)
-        back = read_recording_csv(path)
-        assert back["angle_deg"].sample_rate_hz == pytest.approx(100.0)
+        back = read_recording_csv(path, 100.00005)
+        assert back["angle_deg"].sample_rate_hz == 100.00005
 
     def test_rate_disagreeing_with_time_column_rejected(self, tmp_path):
         # A session index whose rate is wrong would otherwise mis-time
@@ -96,48 +96,54 @@ class TestRecordingCsv:
         path = tmp_path / "bad.csv"
         path.write_text("time_s,angle_deg\n0.0,1.0\n0.01,2.0\n0.01,3.0\n")
         with pytest.raises(DataError, match="strictly increasing"):
-            read_recording_csv(path)
+            read_recording_csv(path, 100.0)
 
     def test_uneven_interval_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time_s,angle_deg\n0.0,1.0\n0.01,2.0\n0.021,3.0\n")
         with pytest.raises(DataError, match="part per million"):
-            read_recording_csv(path)
+            read_recording_csv(path, 100.0)
 
     def test_non_numeric_cell_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time_s,angle_deg\n0.0,hello\n")
         with pytest.raises(DataError, match="non-numeric"):
-            read_recording_csv(path)
+            read_recording_csv(path, 100.0)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_names_file_and_column(self, tmp_path, cell):
         path = tmp_path / "bad.csv"
         path.write_text(f"time_s,angle_deg,torque_nm\n0.0,1.0,2.0\n0.01,1.5,{cell}\n")
         with pytest.raises(DataError, match=r"bad\.csv: column 'torque_nm'.*row 2"):
-            read_recording_csv(path)
+            read_recording_csv(path, 100.0)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time_s,angle_deg\n0.0,1.0\n0.01\n")
         with pytest.raises(DataError, match="ragged"):
-            read_recording_csv(path)
+            read_recording_csv(path, 100.0)
 
     def test_wrong_first_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("stamp,angle_deg\n0.0,1.0\n")
         with pytest.raises(DataError, match="time_s"):
-            read_recording_csv(path)
+            read_recording_csv(path, 100.0)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time_s,angle_deg\n")
         with pytest.raises(DataError, match="no data rows"):
-            read_recording_csv(path)
+            read_recording_csv(path, 100.0)
+
+    def test_header_cell_over_csv_field_limit_names_file(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(f"time_s,{'x' * 200_000}\n0.0,1.0\n")
+        with pytest.raises(DataError, match=r"wide\.csv: unreadable header: field larger"):
+            read_recording_csv(path, 100.0)
 
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
-            read_recording_csv(tmp_path / "nope.csv")
+            read_recording_csv(tmp_path / "nope.csv", 100.0)
 
 
 def reference_csv(header, columns) -> bytes:
@@ -181,12 +187,11 @@ class TestFormatRoundTrip:
         rec = MultiChannelRecording(
             channels={
                 label: TimeSeries(
-                    label=label, unit=Unit.VOLTS, sample_rate_hz=rate,
+                    label=label, sample_rate_hz=rate,
                     start_time_s=start, values=values[:, j],
                 )
                 for j, label in enumerate(labels)
             },
-            meta={},
         )
         path = tmp_path / "rec.csv"
         write_recording_csv(rec, path)
@@ -224,7 +229,7 @@ class TestFormatRoundTrip:
             "time_s,angle_deg\n0.0,1.0\n0.01,2.0\n\n0.02\n0.03,4.0\n"
         )
         with pytest.raises(DataError, match=r"bad\.csv: ragged rows: data row 3 "):
-            read_recording_csv(path)
+            read_recording_csv(path, 100.0)
 
     def test_non_numeric_cell_mid_file_names_data_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -235,13 +240,13 @@ class TestFormatRoundTrip:
             DataError,
             match=r"bad\.csv: non-numeric cell 'x3' in column 'angle_deg', data row 3",
         ):
-            read_recording_csv(path)
+            read_recording_csv(path, 100.0)
 
     def test_rows_narrower_than_header_are_ragged(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time_s,angle_deg,torque_nm\n0.0,1.0\n0.01,2.0\n")
         with pytest.raises(DataError, match="ragged rows: data row 1 "):
-            read_recording_csv(path)
+            read_recording_csv(path, 100.0)
 
     def test_one_row_file(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -327,7 +332,6 @@ class TestSessionRoundTrip:
         take = load_take(index, index.takes[1])
         assert take.velocity_deg_s == 60.0
         assert take.take_index == 1
-        assert take.recording.meta["joint"] == "knee"
         orig = session.takes[1].recording
         assert np.array_equal(
             take.recording["torque_nm"].values, orig["torque_nm"].values
