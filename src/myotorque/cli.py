@@ -330,6 +330,8 @@ def cmd_stream(args) -> int:
             fh = open(args.infile, newline="", errors="replace")
         except OSError as exc:
             raise DataError(f"cannot read {args.infile}: {exc.strerror or exc}") from None
+    elif sys.stdin is None:  # started with stdin closed
+        raise DataError("no input: stdin is closed and --in is not given")
     else:
         fh = sys.stdin
         fh.reconfigure(errors="replace")

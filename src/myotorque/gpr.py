@@ -32,7 +32,12 @@ with the bits :func:`gram_matrix` gives, so its objective equals
 ``fit(...).log_marginal`` bit for bit; factors a copy of it once
 with LAPACK ``potrf``, in place; and hands the distances and the gram
 matrix to :func:`lml_gradient`, which inverts the factor once (LAPACK
-``potri``) and builds no kernel of its own.
+``potri``) and builds no kernel of its own. Its model skips what a
+returned one gets: the validation scans and zeros above the factor's
+diagonal, which nothing it is handed to reads. Of the search's starts,
+a later one stops once it enters the basin of an optimum already found
+or stalls at a corner of the box far behind the best
+(:func:`optimize_hyperparameters`).
 """
 
 from __future__ import annotations
@@ -98,11 +103,28 @@ class Hyperparameters:
 
 
 # Hyperparameter search: total L-BFGS-B starts, the iteration cap and
-# gradient tolerance of each, and the log range random starts are drawn from.
+# gradient tolerance of each, the log range random starts are drawn from
+# and the box every log parameter is searched in.
 RESTARTS = 5
 MAX_ITERATIONS = 200
 GRADIENT_TOLERANCE = 1e-8
 INIT_LOG_BOUNDS = (-4.0, 1.0)
+LOG_BOUNDS = (-16.0, 8.0)
+
+# Free-scale search only: a start after the first stops once an iterate
+# lies within BASIN_RADIUS (Euclidean, over the free log parameters) of an
+# optimum a completed start reached, or once it has sat at two or more
+# bounds (within _AT_BOUND) for CORNER_ITERATIONS iterations in a row
+# while its LML trails the best completed start's by more than
+# CORNER_MARGIN of that LML's size.
+BASIN_RADIUS = 1.0
+CORNER_ITERATIONS = 2
+CORNER_MARGIN = 0.1
+_AT_BOUND = 1e-3
+
+# The objective of an evaluation whose covariance cannot be factored:
+# finite, so L-BFGS-B backs off from it.
+_FAILED = 1e25
 
 
 @dataclass(frozen=True)
@@ -113,7 +135,8 @@ class GpOptions:
     the corresponding flag is set. The search makes :data:`RESTARTS`
     starts: the first is the initial hyperparameter value, the others draw
     log parameters uniformly from :data:`INIT_LOG_BOUNDS` with ``seed``,
-    so the search is deterministic.
+    so the search is deterministic. With a free scale, a start after the
+    first may stop early (see :func:`optimize_hyperparameters`).
     """
 
     optimize_output_scale: bool = False
@@ -136,7 +159,8 @@ class GprModel:
     Every model, fitted, loaded or built by hand, is validated once here:
     the four arrays are finite float64 with consistent shapes and the
     factor has a positive diagonal. Predictions trust them afterwards and
-    check only their query points.
+    check only their query points. Only the free-scale search skips the
+    checks, for the model of each evaluation (:meth:`_unchecked`).
     """
 
     inputs: np.ndarray
@@ -174,6 +198,14 @@ class GprModel:
                 raise DataError(f"{name} has a non-finite value")
         if not np.all(np.diagonal(self.cholesky_lower) > 0.0):
             raise DataError("cholesky_lower has a non-positive diagonal entry")
+
+    @classmethod
+    def _unchecked(cls, **fields) -> "GprModel":
+        """A model of arrays made from checked data, built without the
+        scans of :meth:`__post_init__`."""
+        model = cls.__new__(cls)
+        vars(model).update(fields)
+        return model
 
     @property
     def n_train(self) -> int:
@@ -314,7 +346,8 @@ def _diagonal_scale(k: np.ndarray) -> float:
 
 def _factor(k: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of the symmetric ``k``, in place, escalating
-    diagonal jitter until it succeeds; Fortran-ordered, zeros above.
+    diagonal jitter until it succeeds; Fortran-ordered. Above its diagonal
+    it keeps k's entries.
 
     LAPACK ``potrf`` on the Fortran view ``k.T`` gives the bits scipy's
     ``cholesky`` gives, without its finiteness scan and copy (``k`` comes
@@ -325,12 +358,10 @@ def _factor(k: np.ndarray) -> tuple[np.ndarray, float]:
     diag = np.diagonal(k).copy()
     # The jitter ladder below ends only on a finite positive scale.
     scale = _diagonal_scale(k)
-    below = np.tri(n, k=-1, dtype=bool)  # the triangle potrf leaves alone
     jitter = 0.0
     while True:
         lower, info = dpotrf(k.T, lower=1, clean=0, overwrite_a=1)
         if info == 0:
-            np.copyto(k, 0.0, where=below)
             return lower, jitter
         jitter = _JITTER_START * scale if jitter == 0.0 else 10.0 * jitter
         if jitter > _JITTER_LIMIT * scale:
@@ -338,7 +369,8 @@ def _factor(k: np.ndarray) -> tuple[np.ndarray, float]:
                 "covariance matrix is not positive definite even with "
                 f"jitter up to {_JITTER_LIMIT:g} x mean diagonal"
             )
-        np.copyto(k.T, k, where=below)  # the upper triangle from the lower
+        # The triangle potrf wrote, restored from the one it left alone.
+        np.copyto(k.T, k, where=np.tri(n, k=-1, dtype=bool))
         k.flat[:: n + 1] = diag + jitter
 
 
@@ -347,17 +379,9 @@ def fit(
 ) -> GprModel:
     """Exact fit: factor K + noise I and solve for the dual weights."""
     x, y = _training_set(inputs, targets)
-    return _fit_gram(x, y, gram_matrix(x, hyper), hyper)
-
-
-def _fit_gram(
-    x: np.ndarray, y: np.ndarray, k: np.ndarray, hyper: Hyperparameters
-) -> GprModel:
-    """The body of :func:`fit` on checked data and its gram matrix ``k``,
-    which becomes K + noise I and then its factor, in place."""
-    k.flat[:: x.shape[0] + 1] += hyper.noise_variance
-    lower, jitter = _factor(k)
-    alpha, _ = dpotrs(lower, y, lower=1)
+    lower, alpha, jitter = _factor_solve(gram_matrix(x, hyper), y, hyper.noise_variance)
+    # The model's factor has zeros above its diagonal.
+    np.copyto(lower.T, 0.0, where=np.tri(x.shape[0], k=-1, dtype=bool))
     model = GprModel(
         inputs=x,
         targets=y,
@@ -369,6 +393,19 @@ def _fit_gram(
     )
     model.log_marginal = log_marginal_likelihood(model)
     return model
+
+
+def _factor_solve(
+    k: np.ndarray, y: np.ndarray, noise_variance: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(factor, weights, jitter) of K + noise I from the gram matrix ``k``
+    of checked data, which becomes K + noise I and then the factor, in
+    place. Above its diagonal the factor keeps k's entries; the weights,
+    the LML and :func:`lml_gradient` read only its lower triangle."""
+    k.flat[:: k.shape[0] + 1] += noise_variance
+    lower, jitter = _factor(k)
+    alpha, _ = dpotrs(lower, y, lower=1)
+    return lower, alpha, jitter
 
 
 def log_marginal_likelihood(model: GprModel) -> float:
@@ -384,7 +421,7 @@ def lml_gradient(
     model: GprModel,
     active: np.ndarray | None = None,
     *,
-    blocks: tuple[np.ndarray, np.ndarray] | None = None,
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Marginal-likelihood gradient w.r.t. the log hyperparameters.
 
@@ -396,18 +433,22 @@ def lml_gradient(
 
     The inverse comes from the lower triangle of the stored factor by
     LAPACK ``potri``; whatever lies above the diagonal is never read.
-    ``blocks`` hands over (d2, k_f): the squared distances between the
-    model's inputs and the gram matrix built from them, as the free-scale
-    search already holds them. ``k_f`` is overwritten. Without ``blocks``
-    both are computed here.
+    ``blocks`` hands over (d2, k_f, l_c) as the free-scale search holds
+    them: the squared distances between the model's inputs, the gram
+    matrix built from them, and ``np.tril`` of the model's factor in a
+    C-ordered block, which takes the place of the factor. ``k_f`` and
+    ``l_c`` are overwritten. Without ``blocks`` all three are computed
+    here.
     """
     alpha = model.weights
     hyper = model.hyper
     x = model.inputs
-    d2, k_f = blocks or (_sq_distances(x, x), gram_matrix(x, hyper))
+    d2, k_f, l_c = blocks or (
+        _sq_distances(x, x), gram_matrix(x, hyper), np.tril(model.cholesky_lower)
+    )
     # The factor's lower triangle, inverted in place: the transpose of the
     # C-ordered copy is its Fortran-ordered view, LAPACK's upper triangle.
-    k_inv, info = dpotri(np.tril(model.cholesky_lower).T, lower=0, overwrite_c=1)
+    k_inv, info = dpotri(l_c.T, lower=0, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"inverse from the Cholesky factor failed (info={info})")
     k_inv = k_inv.T  # C-ordered, K^-1 in the lower triangle, zeros above
@@ -501,6 +542,10 @@ def _noise_lml_and_grad(
     return lml, grad
 
 
+class _Pruned(Exception):
+    """Raised from the L-BFGS-B callback to stop a start that cannot win."""
+
+
 def optimize_hyperparameters(
     inputs: np.ndarray,
     targets: np.ndarray,
@@ -510,23 +555,37 @@ def optimize_hyperparameters(
     """Maximize the log marginal likelihood over the free log parameters.
 
     Multi-start quasi-Newton ascent (L-BFGS-B on the negated objective),
-    returning the best candidate across starts, which is never worse than
-    any start's own objective value.
+    returning the best optimum among the starts that ran to completion.
+    Raises :class:`NotPositiveDefinite` when none of them reached a point
+    whose covariance could be factored.
 
-    When only the noise is free, the search builds one n x n block, the
-    gram matrix, and reduces it in place to a tridiagonal T; it keeps T,
-    the targets' coordinates z = H'y and the eigenvalues, all O(n), and
-    frees the block before the first evaluation. Each evaluation is one
-    O(n) tridiagonal solve (:func:`_noise_lml_and_grad`).
+    When only the noise is free, every start runs to completion. The
+    search builds one n x n block, the gram matrix, and reduces it in
+    place to a tridiagonal T; it keeps T, the targets' coordinates z = H'y
+    and the eigenvalues, all O(n), and frees the block before the first
+    evaluation. Each evaluation is one O(n) tridiagonal solve
+    (:func:`_noise_lml_and_grad`).
 
-    When a scale is free, the search holds four n x n blocks: the squared
-    distances, and per evaluation the gram matrix, the copy of it that is
-    factored and the inverse :func:`lml_gradient` makes from the factor.
+    When a scale is free, the first start runs to completion; a later one
+    is stopped, and takes no part in the comparison, once it is not
+    expected to win: when its start point or an iterate lies within
+    :data:`BASIN_RADIUS` of an optimum a completed start reached, so it
+    would most likely end there too (multi-level single linkage, Rinnooy
+    Kan & Timmer 1987), or when it has sat at two or more bounds for
+    :data:`CORNER_ITERATIONS` iterations while its LML trails the best
+    completed start's by more than :data:`CORNER_MARGIN` of that LML's
+    size. A stopped start might have gone on to a better optimum, so the
+    result can be worse than the best of the same starts run to the end.
+    The search holds four n x n blocks: the squared distances, and three
+    that every evaluation writes over, the gram matrix, the copy of it
+    that is factored and the copy of the factor's lower triangle that
+    :func:`lml_gradient` inverts.
     """
     x, y = _training_set(inputs, targets)
     if initial is None:
         initial = Hyperparameters()
     free = options.free_mask()
+    n_free = int(free.sum())
     theta0 = initial.log_array()
     noise_only = not (options.optimize_output_scale or options.optimize_length_scale)
 
@@ -540,16 +599,20 @@ def optimize_hyperparameters(
         # two equal entries is that entry).
         rows, cols = np.nonzero(d2 != d2.T)
         # Rewritten by every evaluation: fresh n x n blocks on each one
-        # cost as much in page faults as the kernel build itself.
-        k_f, k = np.empty_like(d2), np.empty_like(d2)
+        # cost as much in page faults as the kernel build itself. l_c gets
+        # the factor's lower triangle; its zeros above stay.
+        k_f, k, l_c = np.empty_like(d2), np.empty_like(d2), np.zeros_like(d2)
+        on_or_below = np.tri(d2.shape[0], dtype=bool)
+        latest = [None, _FAILED]  # the last evaluated point and its value
 
     def negative(theta_free: np.ndarray) -> tuple[float, np.ndarray]:
         if noise_only:
             try:
                 lml, g = _noise_lml_and_grad(spectrum, float(theta_free[0]))
             except NotPositiveDefinite:
-                return 1e25, np.zeros(1)
+                return _FAILED, np.zeros(1)
             return -lml, np.array([-g])
+        latest[:] = theta_free.copy(), _FAILED
         theta = theta0.copy()
         theta[free] = theta_free
         hyper = Hyperparameters.from_log_array(theta)
@@ -559,34 +622,77 @@ def optimize_hyperparameters(
         k_f[rows, cols] = (k_f[rows, cols] + k_f[cols, rows]) * 0.5
         np.copyto(k, k_f)
         try:
-            model = _fit_gram(x, y, k, hyper)
+            lower, alpha, jitter = _factor_solve(k, y, hyper.noise_variance)
         except NotPositiveDefinite:
-            return 1e25, np.zeros(int(free.sum()))
-        return -model.log_marginal, -lml_gradient(model, active=free, blocks=(d2, k_f))
+            return _FAILED, np.zeros(n_free)
+        model = GprModel._unchecked(
+            inputs=x, targets=y, hyper=hyper, cholesky_lower=lower,
+            weights=alpha, log_marginal=0.0, jitter=jitter,
+        )
+        model.log_marginal = lml = log_marginal_likelihood(model)
+        if not np.isfinite(lml):
+            return _FAILED, np.zeros(n_free)
+        latest[1] = -lml
+        np.copyto(l_c, lower, where=on_or_below)
+        return -lml, -lml_gradient(model, active=free, blocks=(d2, k_f, l_c))
 
     rng = np.random.default_rng(options.seed)
     lo, hi = INIT_LOG_BOUNDS
-    n_free = int(free.sum())
     starts = [theta0[free]]
     for _ in range(RESTARTS - 1):
         starts.append(rng.uniform(lo, hi, size=n_free))
 
+    found = []  # the usable optimum of each completed free-scale start
     best_theta, best_value = None, np.inf
-    for start in starts:
-        result = minimize(
-            negative,
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(-16.0, 8.0)] * n_free,
-            options={
-                "maxiter": MAX_ITERATIONS,
-                "gtol": GRADIENT_TOLERANCE,
-            },
+
+    def in_found_basin(theta_free: np.ndarray) -> bool:
+        return any(np.linalg.norm(theta_free - opt) <= BASIN_RADIUS for opt in found)
+
+    at_corner = 0  # consecutive iterations of this start at two or more bounds
+
+    def after_iteration(theta_free: np.ndarray) -> None:
+        """The L-BFGS-B callback of a later free-scale start: raises
+        :class:`_Pruned` on the iterate where the start cannot win."""
+        nonlocal at_corner
+        if in_found_basin(theta_free):
+            raise _Pruned
+        bounds_hit = np.count_nonzero(
+            (theta_free <= LOG_BOUNDS[0] + _AT_BOUND)
+            | (theta_free >= LOG_BOUNDS[1] - _AT_BOUND)
         )
+        at_corner = at_corner + 1 if bounds_hit >= 2 else 0
+        # L-BFGS-B ends each iteration on the point it evaluated last.
+        trails = np.array_equal(latest[0], theta_free) and (
+            latest[1] > best_value + CORNER_MARGIN * abs(best_value)
+        )
+        if at_corner >= CORNER_ITERATIONS and trails:
+            raise _Pruned
+
+    for start in starts:
+        later = bool(found)
+        if later and in_found_basin(start):
+            continue
+        at_corner = 0
+        try:
+            result = minimize(
+                negative,
+                start,
+                jac=True,
+                method="L-BFGS-B",
+                bounds=[LOG_BOUNDS] * n_free,
+                options={
+                    "maxiter": MAX_ITERATIONS,
+                    "gtol": GRADIENT_TOLERANCE,
+                },
+                callback=after_iteration if later else None,
+            )
+        except _Pruned:
+            continue
+        if not noise_only and result.fun < _FAILED:
+            found.append(result.x)
         if result.fun < best_value:
             best_value, best_theta = result.fun, result.x
-    if best_theta is None or not np.isfinite(best_value):
+    if not best_value < _FAILED:  # also when no start completed
         raise NotPositiveDefinite("hyperparameter search found no usable optimum")
 
     theta = theta0.copy()

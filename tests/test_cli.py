@@ -590,6 +590,19 @@ class TestStream:
         assert skip.startswith("stream: skipping line 2: ")
         assert summary.startswith("stream: processed 2 rows, skipped 1, tick p50")
 
+    def test_closed_stdin_is_2(self, fmg_model):
+        # With stdin closed (`<&-`), sys.stdin is None; reading it was an
+        # AttributeError traceback (exit 1).
+        proc = subprocess.run(
+            [sys.executable, "-m", "myotorque.cli", "stream", "--model", str(fmg_model)],
+            capture_output=True, text=True, stdin=None, preexec_fn=lambda: os.close(0),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "myotorque: data error: no input: stdin is closed and --in is not given"
+        ]
+
     def test_huge_fmg_value_prints_only_the_skip_note(self, fmg_model,
                                                      quiet_knee_dir, tmp_path):
         # Normalizing 1.7e308 overflows to inf; numpy's RuntimeWarning and

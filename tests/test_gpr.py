@@ -25,6 +25,7 @@ from myotorque.errors import (
     ModelFormatError,
     NotPositiveDefinite,
 )
+from myotorque.evaluate import train_model
 from myotorque.gpr import (
     GpOptions,
     GprModel,
@@ -45,6 +46,14 @@ from myotorque.gpr import (
     predict_mean,
     save_model,
 )
+from myotorque.preprocess import (
+    Joint,
+    ModelConfig,
+    build_features,
+    compute_calibration,
+    concat_tables,
+)
+from myotorque.synthgen import default_session_spec, generate_session
 
 
 def kernel_oracle(xa, xb, out_scale, length):
@@ -541,9 +550,11 @@ class TestFit:
 
     def test_jitter_ladder_rescues_singular_matrix(self):
         # The all-ones matrix is PSD but rank one; plain Cholesky fails and
-        # the escalating diagonal jitter must step in.
+        # the escalating diagonal jitter must step in. Above its diagonal
+        # the factor keeps the matrix's entries.
         lower, jitter = _factor(np.ones((4, 4)))
         assert jitter > 0
+        lower = np.tril(lower)
         rebuilt = lower @ lower.T
         assert np.allclose(rebuilt, np.ones((4, 4)) + jitter * np.eye(4))
 
@@ -881,6 +892,25 @@ class TestOptimize:
         assert all(value == 1e25 and grad.tolist() == [0.0] for value, grad in failed)
         assert all(np.isfinite(value) and value < 1e25 for value in solved)
 
+    def test_search_with_no_factorable_point_raises(self, monkeypatch):
+        # Every noise the box allows leaves 1e9 [[1, 2], [2, 1]] + v I
+        # indefinite, so every evaluation fails and no start has a usable
+        # optimum, though each ends on the finite sentinel.
+        indefinite = 1e9 * np.array([[1.0, 2.0], [2.0, 1.0]])
+        monkeypatch.setattr(gpr, "gram_matrix", lambda x, hyper=None: indefinite.copy())
+        with pytest.raises(NotPositiveDefinite, match="no usable optimum"):
+            optimize_hyperparameters(np.zeros((2, 1)), np.array([0.5, -0.3]))
+
+    def test_free_scale_search_with_no_factorable_point_raises(self, rng, monkeypatch):
+        def failing(k):
+            raise NotPositiveDefinite("forced")
+
+        monkeypatch.setattr(gpr, "_factor", failing)
+        x = rng.uniform(-2.0, 2.0, (20, 2))
+        opts = GpOptions(optimize_output_scale=True, optimize_length_scale=True)
+        with pytest.raises(NotPositiveDefinite, match="no usable optimum"):
+            optimize_hyperparameters(x, np.sin(x[:, 0]), options=opts)
+
     def test_eigendecomposition_path_matches_generic_objective(self, rng):
         # Noise-only tuning goes through a one-time tridiagonal reduction; its
         # stationary point must agree with a brute-force scan of the exact
@@ -892,6 +922,154 @@ class TestOptimize:
         for log_nv in np.linspace(-8.0, 2.0, 120):
             other = Hyperparameters(noise_variance=math.exp(log_nv))
             assert best >= log_marginal_likelihood(fit(x, y, other)) - 1e-6
+
+
+FREE = GpOptions(seed=0, optimize_output_scale=True, optimize_length_scale=True)
+
+
+def plain_starts(x, y, initial, opts):
+    """The search's starts, each run to the end by plain scipy L-BFGS-B on
+    ``fit`` and ``lml_gradient``: a list of (start, result)."""
+    mask = opts.free_mask()
+    theta0 = initial.log_array()
+
+    def negative(theta_free):
+        theta = theta0.copy()
+        theta[mask] = theta_free
+        try:
+            model = fit(x, y, Hyperparameters.from_log_array(theta))
+        except NotPositiveDefinite:
+            return 1e25, np.zeros(len(theta_free))
+        return -model.log_marginal, -lml_gradient(model, active=mask)
+
+    draws = np.random.default_rng(opts.seed)
+    starts = [theta0[mask]] + [
+        draws.uniform(*gpr.INIT_LOG_BOUNDS, size=int(mask.sum()))
+        for _ in range(gpr.RESTARTS - 1)
+    ]
+    return [
+        (start, minimize(negative, start, jac=True, method="L-BFGS-B",
+                         bounds=[gpr.LOG_BOUNDS] * len(start),
+                         options={"maxiter": gpr.MAX_ITERATIONS,
+                                  "gtol": gpr.GRADIENT_TOLERANCE}))
+        for start in starts
+    ]
+
+
+def record_runs(monkeypatch):
+    """Wrap the search's L-BFGS-B: returns a list that gets, per start it
+    runs, (start, evaluated points, whether it ran to the end)."""
+    runs = []
+
+    def recording_minimize(fun, x0, **kwargs):
+        points = []
+        runs.append((np.array(x0), points, False))
+
+        def wrapped(theta_free):
+            points.append(theta_free.copy())
+            return fun(theta_free)
+
+        result = minimize(wrapped, x0, **kwargs)
+        runs[-1] = (runs[-1][0], points, True)
+        return result
+
+    monkeypatch.setattr(gpr, "minimize", recording_minimize)
+    return runs
+
+
+def sine_problem(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-3.0, 3.0, (30, 1))
+    return x, np.sin(2.0 * x[:, 0]) + 0.1 * rng.standard_normal(30)
+
+
+def at_corner(theta):
+    lo, hi = gpr.LOG_BOUNDS
+    return np.count_nonzero((theta <= lo + 1e-3) | (theta >= hi - 1e-3)) >= 2
+
+
+class TestPrunedSearch:
+    """With a free scale, a later start stops once it enters the basin of
+    an optimum already found, or stalls at a corner of the box while it
+    trails; the search still returns the best optimum of the five."""
+
+    def test_shared_optimum_costs_fewer_evaluations(self, monkeypatch):
+        x, y = sine_problem(0)
+        initial = Hyperparameters(length_scale=20.0)
+        plain = plain_starts(x, y, initial, FREE)
+        best = min(result.fun for _, result in plain)
+        assert all(result.fun == pytest.approx(best, rel=1e-9) for _, result in plain)
+
+        runs = record_runs(monkeypatch)
+        hyper = optimize_hyperparameters(x, y, initial=initial, options=FREE)
+        evaluations = sum(len(points) for _, points, _ in runs)
+        assert evaluations < 0.8 * sum(result.nfev for _, result in plain)
+        assert not all(done for _, _, done in runs[1:])
+        winner = min((result for _, result in plain), key=lambda r: r.fun)
+        assert np.allclose(hyper.log_array(), winner.x, rtol=0, atol=1e-4)
+
+    def test_better_basin_found_by_a_later_start_is_returned(self, monkeypatch):
+        # Started at a length scale of 20, the first start ends in the
+        # basin where most of the sine counts as noise; the one random
+        # start finds the sine, 41 log units of LML higher.
+        monkeypatch.setattr(gpr, "RESTARTS", 2)
+        x, y = sine_problem(4)
+        initial = Hyperparameters(length_scale=20.0)
+        (_, first), (_, second) = plain_starts(x, y, initial, FREE)
+        assert -first.fun < -second.fun - 40.0
+        assert np.linalg.norm(first.x - second.x) > 2 * gpr.BASIN_RADIUS
+
+        hyper = optimize_hyperparameters(x, y, initial=initial, options=FREE)
+        assert np.allclose(hyper.log_array(), second.x, rtol=0, atol=1e-4)
+
+    def test_start_stalled_at_a_corner_is_abandoned(self, monkeypatch):
+        # Knee fmg at 299 rows: run to the end, the fourth start sits at
+        # the (8, 8, -16) corner for its last iterations with an LML 70 %
+        # below the others'.
+        session = generate_session(default_session_spec(Joint.KNEE, seed=1))
+        calib = compute_calibration(session.standing, session.initial_angle)
+        table = concat_tables([
+            build_features(take.recording, Joint.KNEE, ModelConfig.FMG, calib)
+            for take in session.takes
+        ])
+        model = train_model(table, train_cap=300).model
+        x, y = model.inputs, model.targets
+        plain = plain_starts(x, y, Hyperparameters(), FREE)
+        best = min(result.fun for _, result in plain)
+        stalled = [(start, result) for start, result in plain
+                   if at_corner(result.x) and result.fun > best + 0.1 * abs(best)]
+        assert stalled
+
+        runs = record_runs(monkeypatch)
+        hyper = optimize_hyperparameters(x, y, options=FREE)
+        for start, result in stalled:
+            [(points, done)] = [(p, d) for s, p, d in runs if np.array_equal(s, start)]
+            assert not done
+            assert at_corner(points[-1])
+            assert len(points) < result.nfev
+        assert -fit(x, y, hyper).log_marginal == pytest.approx(best, rel=1e-6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_never_worse_than_five_full_starts(self, seed):
+        if seed < 3:
+            x, y = sine_problem(seed + 2)
+            initial = Hyperparameters(length_scale=20.0)
+        else:
+            rng = np.random.default_rng(seed)
+            x = rng.uniform(-2.0, 2.0, (60, 3))
+            y = np.sin(x[:, 0]) * x[:, 1] + 0.1 * rng.standard_normal(60)
+            initial = Hyperparameters()
+        opts = dataclasses.replace(FREE, seed=seed)
+        best = -min(result.fun for _, result in plain_starts(x, y, initial, opts))
+        hyper = optimize_hyperparameters(x, y, initial=initial, options=opts)
+        assert fit(x, y, hyper).log_marginal >= best - 1e-6 * abs(best)
+
+    def test_noise_only_search_runs_every_start(self, rng, monkeypatch):
+        runs = record_runs(monkeypatch)
+        x = rng.uniform(-2.0, 2.0, (40, 1))
+        optimize_hyperparameters(x, np.sin(x[:, 0]), options=GpOptions(seed=0))
+        assert len(runs) == gpr.RESTARTS
+        assert all(done for _, _, done in runs)
 
 
 class TestModelRoundTrip:
