@@ -4,7 +4,8 @@ Zero-mean prior, closed-form posterior via Cholesky factorization, and
 marginal-likelihood hyperparameter selection in log space. The default
 configuration keeps the output and length scales fixed at 1, so the
 kernel is exactly exp(-||x - x'||^2 / 2), and tunes only the observation
-noise; both scales can be freed through ``GpOptions``.
+noise; both scales can be freed through ``GpOptions``. A model file holds
+what :func:`fit` needs, and :func:`load_model` refits it.
 
 The noise-only search (Rasmussen & Williams 2006, sections 2.2 and 5.4)
 builds one n x n block per search: the gram matrix, which a Householder
@@ -45,7 +46,7 @@ from __future__ import annotations
 import json
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -156,7 +157,7 @@ class GprModel:
     Immutable in use; every prediction is a pure function of the stored
     arrays. ``weights`` solves (K + noise I) w = y.
 
-    Every model, fitted, loaded or built by hand, is validated once here:
+    Every model, fitted (loaded ones too) or built by hand, is checked here:
     the four arrays are finite float64 with consistent shapes and the
     factor has a positive diagonal. Predictions trust them afterwards and
     check only their query points. Only the free-scale search skips the
@@ -733,13 +734,11 @@ def predict(
     the query size; a query of one block computes exactly what a single
     whole-query expression would.
 
-    Finiteness is checked once per model, when the :class:`GprModel` is
-    built (by :func:`fit`, :func:`load_model` or by hand), and per call
-    only on the query points, which raise :class:`DataError` if any is
-    NaN or infinite. The triangular solve therefore skips scipy's
-    finiteness scan of the n x n factor, which costs several times the
-    O(n^2) solve itself on a one-row query. A block of one row solves
-    with :func:`_lower_solve_vector`, to the same bits.
+    Only the query points are checked (:class:`DataError` on a NaN or
+    infinity): the model was, when built (:class:`GprModel`), so the
+    triangular solve skips scipy's finiteness scan of the n x n factor,
+    several times the O(n^2) solve itself on a one-row query. A block of
+    one row solves with :func:`_lower_solve_vector`, to the same bits.
     """
     xq = _query_points(model, x_star)
     mean, var = np.empty(xq.shape[0]), np.empty(xq.shape[0])
@@ -781,78 +780,78 @@ def predict_mean(model: GprModel, x_star: np.ndarray) -> np.ndarray:
     return mean
 
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _MODEL_KIND = "gpr-rbf"
 
 
 def save_model(model: GprModel, path, metadata: dict | None = None) -> None:
-    """Serialize a fitted model (and free-form metadata) to an npz file.
-
-    All float64 arrays round-trip bit-exactly, so a reloaded model makes
-    identical predictions.
-    """
+    """Serialize what :func:`fit` makes a model from (inputs, targets,
+    hyperparameters), the jitter it used and free-form metadata to an npz
+    file. Every float64 array round-trips bit-exactly."""
     np.savez(
         path,
         format_version=np.int64(_FORMAT_VERSION),
         model_kind=np.str_(_MODEL_KIND),
         inputs=model.inputs,
         targets=model.targets,
-        cholesky_lower=model.cholesky_lower,
-        weights=model.weights,
-        hyper=np.array(
-            [
-                model.hyper.output_scale,
-                model.hyper.length_scale,
-                model.hyper.noise_variance,
-            ]
-        ),
-        log_marginal=np.float64(model.log_marginal),
+        hyper=np.array(astuple(model.hyper)),
         jitter=np.float64(model.jitter),
         metadata_json=np.str_(json.dumps(metadata or {})),
     )
 
 
 def load_model(path) -> tuple[GprModel, dict]:
-    """Inverse of :func:`save_model`; validates the container first.
+    """Inverse of :func:`save_model`: :func:`fit` on the stored arrays,
+    which rebuilds the saved model bit for bit. Its n x n block and
+    factorization are part of ``predict``'s and ``stream``'s start-up.
 
-    A file that is not a saved model (not an npz archive, truncated or
-    corrupt, a field of the wrong shape or dtype), or whose arrays fail
-    the :class:`GprModel` checks (shapes, finiteness, positive factor
-    diagonal), raises :class:`ModelFormatError`.
+    A file that is not a saved model of this kind and format version (not
+    an npz archive, truncated or corrupt, a field of the wrong shape or
+    dtype), whose hyperparameters lie outside the search box
+    :data:`LOG_BOUNDS` or whose refit fails, runs out of memory or needs
+    another jitter than the stored one raises :class:`ModelFormatError`.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
             if "format_version" not in data or "model_kind" not in data:
                 raise ModelFormatError(f"{path} is not a saved model")
-            if str(data["model_kind"]) != _MODEL_KIND:
-                raise ModelFormatError(
-                    f"unsupported model kind {str(data['model_kind'])!r}"
+            kind, version = str(data["model_kind"]), int(data["format_version"])
+            if (kind, version) != (_MODEL_KIND, _FORMAT_VERSION):
+                raise ValueError(
+                    f"a {kind!r} model of format version {version} is not read "
+                    "here; retrain the model with 'myotorque train'"
                 )
-            version = int(data["format_version"])
-            if version != _FORMAT_VERSION:
-                raise ModelFormatError(
-                    f"unsupported model format version {version}"
-                )
-            s, ell, v = (float(h) for h in data["hyper"])
-            model = GprModel(
-                inputs=data["inputs"],
-                targets=data["targets"],
-                hyper=Hyperparameters(s, ell, v),
-                cholesky_lower=data["cholesky_lower"],
-                weights=data["weights"],
-                log_marginal=float(data["log_marginal"]),
-                jitter=float(data["jitter"]),
-            )
+            x, y = data["inputs"], data["targets"]
+            for name, arr, ndim in (("inputs", x, 2), ("targets", y, 1)):
+                # fit would cast or reshape them without a word.
+                if arr.dtype != np.float64 or arr.ndim != ndim:
+                    raise ValueError(f"{name} must be a {ndim}-D float64 array")
+            hyper = Hyperparameters(*(float(h) for h in data["hyper"]))
+            # The search box, with slack for the exp/log round trip.
+            theta, (lo, hi) = hyper.log_array(), LOG_BOUNDS
+            if not np.all((lo - 1e-9 <= theta) & (theta <= hi + 1e-9)):
+                raise ValueError(f"hyper {astuple(hyper)} is outside the search box")
+            jitter = float(data["jitter"])
             metadata = json.loads(str(data["metadata_json"]))
-    except ModelFormatError:
-        raise
     # A damaged archive fails in zipfile (BadZipFile, EOFError, and a
     # RuntimeError for a member flagged as encrypted or compressed by an
     # unsupported method) or in zlib; a field of the wrong shape or dtype
-    # fails the scalar conversions with a TypeError.
+    # fails the scalar conversions with a TypeError or the checks above.
     except (
         OSError, ValueError, KeyError, TypeError, EOFError, RuntimeError,
-        zipfile.BadZipFile, zlib.error, DataError,
+        zipfile.BadZipFile, zlib.error,
     ) as exc:
         raise ModelFormatError(f"cannot load model from {path}: {exc}") from exc
+    try:
+        model = fit(x, y, hyper)
+    except MemoryError:
+        raise ModelFormatError(
+            f"{path}: not enough memory to refit its {x.shape[0]} rows"
+        ) from None
+    except (DataError, NotPositiveDefinite) as exc:
+        raise ModelFormatError(f"{path}: refit failed: {exc}") from exc
+    if model.jitter != jitter:
+        raise ModelFormatError(
+            f"{path}: refit used jitter {model.jitter:g}, the file stores {jitter:g}"
+        )
     return model, metadata

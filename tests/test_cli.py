@@ -17,7 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import myotorque.gpr as gpr
 from myotorque.cli import main
+from myotorque.errors import NotPositiveDefinite
 from myotorque.evaluate import load_estimator
 from myotorque.gpr import load_model, save_model
 from myotorque.preprocess import (
@@ -677,39 +679,54 @@ class TestStream:
         )
 
 
-def with_nan_in_model(model_path, tmp_path, array):
-    """A copy of a saved model whose ``array`` holds one NaN."""
+def with_fields(model_path, tmp_path, tag, **fields):
+    """A copy of a saved model file with some fields replaced."""
     with np.load(model_path) as data:
         arrays = dict(data)
-    arrays[array] = arrays[array].copy()
-    arrays[array].flat[arrays[array].size // 2] = np.nan
-    broken = tmp_path / f"nan_{array}.npz"
+    arrays.update(fields)
+    broken = tmp_path / f"{tag}.npz"
     np.savez(broken, **arrays)
     return broken
 
 
+def with_nan_in_model(model_path, tmp_path, array):
+    """A copy of a saved model whose ``array`` holds one NaN."""
+    with np.load(model_path) as data:
+        arr = data[array].copy()
+    arr.flat[arr.size // 2] = np.nan
+    return with_fields(model_path, tmp_path, f"nan_{array}", **{array: arr})
+
+
+def run_on_model(command, model, session, tmp_path):
+    """``predict`` or ``stream`` (one knee FMG row) with ``model``, in a
+    fresh interpreter."""
+    if command == "stream":
+        infile = tmp_path / "rows.csv"
+        infile.write_text("0.0,30.0,0.1,0.2,0.1,0.2,0.1\n")
+        return run_cli(*stream_args(model, session, infile))
+    return run_cli("predict", "--model", model, "--session", session)
+
+
+def assert_one_line_data_error(proc, *fragments):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert "data error" in lines[0]
+    for fragment in fragments:
+        assert fragment in lines[0]
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["stream", "predict"])
-@pytest.mark.parametrize(
-    "array", ["inputs", "targets", "cholesky_lower", "weights"]
-)
+@pytest.mark.parametrize("array", ["inputs", "targets"])
 def test_non_finite_model_array_is_2(fmg_model, quiet_knee_dir, tmp_path,
                                      command, array):
     # A NaN anywhere in the model is caught at load, not mid-stream in
     # scipy (a traceback) or in the output (nan torques).
     broken = with_nan_in_model(fmg_model, tmp_path, array)
-    if command == "stream":
-        infile = tmp_path / "rows.csv"
-        infile.write_text("0.0,30.0,0.1,0.2,0.1,0.2,0.1\n")
-        proc = run_cli(*stream_args(broken, quiet_knee_dir, infile))
-    else:
-        proc = run_cli("predict", "--model", broken,
-                       "--session", quiet_knee_dir)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert "data error" in lines[0] and array in lines[0]
-    assert proc.stdout == ""
+    proc = run_on_model(command, broken, quiet_knee_dir, tmp_path)
+    assert_one_line_data_error(proc, array)
 
 
 def damaged_model(model_path, tmp_path, damage):
@@ -721,40 +738,81 @@ def damaged_model(model_path, tmp_path, damage):
             b"PK\x03\x04garbage" if damage == "not a zip" else data[: len(data) // 2]
         )
         return broken
-    with np.load(model_path) as data:
-        arrays = dict(data)
     name, value = {
         "0-d hyper": ("hyper", np.float64(1.0)),
         "array format_version": ("format_version", np.array([1, 1])),
-        "array log_marginal": ("log_marginal", np.zeros(2)),
         "array jitter": ("jitter", np.zeros(2)),
     }[damage]
-    arrays[name] = value
-    np.savez(broken, **arrays)
-    return broken
+    return with_fields(model_path, tmp_path, damage.replace(" ", "_"), **{name: value})
 
 
 @pytest.mark.parametrize("command", ["stream", "predict"])
 @pytest.mark.parametrize("damage", [
     "not a zip", "truncated", "0-d hyper", "array format_version",
-    "array log_marginal", "array jitter",
+    "array jitter",
 ])
 def test_damaged_model_file_is_2(fmg_model, quiet_knee_dir, tmp_path,
                                  command, damage):
     broken = damaged_model(fmg_model, tmp_path, damage)
-    if command == "stream":
-        infile = tmp_path / "rows.csv"
-        infile.write_text("0.0,30.0,0.1,0.2,0.1,0.2,0.1\n")
-        proc = run_cli(*stream_args(broken, quiet_knee_dir, infile))
-    else:
-        proc = run_cli("predict", "--model", broken,
-                       "--session", quiet_knee_dir)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert "data error" in lines[0] and str(broken) in lines[0]
-    assert proc.stdout == ""
+    proc = run_on_model(command, broken, quiet_knee_dir, tmp_path)
+    assert_one_line_data_error(proc, str(broken))
+
+
+@pytest.mark.parametrize("command", ["stream", "predict"])
+@pytest.mark.parametrize("index, value", [(0, 1e200), (1, 1e-200)],
+                         ids=["output scale 1e200", "length scale 1e-200"])
+def test_hyperparameter_outside_search_box_is_2(fmg_model, quiet_knee_dir,
+                                                tmp_path, command, index, value):
+    # These once gave an OverflowError traceback in predict and NaN
+    # torques with a RuntimeWarning.
+    with np.load(fmg_model) as data:
+        hyper = data["hyper"].copy()
+    hyper[index] = value
+    broken = with_fields(fmg_model, tmp_path, "hyper", hyper=hyper)
+    proc = run_on_model(command, broken, quiet_knee_dir, tmp_path)
+    assert_one_line_data_error(proc, "outside the search box")
+
+
+@pytest.mark.parametrize("command", ["stream", "predict"])
+def test_version_1_model_file_is_2(fmg_model, quiet_knee_dir, tmp_path, command):
+    model, _ = load_model(fmg_model)
+    broken = with_fields(
+        fmg_model, tmp_path, "v1", format_version=np.int64(1),
+        cholesky_lower=model.cholesky_lower, weights=model.weights,
+        log_marginal=np.float64(model.log_marginal),
+    )
+    proc = run_on_model(command, broken, quiet_knee_dir, tmp_path)
+    assert_one_line_data_error(proc, "format version 1", "retrain")
+
+
+def test_jitter_mismatch_is_2(fmg_model, quiet_knee_dir, tmp_path):
+    broken = with_fields(fmg_model, tmp_path, "jitter", jitter=np.float64(1e-6))
+    proc = run_on_model("predict", broken, quiet_knee_dir, tmp_path)
+    assert_one_line_data_error(proc, "jitter")
+
+
+@pytest.mark.parametrize("error, fragment", [
+    (NotPositiveDefinite("covariance matrix is not positive definite"),
+     "refit failed"),
+    (MemoryError(), "not enough memory to refit its {n} rows"),
+])
+def test_failed_refit_is_2(fmg_model, quiet_knee_dir, monkeypatch, capsys,
+                           error, fragment):
+    # A saved model that cannot be rebuilt is a bad file: exit 2, not the
+    # numerical failure's 3.
+    n_rows = load_model(fmg_model)[0].n_train
+
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(gpr, "gram_matrix", fail)
+    code = main(["predict", "--model", str(fmg_model),
+                 "--session", str(quiet_knee_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert fragment.format(n=n_rows) in line
 
 
 KNEE_STREAM_COLUMNS = [

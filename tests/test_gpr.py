@@ -1087,6 +1087,52 @@ class TestModelRoundTrip:
         assert np.array_equal(v0, v1)
         assert loaded.hyper == model.hyper
 
+    @pytest.mark.parametrize("free", [False, True], ids=["fixed", "free"])
+    def test_reload_is_fit_bit_for_bit(self, tmp_path, rng, free):
+        # A file holds only what fit needs; load refits, so every derived
+        # array and every prediction equals the in-memory model's.
+        x = rng.uniform(-2.0, 2.0, (120, 2))
+        y = np.sin(x[:, 0]) * np.cos(x[:, 1]) + 0.05 * rng.normal(size=120)
+        options = GpOptions(optimize_output_scale=free, optimize_length_scale=free)
+        hyper = optimize_hyperparameters(x, y, options=options)
+        assert (hyper.length_scale != 1.0) == free
+        model = fit(x, y, hyper)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        loaded, _ = load_model(path)
+        assert loaded.hyper == model.hyper
+        assert np.array_equal(np.tril(loaded.cholesky_lower), np.tril(model.cholesky_lower))
+        assert np.array_equal(loaded.weights, model.weights)
+        assert loaded.log_marginal == model.log_marginal
+        assert loaded.jitter == model.jitter
+        x_star = rng.uniform(-2.5, 2.5, (300, 2))
+        for a, b in zip(predict(loaded, x_star), predict(model, x_star)):
+            assert np.array_equal(a, b)
+
+    def test_file_holds_no_derived_array(self, tmp_path):
+        x, y, hyper = random_problem(7)
+        path = tmp_path / "model.npz"
+        save_model(fit(x, y, hyper), path)
+        with np.load(path) as data:
+            assert set(data) == {
+                "format_version", "model_kind", "inputs", "targets", "hyper",
+                "jitter", "metadata_json",
+            }
+
+    @pytest.mark.parametrize("log_noise", [*gpr.LOG_BOUNDS, -16.0 - 1e-12, 8.0 + 1e-12])
+    def test_noise_at_a_bound_reloads(self, tmp_path, log_noise):
+        # L-BFGS-B can end exactly on a bound, and exp then log of a value
+        # near one can land a few ulps outside: the loader's slack admits
+        # both.
+        x, y, _ = random_problem(3)
+        hyper = Hyperparameters.from_log_array([0.0, 0.0, log_noise])
+        model = fit(x, y, hyper)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        loaded, _ = load_model(path)
+        assert loaded.hyper == hyper
+        assert loaded.log_marginal == model.log_marginal
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, a=np.zeros(3))
@@ -1144,6 +1190,26 @@ HOSTILE_ARRAYS = [
 ]
 
 
+class TestModelFileErrors:
+    """Hyperparameters a version-2 file may hold: the search box, with a
+    slack for the exp/log round trip only. The other file errors are
+    checked end to end in test_cli."""
+
+    @pytest.mark.parametrize("index, log_value", [
+        (0, 8.0 + 1e-6), (1, -16.0 - 1e-6), (2, 8.0 + 1e-6), (2, -16.0 - 1e-6),
+    ])
+    def test_hyperparameter_outside_search_box(self, tmp_path, index, log_value):
+        x, y, hyper = random_problem(5)
+        path = tmp_path / "model.npz"
+        save_model(fit(x, y, hyper), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["hyper"][index] = math.exp(log_value)
+        np.savez(path, **arrays)
+        with pytest.raises(ModelFormatError, match="outside the search box"):
+            load_model(path)
+
+
 class TestModelValidation:
     """Every model is checked once when built, so predictions can skip
     rescanning the n x n factor."""
@@ -1161,7 +1227,10 @@ class TestModelValidation:
         with pytest.raises(DimensionMismatch, match="2-D"):
             dataclasses.replace(model, inputs=model.inputs[:, 0].copy())
 
-    @pytest.mark.parametrize("name, how", HOSTILE_ARRAYS)
+    @pytest.mark.parametrize(
+        "name, how", [(name, how) for name, how in HOSTILE_ARRAYS
+                      if name in ("inputs", "targets")]
+    )
     def test_hostile_model_file_is_format_error(self, tmp_path, name, how):
         x, y, hyper = random_problem(4)
         model = fit(x, y, hyper)
