@@ -28,6 +28,7 @@ from .errors import (
 from .gpr import (
     GpOptions,
     GprModel,
+    Spectrum,
     fit,
     load_model,
     optimize_hyperparameters,
@@ -217,6 +218,8 @@ def evaluate_cv(
     training subsample up to ``train_cap`` rows, noise tuned by marginal
     likelihood, test rows scored on the normalized scale. The reported MSE
     pools squared errors over every tested row; RMSE is its square root.
+    A fold asks only for the posterior mean, so with the noise alone free
+    its model is mean-only (see :func:`_train`).
     """
     if folds is None:
         folds = kfold_split(table.segment_ids(), n_folds, seed)
@@ -233,7 +236,7 @@ def evaluate_cv(
 
     for fold in range(folds.k):
         test_mask = fold_of_row == fold
-        est = _train(table, ~test_mask, options, train_cap)
+        est = _train(table, ~test_mask, options, train_cap, mean_only=True)
         x_test = _normalize_columns(table.rows[test_mask], est.column_stats)
         t_mean, t_std = est.target_stats.mean, est.target_stats.std_dev
         y_test = (table.targets[test_mask] - t_mean) / t_std
@@ -243,7 +246,7 @@ def evaluate_cv(
         predicted_nm[test_mask] = y_hat * t_std + t_mean
         per_fold_mse[fold] = mse(y_test, y_hat)
         noise_variances[fold] = est.model.hyper.noise_variance
-        del est  # the next fold's two n x n blocks need not coexist with it
+        del est  # the next fold's n x n block need not coexist with it
 
     tested = fold_of_row >= 0
     pooled_mse = mse(true_norm[tested], predicted_norm[tested])
@@ -314,19 +317,29 @@ def train_model(
 
 
 def _train(
-    table: FeatureTable, train_mask: np.ndarray, options: GpOptions, train_cap: int
+    table: FeatureTable,
+    train_mask: np.ndarray,
+    options: GpOptions,
+    train_cap: int,
+    mean_only: bool = False,
 ) -> TrainedEstimator:
     """The one training path of CV folds and :func:`train_model`: statistics
     from the masked rows, an even subsample of at most ``train_cap`` of them
-    normalized by those statistics, the noise tuned on it, the exact fit."""
+    normalized by those statistics, the noise tuned on it, the exact fit.
+
+    ``mean_only`` with the noise alone free makes the model from the
+    search's own reduction (:class:`Spectrum`): no second n x n block and
+    no Cholesky factor, and it serves ``predict_mean`` only. Otherwise
+    the fit is the Cholesky one a saved model is refit with."""
     column_stats, target_stats = fold_statistics(table, train_mask)
     train_rows = np.flatnonzero(train_mask)
     keep = train_rows[subsample_stride(len(train_rows), train_cap)]
     x = _normalize_columns(table.rows[keep], column_stats)
     y = (table.targets[keep] - target_stats.mean) / target_stats.std_dev
-    hyper = optimize_hyperparameters(x, y, options=options)
+    spectrum = Spectrum() if mean_only and options.noise_only else None
+    hyper = optimize_hyperparameters(x, y, options=options, spectrum=spectrum)
     return TrainedEstimator(
-        model=fit(x, y, hyper),
+        model=fit(x, y, hyper, spectrum=spectrum),
         joint=table.joint,
         config=table.config,
         column_names=table.column_names,
@@ -352,35 +365,38 @@ def save_estimator(estimator: TrainedEstimator, path) -> None:
 
 def load_estimator(path) -> TrainedEstimator:
     """Inverse of :func:`save_estimator`; incomplete metadata is a
-    :class:`ModelFormatError`."""
-    model, meta = load_model(path)
-    try:
-        means, stds = meta["column_means"], meta["column_stds"]
-        if not len(means) == len(stds) == model.inputs.shape[1]:
-            raise ValueError(
-                f"{len(means)} column means and {len(stds)} column stds "
-                f"for {model.inputs.shape[1]} model features"
+    :class:`ModelFormatError`, raised before the model is refit."""
+
+    def read_metadata(meta: dict, n_features: int) -> dict:
+        try:
+            means, stds = meta["column_means"], meta["column_stds"]
+            if not len(means) == len(stds) == n_features:
+                raise ValueError(
+                    f"{len(means)} column means and {len(stds)} column stds "
+                    f"for {n_features} model features"
+                )
+            rate = float(meta["sample_rate_hz"])
+            if not (math.isfinite(rate) and rate > 0):
+                raise ValueError(f"sample_rate_hz must be finite and > 0, got {rate}")
+            return dict(
+                joint=Joint(meta["joint"]),
+                config=ModelConfig(meta["config"]),
+                column_stats=[
+                    NormalizationStats(mean=m, std_dev=s) for m, s in zip(means, stds)
+                ],
+                column_names=tuple(meta["column_names"]),
+                target_stats=NormalizationStats(
+                    mean=meta["target_mean"], std_dev=meta["target_std"]
+                ),
+                sample_rate_hz=rate,
             )
-        rate = float(meta["sample_rate_hz"])
-        if not (math.isfinite(rate) and rate > 0):
-            raise ValueError(f"sample_rate_hz must be finite and > 0, got {rate}")
-        return TrainedEstimator(
-            model=model,
-            joint=Joint(meta["joint"]),
-            config=ModelConfig(meta["config"]),
-            column_stats=[
-                NormalizationStats(mean=m, std_dev=s) for m, s in zip(means, stds)
-            ],
-            column_names=tuple(meta["column_names"]),
-            target_stats=NormalizationStats(
-                mean=meta["target_mean"], std_dev=meta["target_std"]
-            ),
-            sample_rate_hz=rate,
-        )
-    except KeyError as exc:
-        raise ModelFormatError(f"{path}: model metadata lacks {exc}") from exc
-    except (ValueError, TypeError, ZeroVariance) as exc:
-        raise ModelFormatError(f"{path}: bad model metadata: {exc}") from exc
+        except KeyError as exc:
+            raise ModelFormatError(f"{path}: model metadata lacks {exc}") from exc
+        except (ValueError, TypeError, ZeroVariance) as exc:
+            raise ModelFormatError(f"{path}: bad model metadata: {exc}") from exc
+
+    model, fields = load_model(path, read_metadata)
+    return TrainedEstimator(model=model, **fields)
 
 
 @dataclass

@@ -20,12 +20,19 @@ Predictions run over blocks of at most ``_QUERY_BLOCK`` query rows, so
 the cross-covariance (and, in :func:`predict`, the triangular solve)
 held at any time is n x block whatever the query size.
 
-A cross-validation fold of n training and m held-out rows therefore
-builds two n x n blocks, one after the other: the search's gram matrix,
-freed once it is reduced, and :func:`fit`'s, which becomes the model's
-Cholesky factor in place. The m predictions add one n x
-``_QUERY_BLOCK`` (128) block at a time. At the default cap of 2,000 rows
-that is 32 MB per n x n block and 2 MB per query block.
+A cross-validation fold of n training and m held-out rows asks only for
+the mean, and the noise-only search's reduction already fixes it: the
+dual weights are w = (K + noise I)^-1 y = H u with (T + noise I) u = z.
+Handed a :class:`Spectrum`, the search keeps its reduced block (the
+n - 1 reflectors that make up H); :func:`fit` then solves for u with one
+more ``ptsv``, applies the reflectors to u in reverse, takes the log
+marginal likelihood from the eigenvalues and frees the block. So a fold
+builds one n x n block, the search's gram matrix, and no Cholesky
+factor; its model is mean-only (:func:`predict_mean`). The m
+predictions add one n x ``_QUERY_BLOCK`` (128) block at a time. At the
+default cap of 2,000 rows that is 32 MB for the n x n block and 2 MB
+per query block. Every other fit factors K + noise I by Cholesky, so
+that a model that is saved equals its refit bit for bit.
 
 The free-scale search computes the squared distances between training
 points once. Each evaluation builds the gram matrix from them once,
@@ -48,6 +55,7 @@ import zipfile
 import zlib
 from dataclasses import astuple, dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solve_triangular
@@ -149,6 +157,10 @@ class GpOptions:
             [self.optimize_output_scale, self.optimize_length_scale, True]
         )
 
+    @property
+    def noise_only(self) -> bool:
+        return not (self.optimize_output_scale or self.optimize_length_scale)
+
 
 @dataclass
 class GprModel:
@@ -157,9 +169,14 @@ class GprModel:
     Immutable in use; every prediction is a pure function of the stored
     arrays. ``weights`` solves (K + noise I) w = y.
 
+    A mean-only model, which :func:`fit` makes from a search's
+    :class:`Spectrum` for a CV fold, has no factor (``cholesky_lower`` is
+    None): it serves :func:`predict_mean`, and :func:`predict`,
+    :func:`lml_gradient` and :func:`save_model` refuse it.
+
     Every model, fitted (loaded ones too) or built by hand, is checked here:
-    the four arrays are finite float64 with consistent shapes and the
-    factor has a positive diagonal. Predictions trust them afterwards and
+    the arrays are finite float64 with consistent shapes and the factor, if
+    any, has a positive diagonal. Predictions trust them afterwards and
     check only their query points. Only the free-scale search skips the
     checks, for the model of each evaluation (:meth:`_unchecked`).
     """
@@ -167,7 +184,7 @@ class GprModel:
     inputs: np.ndarray
     targets: np.ndarray
     hyper: Hyperparameters
-    cholesky_lower: np.ndarray
+    cholesky_lower: np.ndarray | None
     weights: np.ndarray
     log_marginal: float
     jitter: float = 0.0
@@ -179,6 +196,8 @@ class GprModel:
             "cholesky_lower": self.cholesky_lower,
             "weights": self.weights,
         }
+        if self.cholesky_lower is None:
+            del arrays["cholesky_lower"]
         for name, arr in arrays.items():
             if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
                 raise DataError(f"{name} must be a float64 array")
@@ -189,7 +208,7 @@ class GprModel:
         n = self.inputs.shape[0]
         shapes = {"targets": (n,), "cholesky_lower": (n, n), "weights": (n,)}
         for name, shape in shapes.items():
-            if arrays[name].shape != shape:
+            if name in arrays and arrays[name].shape != shape:
                 raise DimensionMismatch(
                     f"{name} has shape {arrays[name].shape}, expected {shape} "
                     f"for {n} training rows"
@@ -197,7 +216,9 @@ class GprModel:
         for name, arr in arrays.items():
             if not np.isfinite(arr).all():
                 raise DataError(f"{name} has a non-finite value")
-        if not np.all(np.diagonal(self.cholesky_lower) > 0.0):
+        if self.cholesky_lower is not None and not np.all(
+            np.diagonal(self.cholesky_lower) > 0.0
+        ):
             raise DataError("cholesky_lower has a non-positive diagonal entry")
 
     @classmethod
@@ -211,6 +232,17 @@ class GprModel:
     @property
     def n_train(self) -> int:
         return self.inputs.shape[0]
+
+    def _factor_for(self, what: str) -> np.ndarray:
+        """The Cholesky factor that ``what`` needs; a ValueError on a
+        mean-only model, which has none."""
+        if self.cholesky_lower is None:
+            raise ValueError(
+                f"{what} needs a Cholesky factor, and this model is mean-only "
+                "(fit from a search's Spectrum): use predict_mean, or fit "
+                "without a spectrum"
+            )
+        return self.cholesky_lower
 
     @cached_property
     def _input_sq_norms(self) -> np.ndarray:
@@ -257,12 +289,16 @@ def _sq_distances(
         raise DimensionMismatch(
             f"input dimensions differ: {xa.shape[1]} vs {xb.shape[1]}"
         )
-    if xa_norms is None:
-        xa_norms = np.sum(xa * xa, axis=1)
-    # The block starts as ||a||^2 + ||b||^2 and one GEMM adds -2 a.b' into
-    # it; BLAS is column-major, so it works on the transposed view of the
-    # C-ordered block.
-    d2 = np.add.outer(xa_norms, np.sum(xb * xb, axis=1))
+    # Finite but huge inputs overflow the norms to inf; the NaN distances
+    # they give fail the kernel's checks as NotPositiveDefinite (or give a
+    # zero covariance to a huge query point), so numpy's warning is noise.
+    with np.errstate(over="ignore"):
+        if xa_norms is None:
+            xa_norms = np.sum(xa * xa, axis=1)
+        # The block starts as ||a||^2 + ||b||^2 and one GEMM adds -2 a.b'
+        # into it; BLAS is column-major, so it works on the transposed view
+        # of the C-ordered block.
+        d2 = np.add.outer(xa_norms, np.sum(xb * xb, axis=1))
     if d2.size:  # the BLAS wrapper rejects empty operands
         d2 = dgemm(-2.0, xb, xa, beta=1.0, c=d2.T, trans_b=1, overwrite_c=1).T
     np.maximum(d2, 0.0, out=d2)  # clamped against rounding
@@ -376,10 +412,25 @@ def _factor(k: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def fit(
-    inputs: np.ndarray, targets: np.ndarray, hyper: Hyperparameters
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    hyper: Hyperparameters,
+    spectrum: Spectrum | None = None,
 ) -> GprModel:
-    """Exact fit: factor K + noise I and solve for the dual weights."""
+    """Exact fit: factor K + noise I and solve for the dual weights.
+
+    With ``spectrum``, which :func:`optimize_hyperparameters` filled on
+    the same inputs and targets, the fit is mean-only: it factors nothing
+    and builds no n x n block. The weights are H u, u solving
+    (T + noise I) u = z by ``ptsv``, with the search's reflectors applied
+    to u in reverse; the log marginal likelihood comes from the
+    eigenvalues, and the jitter is 0. The spectrum's n x n block is freed,
+    which leaves the spectrum empty. The weights agree with the Cholesky
+    ones to rounding, not bit for bit; the model has no factor
+    (:class:`GprModel`)."""
     x, y = _training_set(inputs, targets)
+    if spectrum is not None:
+        return spectrum._mean_only_fit(x, y, hyper)
     lower, alpha, jitter = _factor_solve(gram_matrix(x, hyper), y, hyper.noise_variance)
     # The model's factor has zeros above its diagonal.
     np.copyto(lower.T, 0.0, where=np.tri(x.shape[0], k=-1, dtype=bool))
@@ -411,9 +462,10 @@ def _factor_solve(
 
 def log_marginal_likelihood(model: GprModel) -> float:
     """log p(y | X, hyper): -y'w/2 - sum(log L_ii) - (n/2) log 2 pi."""
+    lower = model._factor_for("log_marginal_likelihood")
     return (
         -0.5 * float(model.targets @ model.weights)
-        - float(np.sum(np.log(np.diag(model.cholesky_lower))))
+        - float(np.sum(np.log(np.diag(lower))))
         - 0.5 * model.n_train * _LOG_2PI
     )
 
@@ -441,11 +493,12 @@ def lml_gradient(
     ``l_c`` are overwritten. Without ``blocks`` all three are computed
     here.
     """
+    lower = model._factor_for("lml_gradient")
     alpha = model.weights
     hyper = model.hyper
     x = model.inputs
     d2, k_f, l_c = blocks or (
-        _sq_distances(x, x), gram_matrix(x, hyper), np.tril(model.cholesky_lower)
+        _sq_distances(x, x), gram_matrix(x, hyper), np.tril(lower)
     )
     # The factor's lower triangle, inverted in place: the transpose of the
     # C-ordered copy is its Fortran-ordered view, LAPACK's upper triangle.
@@ -473,18 +526,30 @@ def lml_gradient(
     return grads
 
 
-def _spectrum(
-    k: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+class _Reduction(NamedTuple):
+    """K = H T H' as :func:`_spectrum` leaves it."""
+
+    lam: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    z: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
+
+
+def _spectrum(k: np.ndarray, y: np.ndarray) -> _Reduction:
     """What the noise-only search needs from a symmetric K, without any
-    eigenvector: (lam, d, e, z).
+    eigenvector: (lam, d, e, z, reflectors, tau).
 
     K = H T H' by Householder reduction; d and e are the diagonal and
     subdiagonal of T, z = H' y (the n - 1 reflectors applied to y only)
     and lam the eigenvalues of T, which are those of K, ascending and
-    clamped at zero against rounding. d, e and z carry one extra decoupled row (d = 1, e = 0, z = 0): it leaves
-    every solve with T unchanged and keeps e non-empty at n = 1, which
-    the LAPACK wrappers require. ``k`` is overwritten. Raises
+    clamped at zero against rounding. d, e and z carry one extra
+    decoupled row (d = 1, e = 0, z = 0): it leaves every solve with T
+    unchanged and keeps e non-empty at n = 1, which the LAPACK wrappers
+    require. ``k`` is overwritten: ``reflectors`` is its Fortran-ordered
+    view, H = H_0 H_1 ... H_{n-2} with H_i = I - tau_i v v', v[:i+1] = 0
+    and v[i+1:] = reflectors[i+1:, i] (its leading 1 written in). Raises
     :class:`NotPositiveDefinite`, as :func:`fit` does, on a ``k`` whose
     mean diagonal is not finite and positive: finite but huge inputs give
     NaN entries, which the tridiagonal routines reject with a bare
@@ -499,8 +564,6 @@ def _spectrum(
     a, d, e, tau, info = dsytrd(k.T, lower=1, lwork=int(lwork), overwrite_a=1)
     if info != 0:
         raise NumericalError(f"tridiagonal reduction failed (info={info})")
-    # H = H_0 H_1 ... H_{n-2}, H_i = I - tau_i v v' with v[:i+1] = 0,
-    # v[i+1] = 1 and v[i+2:] stored below the subdiagonal of column i.
     # H' y applies H_0 first.
     z = np.append(y, 0.0)
     for i in range(n - 1):
@@ -508,39 +571,86 @@ def _spectrum(
         v[0] = 1.0  # the slot held e[i], which is already in ``e``
         z[i + 1 : n] -= (tau[i] * (v @ z[i + 1 : n])) * v
     lam = np.maximum(eigvalsh_tridiagonal(d, e), 0.0)
-    return lam, np.append(d, 1.0), np.append(e, 0.0), z
+    return _Reduction(lam, np.append(d, 1.0), np.append(e, 0.0), z, a, tau)
 
 
-def _noise_lml_and_grad(
-    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    log_noise: float,
-) -> tuple[float, float]:
-    """Noise-only objective and its derivative in log noise from
-    :func:`_spectrum`'s output, in O(n).
+def _noise_solve(reduction: _Reduction, v: float) -> tuple[float, np.ndarray]:
+    """(LML, u) at noise ``v`` from :func:`_spectrum`'s output, in O(n).
 
     One tridiagonal solve (T + v I) u = z gives the quadratic term
-    y'(K + v I)^-1 y = z'u and the gradient's data term
-    ||(K + v I)^-1 y||^2 = u'u (H is orthogonal). The log determinant and
-    tr((K + v I)^-1) come from the eigenvalues. Raises
-    :class:`NotPositiveDefinite` when LAPACK ``ptsv`` finds T + v I not
-    positive definite.
+    y'(K + v I)^-1 y = z'u; the log determinant comes from the
+    eigenvalues. Raises :class:`NotPositiveDefinite` when LAPACK ``ptsv``
+    finds T + v I not positive definite.
     """
-    lam, d, e, z = spectrum
-    v = np.exp(log_noise)
-    _, _, u, info = dptsv(d + v, e, z)
+    _, _, u, info = dptsv(reduction.d + v, reduction.e, reduction.z)
     if info != 0:
         raise NotPositiveDefinite(
             f"tridiagonal solve at noise {v:g} failed (info={info})"
         )
-    denom = lam + v
-    n = lam.shape[0]
     lml = (
-        -0.5 * float(z @ u)
-        - 0.5 * float(np.sum(np.log(denom)))
-        - 0.5 * n * _LOG_2PI
+        -0.5 * float(reduction.z @ u)
+        - 0.5 * float(np.sum(np.log(reduction.lam + v)))
+        - 0.5 * reduction.lam.shape[0] * _LOG_2PI
     )
-    grad = 0.5 * v * (float(u @ u) - float(np.sum(1.0 / denom)))
+    return lml, u
+
+
+def _noise_lml_and_grad(
+    reduction: _Reduction, log_noise: float
+) -> tuple[float, float]:
+    """Noise-only objective and its derivative in log noise, in O(n)
+    (:func:`_noise_solve`). The gradient's data term is
+    ||(K + v I)^-1 y||^2 = u'u (H is orthogonal), and
+    tr((K + v I)^-1) comes from the eigenvalues."""
+    v = np.exp(log_noise)
+    lml, u = _noise_solve(reduction, v)
+    grad = 0.5 * v * (float(u @ u) - float(np.sum(1.0 / (reduction.lam + v))))
     return lml, grad
+
+
+class Spectrum:
+    """Where the noise-only search leaves its reduction K = H T H' for
+    :func:`fit`, so that a CV fold's mean needs no second n x n block
+    (module docstring).
+
+    Hand an empty one to :func:`optimize_hyperparameters` with only the
+    noise free, then to :func:`fit` with the same inputs, targets and
+    kernel scales: fit takes the reduction out and frees its n x n block,
+    which leaves the spectrum empty again.
+    """
+
+    def __init__(self):
+        # (inputs, targets, the kernel's hyperparameters, _Reduction)
+        self._held: tuple | None = None
+
+    def _mean_only_fit(
+        self, x: np.ndarray, y: np.ndarray, hyper: Hyperparameters
+    ) -> GprModel:
+        if self._held is None:
+            raise ValueError(
+                "the spectrum is empty: optimize_hyperparameters fills it, "
+                "and one fit empties it"
+            )
+        inputs, targets, kernel, reduction = self._held
+        self._held = None
+        same_data = np.array_equal(x, inputs) and np.array_equal(y, targets)
+        if not same_data or (hyper.output_scale, hyper.length_scale) != (
+            kernel.output_scale, kernel.length_scale
+        ):
+            raise ValueError(
+                "the spectrum was reduced from other training data or kernel scales"
+            )
+        lml, u = _noise_solve(reduction, hyper.noise_variance)
+        # w = H u = H_0 (H_1 (... (H_{n-2} u))): the last reflector first.
+        a, tau = reduction.reflectors, reduction.tau
+        w = u[: x.shape[0]]
+        for i in range(x.shape[0] - 2, -1, -1):
+            v = a[i + 1 :, i]
+            w[i + 1 :] -= (tau[i] * (v @ w[i + 1 :])) * v
+        return GprModel(
+            inputs=x, targets=y, hyper=hyper, cholesky_lower=None,
+            weights=w, log_marginal=lml,
+        )
 
 
 class _Pruned(Exception):
@@ -552,6 +662,7 @@ def optimize_hyperparameters(
     targets: np.ndarray,
     initial: Hyperparameters | None = None,
     options: GpOptions = GpOptions(),
+    spectrum: Spectrum | None = None,
 ) -> Hyperparameters:
     """Maximize the log marginal likelihood over the free log parameters.
 
@@ -562,10 +673,13 @@ def optimize_hyperparameters(
 
     When only the noise is free, every start runs to completion. The
     search builds one n x n block, the gram matrix, and reduces it in
-    place to a tridiagonal T; it keeps T, the targets' coordinates z = H'y
-    and the eigenvalues, all O(n), and frees the block before the first
-    evaluation. Each evaluation is one O(n) tridiagonal solve
-    (:func:`_noise_lml_and_grad`).
+    place to a tridiagonal T, whose reflectors the block then holds. Each
+    evaluation is one O(n) tridiagonal solve with T, the targets'
+    coordinates z = H'y and the eigenvalues (:func:`_noise_lml_and_grad`).
+    The block is freed when the search returns, unless ``spectrum`` is
+    given: the search then leaves its reduction there, for :func:`fit` to
+    take a CV fold's mean-only model from. A ``spectrum`` with a free
+    scale is a ValueError.
 
     When a scale is free, the first start runs to completion; a later one
     is stopped, and takes no part in the comparison, once it is not
@@ -588,10 +702,12 @@ def optimize_hyperparameters(
     free = options.free_mask()
     n_free = int(free.sum())
     theta0 = initial.log_array()
-    noise_only = not (options.optimize_output_scale or options.optimize_length_scale)
+    noise_only = options.noise_only
+    if spectrum is not None and not noise_only:
+        raise ValueError("only the noise-only search leaves a spectrum")
 
     if noise_only:
-        spectrum = _spectrum(gram_matrix(x, initial), y)
+        reduction = _spectrum(gram_matrix(x, initial), y)
     else:
         d2 = _sq_distances(x, x)  # fixed for the whole search
         # The GEMM behind d2 can leave a few entries asymmetric; a kernel
@@ -609,7 +725,7 @@ def optimize_hyperparameters(
     def negative(theta_free: np.ndarray) -> tuple[float, np.ndarray]:
         if noise_only:
             try:
-                lml, g = _noise_lml_and_grad(spectrum, float(theta_free[0]))
+                lml, g = _noise_lml_and_grad(reduction, float(theta_free[0]))
             except NotPositiveDefinite:
                 return _FAILED, np.zeros(1)
             return -lml, np.array([-g])
@@ -696,6 +812,8 @@ def optimize_hyperparameters(
     if not best_value < _FAILED:  # also when no start completed
         raise NotPositiveDefinite("hyperparameter search found no usable optimum")
 
+    if spectrum is not None:
+        spectrum._held = (x, y, initial, reduction)
     theta = theta0.copy()
     theta[free] = best_theta
     return Hyperparameters.from_log_array(theta)
@@ -740,17 +858,16 @@ def predict(
     several times the O(n^2) solve itself on a one-row query. A block of
     one row solves with :func:`_lower_solve_vector`, to the same bits.
     """
+    lower = model._factor_for("predict")
     xq = _query_points(model, x_star)
     mean, var = np.empty(xq.shape[0]), np.empty(xq.shape[0])
     prior_var = model.hyper.output_scale**2
     for rows, k_star in _query_blocks(model, xq):
         mean[rows] = k_star.T @ model.weights
         if k_star.shape[1] == 1:
-            v = _lower_solve_vector(model.cholesky_lower, k_star[:, 0])[:, None]
+            v = _lower_solve_vector(lower, k_star[:, 0])[:, None]
         else:
-            v = solve_triangular(
-                model.cholesky_lower, k_star, lower=True, check_finite=False
-            )
+            v = solve_triangular(lower, k_star, lower=True, check_finite=False)
         var[rows] = np.maximum(prior_var - np.sum(v * v, axis=0), 0.0)
     return mean, var
 
@@ -787,7 +904,10 @@ _MODEL_KIND = "gpr-rbf"
 def save_model(model: GprModel, path, metadata: dict | None = None) -> None:
     """Serialize what :func:`fit` makes a model from (inputs, targets,
     hyperparameters), the jitter it used and free-form metadata to an npz
-    file. Every float64 array round-trips bit-exactly."""
+    file. Every float64 array round-trips bit-exactly. A mean-only model
+    is refused: :func:`load_model` would refit it with a factor, so the
+    model reloaded would not be the model saved."""
+    model._factor_for("save_model")
     np.savez(
         path,
         format_version=np.int64(_FORMAT_VERSION),
@@ -800,10 +920,14 @@ def save_model(model: GprModel, path, metadata: dict | None = None) -> None:
     )
 
 
-def load_model(path) -> tuple[GprModel, dict]:
+def load_model(path, read_metadata=None) -> tuple[GprModel, object]:
     """Inverse of :func:`save_model`: :func:`fit` on the stored arrays,
     which rebuilds the saved model bit for bit. Its n x n block and
     factorization are part of ``predict``'s and ``stream``'s start-up.
+
+    ``read_metadata(metadata, n_features)``, when given, runs before the
+    refit, so a file whose metadata it rejects (by raising) costs no
+    n x n block; what it returns is returned in place of the metadata.
 
     A file that is not a saved model of this kind and format version (not
     an npz archive, truncated or corrupt, a field of the wrong shape or
@@ -842,6 +966,8 @@ def load_model(path) -> tuple[GprModel, dict]:
         zipfile.BadZipFile, zlib.error,
     ) as exc:
         raise ModelFormatError(f"cannot load model from {path}: {exc}") from exc
+    if read_metadata is not None:
+        metadata = read_metadata(metadata, x.shape[1])
     try:
         model = fit(x, y, hyper)
     except MemoryError:

@@ -433,6 +433,25 @@ class TestTrainPredict:
         assert "Traceback" not in err
 
 
+    def test_bad_metadata_is_refused_before_the_refit(
+        self, fmg_model, quiet_knee_dir, tmp_path, monkeypatch, capsys
+    ):
+        model, meta = load_model(fmg_model)
+        del meta["column_means"]
+        broken = tmp_path / "broken.npz"
+        save_model(model, broken, meta)
+
+        def refit(*args, **kwargs):
+            raise AssertionError("the model was refit before its metadata was read")
+
+        monkeypatch.setattr(gpr, "fit", refit)
+        code = main(["predict", "--model", str(broken),
+                     "--session", str(quiet_knee_dir)])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "column_means" in line
+
+
 def stream_args(model, session, infile):
     return [
         "stream", "--model", str(model), "--session", str(session),
@@ -727,6 +746,19 @@ def test_non_finite_model_array_is_2(fmg_model, quiet_knee_dir, tmp_path,
     broken = with_nan_in_model(fmg_model, tmp_path, array)
     proc = run_on_model(command, broken, quiet_knee_dir, tmp_path)
     assert_one_line_data_error(proc, array)
+
+
+@pytest.mark.parametrize("command", ["stream", "predict"])
+def test_huge_model_input_is_one_line_2(fmg_model, quiet_knee_dir, tmp_path,
+                                        command):
+    # 1e200 is finite, so the file loads, but its square overflows in the
+    # refit's distances; numpy's overflow warnings once preceded the error.
+    with np.load(fmg_model) as data:
+        inputs = data["inputs"].copy()
+    inputs[inputs.shape[0] // 2, 0] = 1e200
+    broken = with_fields(fmg_model, tmp_path, "huge_inputs", inputs=inputs)
+    proc = run_on_model(command, broken, quiet_knee_dir, tmp_path)
+    assert_one_line_data_error(proc, "refit failed")
 
 
 def damaged_model(model_path, tmp_path, damage):

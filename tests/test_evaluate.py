@@ -1,11 +1,13 @@
 """Scoring metrics, fold assignment, CV hygiene, and result exports."""
 
 import csv
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import myotorque.evaluate as evaluate
 from myotorque.errors import (
     DegenerateTarget,
     LengthMismatch,
@@ -15,10 +17,13 @@ from myotorque.errors import (
     ZeroVariance,
 )
 from myotorque.evaluate import (
+    DEFAULT_TRAIN_CAP,
     CvResult,
     FoldAssignment,
     MetricsReport,
     _fold_of_row,
+    _normalize_columns,
+    _train,
     estimate_table,
     evaluate_cv,
     export_scatter,
@@ -35,7 +40,7 @@ from myotorque.evaluate import (
     train_model,
     write_metrics_csv,
 )
-from myotorque.gpr import GpOptions, load_model, save_model
+from myotorque.gpr import GpOptions, load_model, predict_mean, save_model
 from myotorque.preprocess import FeatureTable, Joint, ModelConfig, feature_columns
 
 
@@ -262,10 +267,11 @@ class TestEvaluateCv:
         assert dirty.cell.per_fold_mse[fold] > 10 * clean.cell.per_fold_mse[fold]
 
     def test_one_fold_model_at_a_time(self):
-        # A fold builds two n x n blocks in turn: the search's gram matrix
-        # and fit's, which becomes the model's factor. The previous fold's
-        # model is gone by then, so the peak stays near one block (n = 1,200
-        # training rows per fold here, 11.5 MB); with it alive it is two.
+        # A fold builds one n x n block, the search's gram matrix, whose
+        # reflectors give the mean-only model's weights before it is
+        # freed. The previous fold's block is gone by then, so the peak
+        # stays near one block (n = 1,200 training rows per fold here,
+        # 11.5 MB); with it alive it is two.
         table = smooth_table(n_segments=5, rows_per_segment=300)
         tracemalloc.start()
         try:
@@ -274,6 +280,53 @@ class TestEvaluateCv:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 1200**2 * 8
+
+    @pytest.mark.parametrize("case", [
+        "noise at the lower bound", "one training row", "pure noise", "noisy map",
+    ])
+    def test_mean_only_folds_match_the_cholesky_fit(self, rng, case):
+        # A noise-only fold's model comes from the search's reduction; its
+        # held-out means are those of fit + predict_mean, to rounding.
+        table, cap = smooth_table(), DEFAULT_TRAIN_CAP
+        if case == "one training row":
+            cap = 1
+        elif case == "pure noise":
+            n = 1000
+            table = make_table(
+                rng.standard_normal((n, 2)), rng.standard_normal(n),
+                1 + np.arange(n) // 100,
+            )
+        elif case == "noisy map":
+            noisy = table.targets + 0.5 * np.sin(17.0 * table.times_s)
+            table = make_table(table.rows, noisy, table.segment_of_row)
+        result = evaluate_cv(table, train_cap=cap, seed=0)
+        if case == "noise at the lower bound":
+            assert np.all(result.cell.noise_variances == math.exp(-16.0))
+        fold_of_row = result.predictions.fold_of_row
+        for fold in range(result.cell.n_folds):
+            test = fold_of_row == fold
+            est = _train(table, ~test, GpOptions(seed=0), cap)
+            assert est.model.cholesky_lower is not None
+            assert est.model.n_train == (1 if case == "one training row" else 800)
+            x_test = _normalize_columns(table.rows[test], est.column_stats)
+            expected = predict_mean(est.model, x_test)
+            err = np.max(np.abs(result.predictions.predicted_norm[test] - expected))
+            assert err <= 1e-9
+
+    @pytest.mark.parametrize("free", [False, True], ids=["noise only", "free scale"])
+    def test_only_noise_only_folds_are_mean_only(self, monkeypatch, free):
+        models = []
+        real_fit = evaluate.fit
+
+        def recording_fit(*args, **kwargs):
+            models.append(real_fit(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(evaluate, "fit", recording_fit)
+        evaluate_cv(smooth_table(4, 25), n_folds=2, seed=0,
+                    options=GpOptions(seed=0, optimize_length_scale=free))
+        assert len(models) == 2
+        assert all((m.cholesky_lower is not None) == free for m in models)
 
     def test_train_cap_is_respected(self):
         table = smooth_table()

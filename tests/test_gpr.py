@@ -30,6 +30,7 @@ from myotorque.gpr import (
     GpOptions,
     GprModel,
     Hyperparameters,
+    Spectrum,
     _cross_covariance,
     _factor,
     _noise_lml_and_grad,
@@ -748,6 +749,19 @@ class TestMemory:
         peak = traced_peak_bytes(lambda: optimize_hyperparameters(x, y))
         assert peak < 1.5 * self.N**2 * 8
 
+    def test_mean_only_fold_holds_one_gram_block(self, problem):
+        # A CV fold's search, mean-only fit and prediction together: the
+        # reflectors are applied where the search left them, so no second
+        # block (a copy of the reflectors, a gram matrix or a factor).
+        x, y, x_star = problem
+
+        def fold():
+            spectrum = Spectrum()
+            hyper = optimize_hyperparameters(x, y, spectrum=spectrum)
+            predict_mean(fit(x, y, hyper, spectrum=spectrum), x_star)
+
+        assert traced_peak_bytes(fold) < 1.5 * self.N**2 * 8
+
     @pytest.mark.parametrize("call", [predict, predict_mean])
     def test_prediction_holds_a_fraction_of_the_cross_covariance(self, problem, call):
         x, y, x_star = problem
@@ -849,7 +863,7 @@ class TestOptimize:
         opts = GpOptions(seed=0)
         tuned = optimize_hyperparameters(x, y, options=opts)
 
-        _, d, e, z = _spectrum(gram_matrix(x), y)
+        _, d, e, z = _spectrum(gram_matrix(x), y)[:4]
         lam, vecs = eigh_tridiagonal(d[:-1], e[:-1])
         y_hat = vecs.T @ z[:-1]
 
@@ -1303,3 +1317,77 @@ class TestSpectrum:
         before = k.copy()
         _spectrum(k, np.ones(20))
         assert not np.array_equal(k, before)
+
+
+def mean_only_fit(x, y, hyper=None, options=GpOptions()):
+    """fit's mean-only model from the noise search's spectrum, at the tuned
+    noise or at the noise of ``hyper``."""
+    spectrum = Spectrum()
+    tuned = optimize_hyperparameters(x, y, options=options, spectrum=spectrum)
+    return fit(x, y, hyper or tuned, spectrum=spectrum)
+
+
+class TestMeanOnlyFit:
+    """fit from the search's reduction: w = H u with (T + v I) u = z."""
+
+    @pytest.mark.parametrize(
+        "log_noise", [-16.0, -12.0, -8.0, -4.0, -1.0, 0.0, 2.0, 6.0, 8.0]
+    )
+    def test_weights_are_the_cholesky_weights(self, rng, log_noise):
+        # The two routes round differently, by about eps times the
+        # condition number of K + v I, which grows as 1 / v.
+        x = rng.standard_normal((300, 3))
+        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(300)
+        v = math.exp(log_noise)
+        hyper = Hyperparameters(noise_variance=v)
+        mean_only, exact = mean_only_fit(x, y, hyper), fit(x, y, hyper)
+        assert mean_only.cholesky_lower is None and mean_only.jitter == 0.0
+        err = np.max(np.abs(mean_only.weights - exact.weights))
+        assert err <= 1e-13 * max(1.0, 1.0 / v) * np.max(np.abs(exact.weights))
+        if log_noise >= -8.0:
+            assert mean_only.log_marginal == pytest.approx(exact.log_marginal, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    def test_small_training_sets(self, rng, n):
+        x = rng.standard_normal((n, 2))
+        y = rng.standard_normal(n)
+        model = mean_only_fit(x, y)
+        exact = fit(x, y, model.hyper)
+        xq = rng.standard_normal((7, 2))
+        assert np.allclose(predict_mean(model, xq), predict_mean(exact, xq),
+                           rtol=0.0, atol=1e-9)
+        assert model.log_marginal == pytest.approx(exact.log_marginal, rel=1e-9)
+
+    @pytest.mark.parametrize("call", [
+        lambda model, tmp_path: predict(model, model.inputs[:2]),
+        lambda model, tmp_path: lml_gradient(model),
+        lambda model, tmp_path: save_model(model, tmp_path / "m.npz"),
+        lambda model, tmp_path: log_marginal_likelihood(model),
+    ], ids=["predict", "lml_gradient", "save_model", "log_marginal_likelihood"])
+    def test_mean_only_model_refuses_what_needs_a_factor(self, rng, tmp_path, call):
+        model = mean_only_fit(rng.standard_normal((20, 2)), rng.standard_normal(20))
+        with pytest.raises(ValueError, match="mean-only"):
+            call(model, tmp_path)
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_spectrum_misuse_is_refused(self, rng):
+        x, y = rng.standard_normal((20, 2)), rng.standard_normal(20)
+        with pytest.raises(ValueError, match="noise-only"):
+            optimize_hyperparameters(
+                x, y, options=GpOptions(optimize_length_scale=True), spectrum=Spectrum()
+            )
+        with pytest.raises(ValueError, match="empty"):
+            fit(x, y, Hyperparameters(), spectrum=Spectrum())
+        spectrum = Spectrum()
+        hyper = optimize_hyperparameters(x, y, spectrum=spectrum)
+        with pytest.raises(ValueError, match="other training data"):
+            fit(x, y + 1.0, hyper, spectrum=spectrum)
+        spectrum = Spectrum()
+        hyper = optimize_hyperparameters(x, y, spectrum=spectrum)
+        with pytest.raises(ValueError, match="kernel scales"):
+            fit(x, y, dataclasses.replace(hyper, length_scale=2.0), spectrum=spectrum)
+        spectrum = Spectrum()
+        hyper = optimize_hyperparameters(x, y, spectrum=spectrum)
+        fit(x, y, hyper, spectrum=spectrum)
+        with pytest.raises(ValueError, match="empty"):
+            fit(x, y, hyper, spectrum=spectrum)
