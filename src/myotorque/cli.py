@@ -318,8 +318,9 @@ def cmd_stream(args) -> int:
     estimator = load_estimator(args.model)
     calibration = None
     if args.session:
-        standing, initial_angle = load_calibration(read_session_index(args.session))
-        calibration = compute_calibration(standing, initial_angle)
+        index = read_session_index(args.session)
+        _check_joint(index.joint, estimator.joint, args.session)
+        calibration = compute_calibration(*load_calibration(index))
     predictor = StreamingPredictor(estimator, calibration)
 
     muscles = predictor.muscles

@@ -569,6 +569,9 @@ def evaluate_with_exports(
             result.predictions.predicted_nm[rows],
             out / f"timeseries_{stem}.csv",
         )
+        # Exported: the next cell's folds, and their n x n blocks, need not
+        # coexist with this cell's table and predictions.
+        del table, result
     write_metrics_csv(report, out / "metrics.csv")
     (out / "report.txt").write_text(estimate_table(report))
     return report

@@ -8,13 +8,29 @@ noise; both scales can be freed through ``GpOptions``. A model file holds
 what :func:`fit` needs, and :func:`load_model` refits it.
 
 The noise-only search (Rasmussen & Williams 2006, sections 2.2 and 5.4)
-builds one n x n block per search: the gram matrix, which a Householder
-reduction K = H T H' overwrites in place. What it keeps is O(n): the
-tridiagonal T, z = H'y (the reflectors applied to y alone) and the
-eigenvalues of T, which are those of K; no eigenvector is computed.
-Each evaluation then solves (T + noise I) u = z with one O(n) LAPACK
-``ptsv``, so y'(K + noise I)^-1 y = z'u and ||(K + noise I)^-1 y||^2 =
-u'u, while the log determinant and the trace come from the eigenvalues.
+first asks whether K is numerically low-rank. A greedy pivoted Cholesky
+probe (on 512 rows or more) builds K's columns one at a time from the
+inputs and stops once the largest remaining diagonal falls to n eps
+times the largest diagonal (LAPACK ``dpstrf``'s default tolerance),
+which gives K = L L' to rounding (Harbrecht, Peters & Schneider 2012;
+Foster et al. 2009). When it stops within ``_PROBE_BUDGET`` (an eighth)
+of the rows, the search never builds an n x n block: a QR of the n x r
+factor L and the eigendecomposition of the r x r R R' give an
+orthonormal basis B of L's range and K = B diag(lam) B'. It keeps the
+targets' coordinates c = B'y and, explicitly, those of the residual
+y - B c, so every evaluation is O(r) past one O(n) norm and none
+subtracts terms that cancel at small noise. The two-feature kinematics
+baseline has rank 150-175 at about 1,900 rows; the EMG and FMG features
+do not stop within the budget.
+
+Otherwise the probe is freed, and the search builds one n x n block, the
+gram matrix, which a Householder reduction K = H T H' overwrites in
+place. What it keeps is O(n): the tridiagonal T, z = H'y (the
+reflectors applied to y alone) and the eigenvalues of T, which are those
+of K; no eigenvector is computed. Each evaluation then solves
+(T + noise I) u = z with one O(n) LAPACK ``ptsv``, so
+y'(K + noise I)^-1 y = z'u and ||(K + noise I)^-1 y||^2 = u'u, while the
+log determinant and the trace come from the eigenvalues.
 
 Predictions run over blocks of at most ``_QUERY_BLOCK`` query rows, so
 the cross-covariance (and, in :func:`predict`, the triangular solve)
@@ -22,17 +38,19 @@ held at any time is n x block whatever the query size.
 
 A cross-validation fold of n training and m held-out rows asks only for
 the mean, and the noise-only search's reduction already fixes it: the
-dual weights are w = (K + noise I)^-1 y = H u with (T + noise I) u = z.
-Handed a :class:`Spectrum`, the search keeps its reduced block (the
-n - 1 reflectors that make up H); :func:`fit` then solves for u with one
-more ``ptsv``, applies the reflectors to u in reverse, takes the log
-marginal likelihood from the eigenvalues and frees the block. So a fold
-builds one n x n block, the search's gram matrix, and no Cholesky
-factor; its model is mean-only (:func:`predict_mean`). The m
-predictions add one n x ``_QUERY_BLOCK`` (128) block at a time. At the
-default cap of 2,000 rows that is 32 MB for the n x n block and 2 MB
-per query block. Every other fit factors K + noise I by Cholesky, so
-that a model that is saved equals its refit bit for bit.
+dual weights are w = (K + noise I)^-1 y. Handed a :class:`Spectrum`,
+the search keeps its reduction, and :func:`fit` takes the weights from
+it and frees it: from a low-rank one, w = B (c / (lam + noise)) plus the
+residual over the noise; from a Householder one, w = H u with
+(T + noise I) u = z, the n - 1 reflectors applied to u in reverse. The
+log marginal likelihood comes from the eigenvalues. So a fold factors
+nothing by Cholesky, builds at most one n x n block, the search's gram
+matrix, and none when K is low-rank; its model is mean-only
+(:func:`predict_mean`). The m predictions add one n x ``_QUERY_BLOCK``
+(128) block at a time. At the default cap of 2,000 rows that is 32 MB
+for the n x n block and 2 MB per query block. Every other fit factors
+K + noise I by Cholesky, so that a model that is saved equals its refit
+bit for bit.
 
 The free-scale search computes the squared distances between training
 points once. Each evaluation builds the gram matrix from them once,
@@ -50,6 +68,7 @@ or stalls at a corner of the box far behind the best
 
 from __future__ import annotations
 
+import ctypes
 import json
 import zipfile
 import zlib
@@ -58,9 +77,18 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solve_triangular
+from scipy.linalg import eigh, eigvalsh_tridiagonal, solve_triangular
 from scipy.linalg.blas import dgemm, dtrsv
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dptsv, dsytrd, dsytrd_lwork
+from scipy.linalg.lapack import (
+    dgeqrf,
+    dormqr,
+    dpotrf,
+    dpotri,
+    dpotrs,
+    dptsv,
+    dsytrd,
+    dsytrd_lwork,
+)
 from scipy.optimize import minimize
 
 from .errors import (
@@ -80,6 +108,28 @@ _JITTER_LIMIT = 1e-3
 
 # Query rows per cross-covariance block in predict and predict_mean.
 _QUERY_BLOCK = 128
+
+# Noise-only search: the pivoted Cholesky probe runs on at least
+# _PROBE_MIN_ROWS training rows, takes at most _PROBE_BUDGET of them as
+# columns before the search reduces the whole gram matrix instead, and
+# may give up on a slow decay from _PROBE_WARMUP columns on
+# (:func:`_pivoted_cholesky`). A probe that gives up costs 1-3 ms, about
+# 4 % of the reduction at 512 rows and 20 % at 256 (7 features, one BLAS
+# thread), so below _PROBE_MIN_ROWS it is not tried.
+_PROBE_MIN_ROWS = 512
+_PROBE_BUDGET = 0.125
+_PROBE_WARMUP = 32
+
+# A kernel block of at least this many bytes (an n x n block from about
+# 1,000 rows) is allocated only after the C allocator's free pages are
+# handed back to the OS (:func:`_release_free_heap`).
+_TRIM_BYTES = 8 << 20
+
+try:  # glibc's; None where the C library has no malloc_trim
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
 
 
 @dataclass(frozen=True)
@@ -280,6 +330,24 @@ def _training_set(
     return x, y
 
 
+def _release_free_heap() -> None:
+    """Hand the C heap's free pages back to the OS, so that the resident
+    size of the process follows the blocks alive and not the ones freed.
+
+    Once glibc has freed one block as large as an n x n block, it raises
+    its mmap threshold to that size (up to 32 MB) and puts the next ones
+    on its heap, where a freed block's pages stay resident. Whether the
+    next block then fits the hole one left depends on what else landed
+    there: a process that trained a model while still holding the
+    previous one read a peak RSS of 215 or 240 MB from one run to the
+    next. ``malloc_trim`` returns the hole's pages, so a new block either
+    reuses the hole or extends the heap at the same resident cost. A
+    no-op where the C library has no ``malloc_trim``.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
 def _sq_distances(
     xa: np.ndarray, xb: np.ndarray, xa_norms: np.ndarray | None = None
 ) -> np.ndarray:
@@ -289,6 +357,8 @@ def _sq_distances(
         raise DimensionMismatch(
             f"input dimensions differ: {xa.shape[1]} vs {xb.shape[1]}"
         )
+    if xa.shape[0] * xb.shape[0] * 8 >= _TRIM_BYTES:
+        _release_free_heap()
     # Finite but huge inputs overflow the norms to inf; the NaN distances
     # they give fail the kernel's checks as NotPositiveDefinite (or give a
     # zero covariance to a huge query point), so numpy's warning is noise.
@@ -421,13 +491,16 @@ def fit(
 
     With ``spectrum``, which :func:`optimize_hyperparameters` filled on
     the same inputs and targets, the fit is mean-only: it factors nothing
-    and builds no n x n block. The weights are H u, u solving
-    (T + noise I) u = z by ``ptsv``, with the search's reflectors applied
-    to u in reverse; the log marginal likelihood comes from the
-    eigenvalues, and the jitter is 0. The spectrum's n x n block is freed,
-    which leaves the spectrum empty. The weights agree with the Cholesky
-    ones to rounding, not bit for bit; the model has no factor
-    (:class:`GprModel`)."""
+    and builds no n x n block. From a low-rank spectrum the weights are
+    B (c / (lam + noise)) + (y - B c) / noise, in the basis B of the
+    search's pivoted Cholesky factor; from a Householder one they are
+    H u, u solving (T + noise I) u = z by ``ptsv``, with the search's
+    reflectors applied to u in reverse. The log marginal likelihood comes
+    from the eigenvalues, and the jitter is 0. What the spectrum held is
+    freed, which leaves it empty. The weights agree with the Cholesky
+    ones to rounding, not bit for bit (and, on a low-rank spectrum, to
+    the dropped trailing block of K, whose diagonal is below n eps); the
+    model has no factor (:class:`GprModel`)."""
     x, y = _training_set(inputs, targets)
     if spectrum is not None:
         return spectrum._mean_only_fit(x, y, hyper)
@@ -595,32 +668,179 @@ def _noise_solve(reduction: _Reduction, v: float) -> tuple[float, np.ndarray]:
     return lml, u
 
 
+def _pivoted_cholesky(
+    x: np.ndarray, hyper: Hyperparameters, budget: int
+) -> np.ndarray | None:
+    """The greedy pivoted Cholesky factor of the RBF gram matrix of ``x``
+    when its numerical rank is at most ``budget``; else None.
+
+    Each step takes as pivot the row of largest remaining diagonal (the
+    largest conditional variance given the pivots so far), builds that
+    one kernel column from the inputs and subtracts the columns already
+    taken, so no n x n block is built. It stops when the largest remaining
+    diagonal falls to LAPACK ``dpstrf``'s default tolerance, n eps times
+    the largest diagonal of K; the r columns taken by then give
+    K = L L' to rounding (Harbrecht, Peters & Schneider 2012). The result
+    is L' (r x n).
+
+    It returns None when it cannot stop within ``budget`` columns: when
+    it has taken them all, meets a non-finite pivot (finite but huge
+    inputs) or, from :data:`_PROBE_WARMUP` columns on, when the decay of
+    the largest remaining diagonal over the second half of the columns
+    taken, continued geometrically to ``budget`` columns, would still not
+    reach the tolerance. The first pivots of an RBF kernel fall more
+    slowly than the later ones, so the decay since the start would
+    understate the rate.
+    """
+    n = x.shape[0]
+    with np.errstate(over="ignore"):  # huge inputs: as in _sq_distances
+        norms = np.sum(x * x, axis=1)
+    remaining = np.full(n, hyper.output_scale**2)
+    tolerance = n * np.finfo(np.float64).eps * hyper.output_scale**2
+    log_pivots = []
+    factor = np.empty((budget, n))
+    for j in range(budget + 1):
+        p = int(np.argmax(remaining))
+        pivot = remaining[p]
+        if not np.isfinite(pivot):
+            return None
+        if pivot <= tolerance:
+            return factor[:j]
+        log_pivots.append(np.log(pivot))
+        if j == budget:
+            return None
+        if j >= _PROBE_WARMUP:
+            rate = (log_pivots[j] - log_pivots[j // 2]) / (j - j // 2)
+            if log_pivots[j] + (budget - j) * rate > np.log(tolerance):
+                return None
+        column = _cross_covariance(x, x[p : p + 1], hyper, norms)[:, 0]
+        column -= factor[:j].T @ factor[:j, p]
+        column /= np.sqrt(pivot)
+        factor[j] = column
+        remaining -= column * column
+
+
+class _LowRank(NamedTuple):
+    """K = Q1 U diag(lam) U' Q1' to rounding, as :func:`_low_rank` leaves
+    it: Q = [Q1 Q2] the orthogonal factor of a QR of L, held as LAPACK's
+    reflectors."""
+
+    lam: np.ndarray
+    c: np.ndarray
+    outside: np.ndarray
+    rotation: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
+
+
+def _low_rank(factor: np.ndarray, y: np.ndarray) -> _LowRank:
+    """What the noise-only search needs from a pivoted Cholesky factor
+    (r x n, :func:`_pivoted_cholesky`, overwritten):
+    (lam, c, outside, rotation, reflectors, tau).
+
+    L = Q R by LAPACK ``geqrf``, and R R' = U diag(lam) U' (r x r), so
+    B = Q1 U is an orthonormal basis of L's range and K = L L' =
+    B diag(lam) B'; lam are K's nonzero eigenvalues, clamped at zero
+    against rounding. Q'y = (z1, z2) splits the targets: c = U'z1 = B'y
+    are their coordinates in the basis, and ``outside`` = z2 those of
+    the residual y - B c = Q2 z2, which the noise alone sees. The
+    residual is kept in these coordinates, computed by orthogonal
+    transforms and never by subtracting B c from y, which would cancel at
+    small noise.
+    """
+    r = factor.shape[0]
+    # factor.T is the Fortran-ordered view, so geqrf works in place.
+    qr, tau, _, info = dgeqrf(factor.T, overwrite_a=1)
+    if info != 0:
+        raise NumericalError(
+            f"QR of the pivoted Cholesky factor failed (info={info})"
+        )
+    upper = np.triu(qr[:r, :r])
+    lam, rotation = eigh(upper @ upper.T, check_finite=False)
+    z = _apply_q(qr, tau, y, "T")
+    return _LowRank(
+        np.maximum(lam, 0.0), rotation.T @ z[:r], z[r:], rotation, qr, tau
+    )
+
+
+def _apply_q(
+    reflectors: np.ndarray, tau: np.ndarray, b: np.ndarray, trans: str
+) -> np.ndarray:
+    """Q b (``trans`` "N") or Q'b ("T") for the orthogonal factor of a
+    ``geqrf`` QR, applied reflector by reflector (LAPACK ``ormqr``)."""
+    qb, _, info = dormqr("L", trans, reflectors, tau, b[:, None], lwork=1)
+    if info != 0:
+        raise NumericalError(f"applying the QR factor failed (info={info})")
+    return qb[:, 0]
+
+
+def _low_rank_solve(low: _LowRank, v: float) -> tuple[float, np.ndarray, float]:
+    """(LML, c / (lam + v), ||outside||^2) at noise ``v``, in O(r) past
+    the O(n) norm: in the basis (K + v I)^-1 y has the coordinates
+    c / (lam + v), outside it the residual / v, and the n - r eigenvalues
+    outside the basis are 0."""
+    n, r = low.c.shape[0] + low.outside.shape[0], low.lam.shape[0]
+    coef = low.c / (low.lam + v)
+    outside = float(low.outside @ low.outside)
+    lml = (
+        -0.5 * (float(low.c @ coef) + outside / v)
+        - 0.5 * (float(np.sum(np.log(low.lam + v))) + (n - r) * np.log(v))
+        - 0.5 * n * _LOG_2PI
+    )
+    return lml, coef, outside
+
+
 def _noise_lml_and_grad(
-    reduction: _Reduction, log_noise: float
+    reduction: _Reduction | _LowRank, log_noise: float
 ) -> tuple[float, float]:
-    """Noise-only objective and its derivative in log noise, in O(n)
-    (:func:`_noise_solve`). The gradient's data term is
-    ||(K + v I)^-1 y||^2 = u'u (H is orthogonal), and
-    tr((K + v I)^-1) comes from the eigenvalues."""
+    """Noise-only objective and its derivative in log noise: O(n) from a
+    Householder reduction (:func:`_noise_solve`), O(r) past one O(n) norm
+    from a low-rank one (:func:`_low_rank_solve`). The gradient's data term
+    is ||(K + v I)^-1 y||^2, u'u (H is orthogonal) or the sum of the
+    basis and residual parts, and tr((K + v I)^-1) comes from the
+    eigenvalues, with 1 / v for each one outside a low-rank basis."""
     v = np.exp(log_noise)
+    if isinstance(reduction, _LowRank):
+        lml, coef, outside = _low_rank_solve(reduction, v)
+        n_outside = reduction.outside.shape[0]
+        data = float(coef @ coef) + outside / v**2
+        trace = float(np.sum(1.0 / (reduction.lam + v))) + n_outside / v
+        return lml, 0.5 * v * (data - trace)
     lml, u = _noise_solve(reduction, v)
     grad = 0.5 * v * (float(u @ u) - float(np.sum(1.0 / (reduction.lam + v))))
     return lml, grad
 
 
+def _noise_reduction(
+    x: np.ndarray, y: np.ndarray, hyper: Hyperparameters
+) -> _Reduction | _LowRank:
+    """The noise-only search's reduction of K: low-rank when the pivoted
+    Cholesky probe stops within :data:`_PROBE_BUDGET` of the rows, else
+    the Householder reduction of the gram matrix. The probe's columns are
+    freed before the gram matrix is built."""
+    n = x.shape[0]
+    if n >= _PROBE_MIN_ROWS:
+        factor = _pivoted_cholesky(x, hyper, int(_PROBE_BUDGET * n))
+        if factor is not None:
+            return _low_rank(factor, y)
+    return _spectrum(gram_matrix(x, hyper), y)
+
+
 class Spectrum:
-    """Where the noise-only search leaves its reduction K = H T H' for
+    """Where the noise-only search leaves its reduction of K for
     :func:`fit`, so that a CV fold's mean needs no second n x n block
-    (module docstring).
+    (module docstring): the low-rank basis of a pivoted Cholesky factor
+    when K's numerical rank is within the probe's budget, which holds no
+    n x n block at all, or else the Householder reduction K = H T H'.
 
     Hand an empty one to :func:`optimize_hyperparameters` with only the
     noise free, then to :func:`fit` with the same inputs, targets and
-    kernel scales: fit takes the reduction out and frees its n x n block,
-    which leaves the spectrum empty again.
+    kernel scales: fit takes the reduction out and frees it, which leaves
+    the spectrum empty again.
     """
 
     def __init__(self):
-        # (inputs, targets, the kernel's hyperparameters, _Reduction)
+        # (inputs, targets, the kernel's hyperparameters, _LowRank or _Reduction)
         self._held: tuple | None = None
 
     def _mean_only_fit(
@@ -640,13 +860,23 @@ class Spectrum:
             raise ValueError(
                 "the spectrum was reduced from other training data or kernel scales"
             )
-        lml, u = _noise_solve(reduction, hyper.noise_variance)
-        # w = H u = H_0 (H_1 (... (H_{n-2} u))): the last reflector first.
-        a, tau = reduction.reflectors, reduction.tau
-        w = u[: x.shape[0]]
-        for i in range(x.shape[0] - 2, -1, -1):
-            v = a[i + 1 :, i]
-            w[i + 1 :] -= (tau[i] * (v @ w[i + 1 :])) * v
+        noise = hyper.noise_variance
+        if isinstance(reduction, _LowRank):
+            lml, coef, _ = _low_rank_solve(reduction, noise)
+            # w = Q (U coef, outside / v): the basis part and the residual's.
+            w = _apply_q(
+                reduction.reflectors, reduction.tau,
+                np.concatenate([reduction.rotation @ coef, reduction.outside / noise]),
+                "N",
+            )
+        else:
+            lml, u = _noise_solve(reduction, noise)
+            # w = H u = H_0 (H_1 (... (H_{n-2} u))): the last reflector first.
+            a, tau = reduction.reflectors, reduction.tau
+            w = u[: x.shape[0]]
+            for i in range(x.shape[0] - 2, -1, -1):
+                v = a[i + 1 :, i]
+                w[i + 1 :] -= (tau[i] * (v @ w[i + 1 :])) * v
         return GprModel(
             inputs=x, targets=y, hyper=hyper, cholesky_lower=None,
             weights=w, log_marginal=lml,
@@ -671,15 +901,21 @@ def optimize_hyperparameters(
     Raises :class:`NotPositiveDefinite` when none of them reached a point
     whose covariance could be factored.
 
-    When only the noise is free, every start runs to completion. The
-    search builds one n x n block, the gram matrix, and reduces it in
-    place to a tridiagonal T, whose reflectors the block then holds. Each
-    evaluation is one O(n) tridiagonal solve with T, the targets'
-    coordinates z = H'y and the eigenvalues (:func:`_noise_lml_and_grad`).
-    The block is freed when the search returns, unless ``spectrum`` is
-    given: the search then leaves its reduction there, for :func:`fit` to
-    take a CV fold's mean-only model from. A ``spectrum`` with a free
-    scale is a ValueError.
+    When only the noise is free, every start runs to completion, and the
+    objective follows K's numerical rank (module docstring). On at least
+    :data:`_PROBE_MIN_ROWS` rows, a pivoted Cholesky probe builds K's
+    columns from the inputs. If it stops within
+    :data:`_PROBE_BUDGET` of the rows, each evaluation is O(r) in the
+    orthonormal basis of its factor, and no n x n block is built. If not
+    (it also gives up early on a decay too slow to stop in time), the
+    probe is freed, and the search builds one n x n block, the gram
+    matrix, and reduces it in place to a tridiagonal T, whose reflectors
+    the block then holds; each evaluation is one O(n) tridiagonal solve
+    with T, the targets' coordinates z = H'y and the eigenvalues. Both
+    are :func:`_noise_lml_and_grad`. The reduction is freed when the
+    search returns, unless ``spectrum`` is given: the search then leaves
+    it there, for :func:`fit` to take a CV fold's mean-only model from. A
+    ``spectrum`` with a free scale is a ValueError.
 
     When a scale is free, the first start runs to completion; a later one
     is stopped, and takes no part in the comparison, once it is not
@@ -707,7 +943,7 @@ def optimize_hyperparameters(
         raise ValueError("only the noise-only search leaves a spectrum")
 
     if noise_only:
-        reduction = _spectrum(gram_matrix(x, initial), y)
+        reduction = _noise_reduction(x, y, initial)
     else:
         d2 = _sq_distances(x, x)  # fixed for the whole search
         # The GEMM behind d2 can leave a few entries asymmetric; a kernel

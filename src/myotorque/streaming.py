@@ -79,7 +79,9 @@ class StreamingPredictor:
     Expects one row per FMG-rate tick: the raw angle plus, for FMG models,
     the raw FMG value of each of the model's muscles in their fixed order.
     A tick rejected with :class:`DataError` moves no state: the filter,
-    the previous angle and the tick clock stay as they were.
+    the previous angle and the tick clock stay as they were. A
+    calibration without an offset for one of the model's muscles (another
+    joint's) is a :class:`DataError` at construction.
     """
 
     estimator: TrainedEstimator
@@ -94,6 +96,15 @@ class StreamingPredictor:
                 "streaming supports baseline and fmg models only; "
                 "the EMG envelope is not causal"
             )
+        if self.calibration is not None:
+            missing = [
+                m.name for m in self.muscles if m not in self.calibration.fmg_offsets
+            ]
+            if missing:
+                raise DataError(
+                    f"calibration has no FMG offset for {', '.join(missing)}, "
+                    f"which the {self.estimator.joint.value} model needs"
+                )
         self._angle_filter = CausalFilter(angle_prefilter(self.estimator.sample_rate_hz))
 
     @property

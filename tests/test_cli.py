@@ -478,6 +478,20 @@ class TestStream:
         assert "Traceback" not in proc.stderr
         assert f"{rate:g}" in proc.stderr
 
+    def test_session_of_other_joint_is_2(self, fmg_model, tmp_path):
+        # Checked before any row is read: the ankle calibration has no
+        # offset for the knee model's muscles.
+        ankle = tmp_path / "ankle"
+        write_session(generate_session(short_spec(Joint.ANKLE)), ankle)
+        infile = tmp_path / "rows.csv"
+        infile.write_text("0.0,30.0,0.1,0.2,0.1,0.2,0.1\n")
+        proc = run_cli(*stream_args(fmg_model, ankle, infile))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert "ankle" in proc.stderr
+
     def test_headerless_rows(self, fmg_model, quiet_knee_dir, tmp_path, capsys):
         infile = tmp_path / "rows.csv"
         lines = [

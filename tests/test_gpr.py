@@ -9,6 +9,7 @@ finite differences in log-parameter space.
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -762,6 +763,25 @@ class TestMemory:
 
         assert traced_peak_bytes(fold) < 1.5 * self.N**2 * 8
 
+    def test_free_heap_is_released_before_each_training_block(self, problem, monkeypatch):
+        # Each n x n block (18 MB here) is allocated after the C heap's free
+        # pages go back to the OS; a query block (n x 128, 1.5 MB) is not.
+        x, y, x_star = problem
+        model = fit(x, y, Hyperparameters(noise_variance=0.01))
+        releases = []
+        monkeypatch.setattr(gpr, "_release_free_heap", lambda: releases.append(1))
+        gram_matrix(x)
+        assert len(releases) == 1
+        predict(model, x_star)
+        predict_mean(model, x_star)
+        assert len(releases) == 1
+        fit(x, y, Hyperparameters(noise_variance=0.01))
+        assert len(releases) == 2
+
+    def test_releasing_the_free_heap_is_safe_to_call(self):
+        gpr._release_free_heap()
+        gpr._release_free_heap()
+
     @pytest.mark.parametrize("call", [predict, predict_mean])
     def test_prediction_holds_a_fraction_of_the_cross_covariance(self, problem, call):
         x, y, x_star = problem
@@ -1391,3 +1411,184 @@ class TestMeanOnlyFit:
         fit(x, y, hyper, spectrum=spectrum)
         with pytest.raises(ValueError, match="empty"):
             fit(x, y, hyper, spectrum=spectrum)
+
+
+def baseline_shaped(session, stride):
+    """Every ``stride``-th normalized (angle, velocity) row of a default
+    session with its normalized torque: the two-feature inputs whose RBF
+    kernel has numerical rank 150-175."""
+    calib = compute_calibration(session.standing, session.initial_angle)
+    table = concat_tables([
+        build_features(t.recording, session.spec.joint, ModelConfig.BASELINE, calib)
+        for t in session.takes
+    ])
+    keep = slice(None, None, stride)
+    x, y = table.rows[keep], table.targets[keep]
+    return (x - x.mean(axis=0)) / x.std(axis=0), (y - y.mean()) / y.std()
+
+
+def clustered(n_clusters, copies):
+    """``copies`` rows at each of ``n_clusters`` 1-D points 40 apart: the
+    kernel between clusters underflows to zero, so K has rank
+    ``n_clusters`` exactly."""
+    x = np.repeat(40.0 * np.arange(n_clusters), copies)[:, None]
+    y = np.random.default_rng(n_clusters).standard_normal(x.shape[0])
+    return x, y
+
+
+def searched(x, y, initial=None):
+    """(tuned hyperparameters, the mean-only model at them, which
+    reduction the search used)."""
+    spectrum = Spectrum()
+    tuned = optimize_hyperparameters(x, y, initial=initial, spectrum=spectrum)
+    kind = type(spectrum._held[3])
+    return tuned, fit(x, y, tuned, spectrum=spectrum), kind
+
+
+class TestLowRankSearch:
+    """The noise-only search on a kernel of low numerical rank: the
+    pivoted Cholesky probe's basis against the Householder reduction
+    (the probe's budget set to zero) and the Cholesky ``fit``."""
+
+    @pytest.fixture(params=["1-D", "duplicated rows", "baseline-shaped"])
+    def problem(self, request, knee_session):
+        rng = np.random.default_rng(5)
+        if request.param == "1-D":
+            x = rng.uniform(-3.0, 3.0, (600, 1))
+            y = np.sin(2.0 * x[:, 0]) + 0.1 * rng.standard_normal(600)
+        elif request.param == "duplicated rows":
+            x = np.full((600, 2), 0.3)
+            y = rng.standard_normal(600)
+        else:
+            x, y = baseline_shaped(knee_session, 14)
+            assert x.shape[0] == 1727
+        x_star = rng.uniform(x.min(axis=0), x.max(axis=0), (300, x.shape[1]))
+        return request.param, x, y, x_star
+
+    def test_matches_the_householder_search(self, problem, monkeypatch):
+        _, x, y, _ = problem
+        tuned, model, kind = searched(x, y)
+        assert kind is gpr._LowRank
+        monkeypatch.setattr(gpr, "_PROBE_BUDGET", 0.0)
+        ref_tuned, ref_model, ref_kind = searched(x, y)
+        assert ref_kind is gpr._Reduction
+        assert tuned.noise_variance == pytest.approx(ref_tuned.noise_variance, rel=1e-6)
+        assert model.log_marginal == pytest.approx(ref_model.log_marginal, rel=1e-9)
+
+    @pytest.mark.parametrize("noise_free", [False, True],
+                             ids=["noisy targets", "noise at the lower bound"])
+    def test_held_out_means_are_the_cholesky_ones(self, problem, noise_free):
+        # The probe drops a trailing block of K whose diagonal is below
+        # n eps: on the baseline-shaped inputs its 2-norm is about 1e-11,
+        # which at the lower bound's noise of 1.1e-7 moves the means by up
+        # to about 8e-9 sd, against 2e-11 from the low-rank solve itself.
+        name, x, y, x_star = problem
+        bound = 1e-8 if noise_free and name == "baseline-shaped" else 1e-9
+        if noise_free:
+            # A smooth map of the inputs, which the search interpolates.
+            y = np.sin(x[:, 0]) + 0.5 * np.cos(x[:, -1])
+        tuned, model, kind = searched(x, y)
+        assert kind is gpr._LowRank and model.cholesky_lower is None
+        if noise_free:
+            assert tuned.noise_variance == math.exp(gpr.LOG_BOUNDS[0])
+        exact = fit(x, y, model.hyper)
+        assert exact.jitter == 0.0
+        err = np.max(np.abs(predict_mean(model, x_star) - predict_mean(exact, x_star)))
+        # Identical rows interpolated exactly share one target: sd 0.
+        assert err <= bound * (np.std(y) if np.ptp(y) > 0 else 1.0)
+
+    def test_non_unit_kernel_scales(self, monkeypatch):
+        # The tolerance and the first diagonal scale with the output scale.
+        rng = np.random.default_rng(10)
+        x = rng.uniform(-3.0, 3.0, (600, 1))
+        y = np.sin(2.0 * x[:, 0]) + 0.1 * rng.standard_normal(600)
+        initial = Hyperparameters(output_scale=1.5, length_scale=0.7)
+        tuned, model, kind = searched(x, y, initial)
+        assert kind is gpr._LowRank
+        assert (tuned.output_scale, tuned.length_scale) == (1.5, 0.7)
+        monkeypatch.setattr(gpr, "_PROBE_BUDGET", 0.0)
+        ref_tuned, ref_model, _ = searched(x, y, initial)
+        assert tuned.noise_variance == pytest.approx(ref_tuned.noise_variance, rel=1e-6)
+        assert model.log_marginal == pytest.approx(ref_model.log_marginal, rel=1e-9)
+        x_star = rng.uniform(-3.0, 3.0, (300, 1))
+        exact = fit(x, y, tuned)
+        err = np.max(np.abs(predict_mean(model, x_star) - predict_mean(exact, x_star)))
+        assert err <= 1e-9 * np.std(y)
+
+    def test_full_rank_inputs_take_the_householder_path_bit_for_bit(self, monkeypatch):
+        # Seven features: the probe gives up, and what follows is the
+        # Householder search as if no probe had run.
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((600, 7))
+        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(600)
+        probes = []
+        real = gpr._pivoted_cholesky
+        monkeypatch.setattr(gpr, "_pivoted_cholesky",
+                            lambda *args: probes.append(real(*args)) or probes[-1])
+        tuned, model, kind = searched(x, y)
+        assert kind is gpr._Reduction and probes == [None]
+        monkeypatch.setattr(gpr, "_PROBE_BUDGET", 0.0)
+        ref_tuned, ref_model, _ = searched(x, y)
+        assert tuned == ref_tuned
+        assert np.array_equal(model.weights, ref_model.weights)
+        assert model.log_marginal == ref_model.log_marginal
+
+    @pytest.mark.parametrize("n_clusters, copies, low_rank", [
+        (1, 1, False),    # n = 1
+        (16, 31, False),  # 496 rows, below the probe's 512
+        (16, 32, True),   # 512 rows of rank 16
+        (1, 600, True),   # rank 1
+    ])
+    def test_row_and_rank_edges(self, monkeypatch, n_clusters, copies, low_rank):
+        x, y = clustered(n_clusters, copies)
+        tuned, model, kind = searched(x, y)
+        assert (kind is gpr._LowRank) == low_rank
+        monkeypatch.setattr(gpr, "_PROBE_BUDGET", 0.0)
+        ref_tuned, ref_model, _ = searched(x, y)
+        assert tuned.noise_variance == pytest.approx(ref_tuned.noise_variance, rel=1e-6)
+        assert model.log_marginal == pytest.approx(ref_model.log_marginal, rel=1e-9)
+        assert np.allclose(model.weights, ref_model.weights, rtol=1e-6, atol=1e-9)
+
+    def test_probe_stops_at_a_rank_exactly_at_its_budget(self):
+        x, _ = clustered(10, 8)
+        factor = gpr._pivoted_cholesky(x, Hyperparameters(), 10)
+        assert factor.shape == (10, 80)
+        assert np.allclose(factor.T @ factor, gram_matrix(x), rtol=0.0, atol=1e-15)
+        assert gpr._pivoted_cholesky(x, Hyperparameters(), 9) is None
+
+    def test_slow_first_pivots_are_no_reason_to_give_up(self, ankle_session):
+        # Rank 169 within a budget of 180. The first 32 pivots fall more
+        # slowly than the rest: their decay, continued to the budget,
+        # would not reach the tolerance, and the last half's does.
+        x, _ = baseline_shaped(ankle_session, 17)
+        assert x.shape[0] == 1441
+        factor = gpr._pivoted_cholesky(x, Hyperparameters(), 180)
+        assert factor is not None and factor.shape[0] <= 180
+
+    def test_huge_input_row_still_raises(self):
+        # The row's squared norm overflows and its own kernel entry is NaN:
+        # the probe gives up on it, and the gram matrix is refused as before.
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-3.0, 3.0, (600, 1))
+        x[5, 0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite):
+                optimize_hyperparameters(x, np.sin(x[:, 0] % 7.0))
+
+    def test_fold_builds_no_n_by_n_block(self):
+        n = 1200
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-3.0, 3.0, (n, 1))
+        y = np.sin(2.0 * x[:, 0]) + 0.1 * rng.standard_normal(n)
+        x_star = rng.uniform(-3.0, 3.0, (500, 1))
+        kinds = []
+
+        def fold():
+            _, model, kind = searched(x, y)
+            kinds.append(kind)
+            predict_mean(model, x_star)
+
+        peak = traced_peak_bytes(fold)
+        assert kinds == [gpr._LowRank]
+        assert peak < n * n * 8 / 4

@@ -98,6 +98,11 @@ class TestStreamingPredictor:
         with pytest.raises(DataError, match="causal"):
             StreamingPredictor(est, session.calibration)
 
+    def test_calibration_of_another_joint_rejected(self, fmg_setup, ankle_session):
+        _, estimator = fmg_setup
+        with pytest.raises(DataError, match="no FMG offset for BF"):
+            StreamingPredictor(estimator, ankle_session.calibration)
+
     def test_fmg_value_count_enforced(self, fmg_setup):
         session, estimator = fmg_setup
         stream = StreamingPredictor(estimator, session.calibration)
