@@ -7,30 +7,19 @@ kernel is exactly exp(-||x - x'||^2 / 2), and tunes only the observation
 noise; both scales can be freed through ``GpOptions``. A model file holds
 what :func:`fit` needs, and :func:`load_model` refits it.
 
-The noise-only search (Rasmussen & Williams 2006, sections 2.2 and 5.4)
-first asks whether K is numerically low-rank. A greedy pivoted Cholesky
-probe (on 512 rows or more) builds K's columns one at a time from the
-inputs and stops once the largest remaining diagonal falls to n eps
-times the largest diagonal (LAPACK ``dpstrf``'s default tolerance),
-which gives K = L L' to rounding (Harbrecht, Peters & Schneider 2012;
-Foster et al. 2009). When it stops within ``_PROBE_BUDGET`` (an eighth)
-of the rows, the search never builds an n x n block: a QR of the n x r
-factor L and the eigendecomposition of the r x r R R' give an
-orthonormal basis B of L's range and K = B diag(lam) B'. It keeps the
-targets' coordinates c = B'y and, explicitly, those of the residual
-y - B c, so every evaluation is O(r) past one O(n) norm and none
-subtracts terms that cancel at small noise. The two-feature kinematics
-baseline has rank 150-175 at about 1,900 rows; the EMG and FMG features
-do not stop within the budget.
-
-Otherwise the probe is freed, and the search builds one n x n block, the
-gram matrix, which a Householder reduction K = H T H' overwrites in
-place. What it keeps is O(n): the tridiagonal T, z = H'y (the
-reflectors applied to y alone) and the eigenvalues of T, which are those
-of K; no eigenvector is computed. Each evaluation then solves
-(T + noise I) u = z with one O(n) LAPACK ``ptsv``, so
-y'(K + noise I)^-1 y = z'u and ||(K + noise I)^-1 y||^2 = u'u, while the
-log determinant and the trace come from the eigenvalues.
+The hyperparameter search (:func:`optimize_hyperparameters`) is one
+multi-start L-BFGS-B driver, :func:`_multi_start`, over one of two
+objectives, each mapping the free log parameters to the log marginal
+likelihood and its gradient. With the noise alone free (Rasmussen &
+Williams 2006, sections 2.2 and 5.4), the objective is a reduction of K
+made once per search (:func:`_noise_reduction`): the low-rank basis of a
+pivoted Cholesky factor (:class:`_LowRank`, O(r) per evaluation and no
+n x n block) when K's numerical rank is within an eighth of the rows,
+else the Householder reduction K = H T H' of the gram matrix in place
+(:class:`_Reduction`, O(n) per evaluation). With a scale free, it is
+:func:`_free_scale_objective`, which factors K + noise I once per
+evaluation. The driver gives a point whose covariance cannot be factored
+a finite sentinel, and stops later free-scale starts that cannot win.
 
 Predictions run over blocks of at most ``_QUERY_BLOCK`` query rows, so
 the cross-covariance (and, in :func:`predict`, the triangular solve)
@@ -39,31 +28,15 @@ held at any time is n x block whatever the query size.
 A cross-validation fold of n training and m held-out rows asks only for
 the mean, and the noise-only search's reduction already fixes it: the
 dual weights are w = (K + noise I)^-1 y. Handed a :class:`Spectrum`,
-the search keeps its reduction, and :func:`fit` takes the weights from
-it and frees it: from a low-rank one, w = B (c / (lam + noise)) plus the
-residual over the noise; from a Householder one, w = H u with
-(T + noise I) u = z, the n - 1 reflectors applied to u in reverse. The
-log marginal likelihood comes from the eigenvalues. So a fold factors
-nothing by Cholesky, builds at most one n x n block, the search's gram
-matrix, and none when K is low-rank; its model is mean-only
-(:func:`predict_mean`). The m predictions add one n x ``_QUERY_BLOCK``
-(128) block at a time. At the default cap of 2,000 rows that is 32 MB
-for the n x n block and 2 MB per query block. Every other fit factors
-K + noise I by Cholesky, so that a model that is saved equals its refit
-bit for bit.
-
-The free-scale search computes the squared distances between training
-points once. Each evaluation builds the gram matrix from them once,
-with the bits :func:`gram_matrix` gives, so its objective equals
-``fit(...).log_marginal`` bit for bit; factors a copy of it once
-with LAPACK ``potrf``, in place; and hands the distances and the gram
-matrix to :func:`lml_gradient`, which inverts the factor once (LAPACK
-``potri``) and builds no kernel of its own. Its model skips what a
-returned one gets: the validation scans and zeros above the factor's
-diagonal, which nothing it is handed to reads. Of the search's starts,
-a later one stops once it enters the basin of an optimum already found
-or stalls at a corner of the box far behind the best
-(:func:`optimize_hyperparameters`).
+the search keeps its reduction, and :func:`fit` takes the weights and
+the log marginal likelihood from it (its ``weights(noise)``) and frees
+it. So a fold factors nothing by Cholesky, builds at most one n x n
+block, the search's gram matrix, and none when K is low-rank; its model
+is mean-only (:func:`predict_mean`). The m predictions add one
+n x ``_QUERY_BLOCK`` (128) block at a time. At the default cap of 2,000
+rows that is 32 MB for the n x n block and 2 MB per query block. Every
+other fit factors K + noise I by Cholesky, so that a model that is saved
+equals its refit bit for bit.
 """
 
 from __future__ import annotations
@@ -491,16 +464,13 @@ def fit(
 
     With ``spectrum``, which :func:`optimize_hyperparameters` filled on
     the same inputs and targets, the fit is mean-only: it factors nothing
-    and builds no n x n block. From a low-rank spectrum the weights are
-    B (c / (lam + noise)) + (y - B c) / noise, in the basis B of the
-    search's pivoted Cholesky factor; from a Householder one they are
-    H u, u solving (T + noise I) u = z by ``ptsv``, with the search's
-    reflectors applied to u in reverse. The log marginal likelihood comes
-    from the eigenvalues, and the jitter is 0. What the spectrum held is
-    freed, which leaves it empty. The weights agree with the Cholesky
-    ones to rounding, not bit for bit (and, on a low-rank spectrum, to
-    the dropped trailing block of K, whose diagonal is below n eps); the
-    model has no factor (:class:`GprModel`)."""
+    and builds no n x n block. The weights and the log marginal
+    likelihood come from the search's reduction of K (its ``weights``),
+    and the jitter is 0. What the spectrum held is freed, which leaves
+    it empty. The weights agree with the Cholesky ones to rounding, not
+    bit for bit (and, on a low-rank spectrum, to the dropped trailing
+    block of K, whose diagonal is below n eps); the model has no factor
+    (:class:`GprModel`)."""
     x, y = _training_set(inputs, targets)
     if spectrum is not None:
         return spectrum._mean_only_fit(x, y, hyper)
@@ -545,17 +515,16 @@ def log_marginal_likelihood(model: GprModel) -> float:
 
 def lml_gradient(
     model: GprModel,
-    active: np.ndarray | None = None,
     *,
     blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Marginal-likelihood gradient w.r.t. the log hyperparameters.
 
     Components are ordered (log output_scale, log length_scale,
-    log noise_variance); ``active`` selects a subset. Uses
-    tr((ww' - (K + noise I)^-1) dK/dt) / 2 with w the dual weights
-    (Rasmussen & Williams 2006, section 5.4.1), so each component is
-    (w' M w - tr((K + noise I)^-1 M)) / 2 for the symmetric dK/dt = M.
+    log noise_variance). Uses tr((ww' - (K + noise I)^-1) dK/dt) / 2
+    with w the dual weights (Rasmussen & Williams 2006, section 5.4.1),
+    so each component is (w' M w - tr((K + noise I)^-1 M)) / 2 for the
+    symmetric dK/dt = M.
 
     The inverse comes from the lower triangle of the stored factor by
     LAPACK ``potri``; whatever lies above the diagonal is never read.
@@ -594,13 +563,12 @@ def lml_gradient(
     grads[2] = 0.5 * hyper.noise_variance * (
         float(alpha @ alpha) - float(np.sum(inv_diag))
     )
-    if active is not None:
-        return grads[np.asarray(active, dtype=bool)]
     return grads
 
 
 class _Reduction(NamedTuple):
-    """K = H T H' as :func:`_spectrum` leaves it."""
+    """K = H T H' as :func:`_spectrum` leaves it: the noise-only objective
+    in O(n) per evaluation."""
 
     lam: np.ndarray
     d: np.ndarray
@@ -608,6 +576,43 @@ class _Reduction(NamedTuple):
     z: np.ndarray
     reflectors: np.ndarray
     tau: np.ndarray
+
+    def _solve(self, v: float) -> tuple[float, np.ndarray]:
+        """(LML, u) at noise ``v``. One tridiagonal solve (T + v I) u = z
+        gives the quadratic term y'(K + v I)^-1 y = z'u; the log
+        determinant comes from the eigenvalues. Raises
+        :class:`NotPositiveDefinite` when LAPACK ``ptsv`` finds T + v I
+        not positive definite."""
+        _, _, u, info = dptsv(self.d + v, self.e, self.z)
+        if info != 0:
+            raise NotPositiveDefinite(
+                f"tridiagonal solve at noise {v:g} failed (info={info})"
+            )
+        lml = (
+            -0.5 * float(self.z @ u)
+            - 0.5 * float(np.sum(np.log(self.lam + v)))
+            - 0.5 * self.lam.shape[0] * _LOG_2PI
+        )
+        return lml, u
+
+    def lml_and_grad(self, log_noise: float) -> tuple[float, float]:
+        """The LML and its derivative in log noise. The gradient's data
+        term ||(K + v I)^-1 y||^2 is u'u, as H is orthogonal, and
+        tr((K + v I)^-1) comes from the eigenvalues."""
+        v = np.exp(log_noise)
+        lml, u = self._solve(v)
+        return lml, 0.5 * v * (float(u @ u) - float(np.sum(1.0 / (self.lam + v))))
+
+    def weights(self, noise: float) -> tuple[np.ndarray, float]:
+        """(w, LML) at ``noise``: w = H u = H_0 (H_1 (... (H_{n-2} u))),
+        the last reflector applied first."""
+        lml, u = self._solve(noise)
+        a, tau, n = self.reflectors, self.tau, self.lam.shape[0]
+        w = u[:n]
+        for i in range(n - 2, -1, -1):
+            v = a[i + 1 :, i]
+            w[i + 1 :] -= (tau[i] * (v @ w[i + 1 :])) * v
+        return w, lml
 
 
 def _spectrum(k: np.ndarray, y: np.ndarray) -> _Reduction:
@@ -645,27 +650,6 @@ def _spectrum(k: np.ndarray, y: np.ndarray) -> _Reduction:
         z[i + 1 : n] -= (tau[i] * (v @ z[i + 1 : n])) * v
     lam = np.maximum(eigvalsh_tridiagonal(d, e), 0.0)
     return _Reduction(lam, np.append(d, 1.0), np.append(e, 0.0), z, a, tau)
-
-
-def _noise_solve(reduction: _Reduction, v: float) -> tuple[float, np.ndarray]:
-    """(LML, u) at noise ``v`` from :func:`_spectrum`'s output, in O(n).
-
-    One tridiagonal solve (T + v I) u = z gives the quadratic term
-    y'(K + v I)^-1 y = z'u; the log determinant comes from the
-    eigenvalues. Raises :class:`NotPositiveDefinite` when LAPACK ``ptsv``
-    finds T + v I not positive definite.
-    """
-    _, _, u, info = dptsv(reduction.d + v, reduction.e, reduction.z)
-    if info != 0:
-        raise NotPositiveDefinite(
-            f"tridiagonal solve at noise {v:g} failed (info={info})"
-        )
-    lml = (
-        -0.5 * float(reduction.z @ u)
-        - 0.5 * float(np.sum(np.log(reduction.lam + v)))
-        - 0.5 * reduction.lam.shape[0] * _LOG_2PI
-    )
-    return lml, u
 
 
 def _pivoted_cholesky(
@@ -723,7 +707,8 @@ def _pivoted_cholesky(
 class _LowRank(NamedTuple):
     """K = Q1 U diag(lam) U' Q1' to rounding, as :func:`_low_rank` leaves
     it: Q = [Q1 Q2] the orthogonal factor of a QR of L, held as LAPACK's
-    reflectors."""
+    reflectors. The noise-only objective in O(r) per evaluation past one
+    O(n) norm."""
 
     lam: np.ndarray
     c: np.ndarray
@@ -731,6 +716,41 @@ class _LowRank(NamedTuple):
     rotation: np.ndarray
     reflectors: np.ndarray
     tau: np.ndarray
+
+    def _solve(self, v: float) -> tuple[float, np.ndarray, float]:
+        """(LML, c / (lam + v), ||outside||^2) at noise ``v``: in the basis
+        (K + v I)^-1 y has the coordinates c / (lam + v), outside it the
+        residual / v, and the n - r eigenvalues outside the basis are 0."""
+        n, r = self.c.shape[0] + self.outside.shape[0], self.lam.shape[0]
+        coef = self.c / (self.lam + v)
+        outside = float(self.outside @ self.outside)
+        lml = (
+            -0.5 * (float(self.c @ coef) + outside / v)
+            - 0.5 * (float(np.sum(np.log(self.lam + v))) + (n - r) * np.log(v))
+            - 0.5 * n * _LOG_2PI
+        )
+        return lml, coef, outside
+
+    def lml_and_grad(self, log_noise: float) -> tuple[float, float]:
+        """The LML and its derivative in log noise. The gradient's data
+        term ||(K + v I)^-1 y||^2 is the sum of the basis and residual
+        parts, and tr((K + v I)^-1) takes 1 / v for each eigenvalue
+        outside the basis."""
+        v = np.exp(log_noise)
+        lml, coef, outside = self._solve(v)
+        data = float(coef @ coef) + outside / v**2
+        trace = float(np.sum(1.0 / (self.lam + v))) + self.outside.shape[0] / v
+        return lml, 0.5 * v * (data - trace)
+
+    def weights(self, noise: float) -> tuple[np.ndarray, float]:
+        """(w, LML) at ``noise``: w = Q (U coef, outside / v), the basis
+        part and the residual's."""
+        lml, coef, _ = self._solve(noise)
+        w = _apply_q(
+            self.reflectors, self.tau,
+            np.concatenate([self.rotation @ coef, self.outside / noise]), "N",
+        )
+        return w, lml
 
 
 def _low_rank(factor: np.ndarray, y: np.ndarray) -> _LowRank:
@@ -774,50 +794,15 @@ def _apply_q(
     return qb[:, 0]
 
 
-def _low_rank_solve(low: _LowRank, v: float) -> tuple[float, np.ndarray, float]:
-    """(LML, c / (lam + v), ||outside||^2) at noise ``v``, in O(r) past
-    the O(n) norm: in the basis (K + v I)^-1 y has the coordinates
-    c / (lam + v), outside it the residual / v, and the n - r eigenvalues
-    outside the basis are 0."""
-    n, r = low.c.shape[0] + low.outside.shape[0], low.lam.shape[0]
-    coef = low.c / (low.lam + v)
-    outside = float(low.outside @ low.outside)
-    lml = (
-        -0.5 * (float(low.c @ coef) + outside / v)
-        - 0.5 * (float(np.sum(np.log(low.lam + v))) + (n - r) * np.log(v))
-        - 0.5 * n * _LOG_2PI
-    )
-    return lml, coef, outside
-
-
-def _noise_lml_and_grad(
-    reduction: _Reduction | _LowRank, log_noise: float
-) -> tuple[float, float]:
-    """Noise-only objective and its derivative in log noise: O(n) from a
-    Householder reduction (:func:`_noise_solve`), O(r) past one O(n) norm
-    from a low-rank one (:func:`_low_rank_solve`). The gradient's data term
-    is ||(K + v I)^-1 y||^2, u'u (H is orthogonal) or the sum of the
-    basis and residual parts, and tr((K + v I)^-1) comes from the
-    eigenvalues, with 1 / v for each one outside a low-rank basis."""
-    v = np.exp(log_noise)
-    if isinstance(reduction, _LowRank):
-        lml, coef, outside = _low_rank_solve(reduction, v)
-        n_outside = reduction.outside.shape[0]
-        data = float(coef @ coef) + outside / v**2
-        trace = float(np.sum(1.0 / (reduction.lam + v))) + n_outside / v
-        return lml, 0.5 * v * (data - trace)
-    lml, u = _noise_solve(reduction, v)
-    grad = 0.5 * v * (float(u @ u) - float(np.sum(1.0 / (reduction.lam + v))))
-    return lml, grad
-
-
 def _noise_reduction(
     x: np.ndarray, y: np.ndarray, hyper: Hyperparameters
 ) -> _Reduction | _LowRank:
     """The noise-only search's reduction of K: low-rank when the pivoted
     Cholesky probe stops within :data:`_PROBE_BUDGET` of the rows, else
     the Householder reduction of the gram matrix. The probe's columns are
-    freed before the gram matrix is built."""
+    freed before the gram matrix is built. The two-feature kinematics
+    baseline has rank 150-175 at about 1,900 rows; the EMG and FMG
+    features do not stop within the budget."""
     n = x.shape[0]
     if n >= _PROBE_MIN_ROWS:
         factor = _pivoted_cholesky(x, hyper, int(_PROBE_BUDGET * n))
@@ -860,23 +845,7 @@ class Spectrum:
             raise ValueError(
                 "the spectrum was reduced from other training data or kernel scales"
             )
-        noise = hyper.noise_variance
-        if isinstance(reduction, _LowRank):
-            lml, coef, _ = _low_rank_solve(reduction, noise)
-            # w = Q (U coef, outside / v): the basis part and the residual's.
-            w = _apply_q(
-                reduction.reflectors, reduction.tau,
-                np.concatenate([reduction.rotation @ coef, reduction.outside / noise]),
-                "N",
-            )
-        else:
-            lml, u = _noise_solve(reduction, noise)
-            # w = H u = H_0 (H_1 (... (H_{n-2} u))): the last reflector first.
-            a, tau = reduction.reflectors, reduction.tau
-            w = u[: x.shape[0]]
-            for i in range(x.shape[0] - 2, -1, -1):
-                v = a[i + 1 :, i]
-                w[i + 1 :] -= (tau[i] * (v @ w[i + 1 :])) * v
+        w, lml = reduction.weights(hyper.noise_variance)
         return GprModel(
             inputs=x, targets=y, hyper=hyper, cholesky_lower=None,
             weights=w, log_marginal=lml,
@@ -887,85 +856,39 @@ class _Pruned(Exception):
     """Raised from the L-BFGS-B callback to stop a start that cannot win."""
 
 
-def optimize_hyperparameters(
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    initial: Hyperparameters | None = None,
-    options: GpOptions = GpOptions(),
-    spectrum: Spectrum | None = None,
-) -> Hyperparameters:
-    """Maximize the log marginal likelihood over the free log parameters.
+def _free_scale_objective(
+    x: np.ndarray, y: np.ndarray, theta0: np.ndarray, free: np.ndarray
+):
+    """The free-scale objective: theta_free -> (LML, its gradient over the
+    free log parameters), the fixed ones taken from ``theta0``.
 
-    Multi-start quasi-Newton ascent (L-BFGS-B on the negated objective),
-    returning the best optimum among the starts that ran to completion.
-    Raises :class:`NotPositiveDefinite` when none of them reached a point
-    whose covariance could be factored.
-
-    When only the noise is free, every start runs to completion, and the
-    objective follows K's numerical rank (module docstring). On at least
-    :data:`_PROBE_MIN_ROWS` rows, a pivoted Cholesky probe builds K's
-    columns from the inputs. If it stops within
-    :data:`_PROBE_BUDGET` of the rows, each evaluation is O(r) in the
-    orthonormal basis of its factor, and no n x n block is built. If not
-    (it also gives up early on a decay too slow to stop in time), the
-    probe is freed, and the search builds one n x n block, the gram
-    matrix, and reduces it in place to a tridiagonal T, whose reflectors
-    the block then holds; each evaluation is one O(n) tridiagonal solve
-    with T, the targets' coordinates z = H'y and the eigenvalues. Both
-    are :func:`_noise_lml_and_grad`. The reduction is freed when the
-    search returns, unless ``spectrum`` is given: the search then leaves
-    it there, for :func:`fit` to take a CV fold's mean-only model from. A
-    ``spectrum`` with a free scale is a ValueError.
-
-    When a scale is free, the first start runs to completion; a later one
-    is stopped, and takes no part in the comparison, once it is not
-    expected to win: when its start point or an iterate lies within
-    :data:`BASIN_RADIUS` of an optimum a completed start reached, so it
-    would most likely end there too (multi-level single linkage, Rinnooy
-    Kan & Timmer 1987), or when it has sat at two or more bounds for
-    :data:`CORNER_ITERATIONS` iterations while its LML trails the best
-    completed start's by more than :data:`CORNER_MARGIN` of that LML's
-    size. A stopped start might have gone on to a better optimum, so the
-    result can be worse than the best of the same starts run to the end.
-    The search holds four n x n blocks: the squared distances, and three
-    that every evaluation writes over, the gram matrix, the copy of it
-    that is factored and the copy of the factor's lower triangle that
-    :func:`lml_gradient` inverts.
+    Built once per search, it holds four n x n blocks: the squared
+    distances, and three that every evaluation writes over, the gram
+    matrix, the copy of it that is factored and the copy of the factor's
+    lower triangle that :func:`lml_gradient` inverts. Each evaluation
+    builds the gram matrix once, with the bits :func:`gram_matrix` gives,
+    so its value equals ``fit(...).log_marginal`` bit for bit; factors a
+    copy of it once with LAPACK ``potrf``, in place; and hands the
+    distances and the gram matrix to one :func:`lml_gradient` call, which
+    builds no kernel of its own. Its model skips what a returned one gets:
+    the validation scans and zeros above the factor's diagonal, which
+    nothing it is handed to reads. Raises :class:`NotPositiveDefinite`
+    where K + noise I cannot be factored or its LML is not finite.
     """
-    x, y = _training_set(inputs, targets)
-    if initial is None:
-        initial = Hyperparameters()
-    free = options.free_mask()
-    n_free = int(free.sum())
-    theta0 = initial.log_array()
-    noise_only = options.noise_only
-    if spectrum is not None and not noise_only:
-        raise ValueError("only the noise-only search leaves a spectrum")
+    d2 = _sq_distances(x, x)  # fixed for the whole search
+    # The GEMM behind d2 can leave a few entries asymmetric; a kernel
+    # block built from d2 is asymmetric there only, so taking the mean
+    # with the transpose there gives gram_matrix's bits (the mean of
+    # two equal entries is that entry). _symmetrize gives the same bits
+    # but costs 144 us per evaluation at 200 rows, against 6 us.
+    rows, cols = np.nonzero(d2 != d2.T)
+    # Rewritten by every evaluation: fresh n x n blocks on each one
+    # cost as much in page faults as the kernel build itself. l_c gets
+    # the factor's lower triangle; its zeros above stay.
+    k_f, k, l_c = np.empty_like(d2), np.empty_like(d2), np.zeros_like(d2)
+    on_or_below = np.tri(d2.shape[0], dtype=bool)
 
-    if noise_only:
-        reduction = _noise_reduction(x, y, initial)
-    else:
-        d2 = _sq_distances(x, x)  # fixed for the whole search
-        # The GEMM behind d2 can leave a few entries asymmetric; a kernel
-        # block built from d2 is asymmetric there only, so taking the mean
-        # with the transpose there gives gram_matrix's bits (the mean of
-        # two equal entries is that entry).
-        rows, cols = np.nonzero(d2 != d2.T)
-        # Rewritten by every evaluation: fresh n x n blocks on each one
-        # cost as much in page faults as the kernel build itself. l_c gets
-        # the factor's lower triangle; its zeros above stay.
-        k_f, k, l_c = np.empty_like(d2), np.empty_like(d2), np.zeros_like(d2)
-        on_or_below = np.tri(d2.shape[0], dtype=bool)
-        latest = [None, _FAILED]  # the last evaluated point and its value
-
-    def negative(theta_free: np.ndarray) -> tuple[float, np.ndarray]:
-        if noise_only:
-            try:
-                lml, g = _noise_lml_and_grad(reduction, float(theta_free[0]))
-            except NotPositiveDefinite:
-                return _FAILED, np.zeros(1)
-            return -lml, np.array([-g])
-        latest[:] = theta_free.copy(), _FAILED
+    def lml_and_grad(theta_free: np.ndarray) -> tuple[float, np.ndarray]:
         theta = theta0.copy()
         theta[free] = theta_free
         hyper = Hyperparameters.from_log_array(theta)
@@ -974,37 +897,69 @@ def optimize_hyperparameters(
         _rbf_from_sq(d2, hyper, out=k_f)
         k_f[rows, cols] = (k_f[rows, cols] + k_f[cols, rows]) * 0.5
         np.copyto(k, k_f)
-        try:
-            lower, alpha, jitter = _factor_solve(k, y, hyper.noise_variance)
-        except NotPositiveDefinite:
-            return _FAILED, np.zeros(n_free)
+        lower, alpha, jitter = _factor_solve(k, y, hyper.noise_variance)
         model = GprModel._unchecked(
             inputs=x, targets=y, hyper=hyper, cholesky_lower=lower,
             weights=alpha, log_marginal=0.0, jitter=jitter,
         )
         model.log_marginal = lml = log_marginal_likelihood(model)
         if not np.isfinite(lml):
-            return _FAILED, np.zeros(n_free)
-        latest[1] = -lml
+            raise NotPositiveDefinite("the log marginal likelihood is not finite")
         np.copyto(l_c, lower, where=on_or_below)
-        return -lml, -lml_gradient(model, active=free, blocks=(d2, k_f, l_c))
+        return lml, lml_gradient(model, blocks=(d2, k_f, l_c))[free]
 
-    rng = np.random.default_rng(options.seed)
-    lo, hi = INIT_LOG_BOUNDS
-    starts = [theta0[free]]
-    for _ in range(RESTARTS - 1):
-        starts.append(rng.uniform(lo, hi, size=n_free))
+    return lml_and_grad
 
-    found = []  # the usable optimum of each completed free-scale start
+
+def _multi_start(objective, first: np.ndarray, seed: int, prune: bool) -> np.ndarray:
+    """The best optimum of :data:`RESTARTS` L-BFGS-B starts on the negated
+    ``objective`` (theta_free -> (LML, gradient), which may be a scalar
+    when one parameter is free), among the starts that ran to completion:
+    the first start is ``first``, the others are drawn uniformly from
+    :data:`INIT_LOG_BOUNDS` with ``seed``.
+
+    An evaluation whose objective raises :class:`NotPositiveDefinite`
+    gets the finite :data:`_FAILED` and a zero gradient, so L-BFGS-B backs
+    off from it; when no start reached a usable optimum, the search raises
+    :class:`NotPositiveDefinite`.
+
+    Without ``prune`` every start runs to completion. With it, the first
+    start does; a later one is stopped, and takes no part in the
+    comparison, once it is not expected to win: when its start point or
+    an iterate lies within :data:`BASIN_RADIUS` of an optimum a completed
+    start reached, so it would most likely end there too (multi-level
+    single linkage, Rinnooy Kan & Timmer 1987), or when it has sat at two
+    or more bounds for :data:`CORNER_ITERATIONS` iterations while its LML
+    trails the best completed start's by more than :data:`CORNER_MARGIN`
+    of that LML's size. A stopped start might have gone on to a better
+    optimum, so the result can be worse than the best of the same starts
+    run to the end.
+    """
+    n_free = first.shape[0]
+    rng = np.random.default_rng(seed)
+    starts = [first] + [
+        rng.uniform(*INIT_LOG_BOUNDS, size=n_free) for _ in range(RESTARTS - 1)
+    ]
+    found = []  # the usable optimum of each completed start, when pruning
     best_theta, best_value = None, np.inf
+    last = (None, _FAILED)  # the last evaluated point and its value
+    at_corner = 0  # consecutive iterations of this start at two or more bounds
+
+    def negative(theta_free: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal last
+        try:
+            lml, grad = objective(theta_free)
+            value, grad = -lml, -np.atleast_1d(grad)
+        except NotPositiveDefinite:
+            value, grad = _FAILED, np.zeros(n_free)
+        last = theta_free.copy(), value
+        return value, grad
 
     def in_found_basin(theta_free: np.ndarray) -> bool:
         return any(np.linalg.norm(theta_free - opt) <= BASIN_RADIUS for opt in found)
 
-    at_corner = 0  # consecutive iterations of this start at two or more bounds
-
     def after_iteration(theta_free: np.ndarray) -> None:
-        """The L-BFGS-B callback of a later free-scale start: raises
+        """The L-BFGS-B callback of a later pruned start: raises
         :class:`_Pruned` on the iterate where the start cannot win."""
         nonlocal at_corner
         if in_found_basin(theta_free):
@@ -1015,15 +970,14 @@ def optimize_hyperparameters(
         )
         at_corner = at_corner + 1 if bounds_hit >= 2 else 0
         # L-BFGS-B ends each iteration on the point it evaluated last.
-        trails = np.array_equal(latest[0], theta_free) and (
-            latest[1] > best_value + CORNER_MARGIN * abs(best_value)
+        trails = np.array_equal(last[0], theta_free) and (
+            last[1] > best_value + CORNER_MARGIN * abs(best_value)
         )
         if at_corner >= CORNER_ITERATIONS and trails:
             raise _Pruned
 
     for start in starts:
-        later = bool(found)
-        if later and in_found_basin(start):
+        if in_found_basin(start):
             continue
         at_corner = 0
         try:
@@ -1037,21 +991,61 @@ def optimize_hyperparameters(
                     "maxiter": MAX_ITERATIONS,
                     "gtol": GRADIENT_TOLERANCE,
                 },
-                callback=after_iteration if later else None,
+                callback=after_iteration if found else None,
             )
         except _Pruned:
             continue
-        if not noise_only and result.fun < _FAILED:
+        if prune and result.fun < _FAILED:
             found.append(result.x)
         if result.fun < best_value:
             best_value, best_theta = result.fun, result.x
     if not best_value < _FAILED:  # also when no start completed
         raise NotPositiveDefinite("hyperparameter search found no usable optimum")
+    return best_theta
 
+
+def optimize_hyperparameters(
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    initial: Hyperparameters | None = None,
+    options: GpOptions = GpOptions(),
+    spectrum: Spectrum | None = None,
+) -> Hyperparameters:
+    """Maximize the log marginal likelihood over the free log parameters.
+
+    One multi-start L-BFGS-B driver (:func:`_multi_start`) runs over one
+    of two objectives and returns the best optimum among the starts that
+    ran to completion. It raises :class:`NotPositiveDefinite` when none of
+    them reached a point whose covariance could be factored.
+
+    - Noise only: the objective is the reduction of K that
+      :func:`_noise_reduction` chooses by K's numerical rank, low-rank
+      (:class:`_LowRank`) or Householder (:class:`_Reduction`), and every
+      start runs to completion. The reduction is freed when the search
+      returns, unless ``spectrum`` is given: the search then leaves it
+      there, for :func:`fit` to take a CV fold's mean-only model from. A
+      ``spectrum`` with a free scale is a ValueError.
+    - A scale free: the objective is :func:`_free_scale_objective`, over
+      four n x n blocks, and the driver stops later starts that cannot
+      win (basin and corner stops).
+    """
+    x, y = _training_set(inputs, targets)
+    if initial is None:
+        initial = Hyperparameters()
+    if spectrum is not None and not options.noise_only:
+        raise ValueError("only the noise-only search leaves a spectrum")
+    free = options.free_mask()
+    theta = initial.log_array()
+    if options.noise_only:
+        reduction = _noise_reduction(x, y, initial)
+        objective = lambda theta_free: reduction.lml_and_grad(float(theta_free[0]))
+    else:
+        objective = _free_scale_objective(x, y, theta.copy(), free)
+    theta[free] = _multi_start(
+        objective, theta[free], options.seed, prune=not options.noise_only
+    )
     if spectrum is not None:
         spectrum._held = (x, y, initial, reduction)
-    theta = theta0.copy()
-    theta[free] = best_theta
     return Hyperparameters.from_log_array(theta)
 
 

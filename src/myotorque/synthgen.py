@@ -149,12 +149,31 @@ class SessionSpec:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
+        if not self.velocities_deg_s:
+            raise ValueError("need at least one velocity")
+        for v in self.velocities_deg_s:
+            if not 0.0 < v < np.inf:
+                raise ValueError(f"velocities must be finite and > 0, got {v}")
         if self.angle_high_deg <= self.angle_low_deg:
             raise ValueError("angle_high_deg must exceed angle_low_deg")
+        if self.takes_per_velocity < 1:
+            raise ValueError("need at least one take per velocity")
         if self.swings_per_take < 1:
             raise ValueError("need at least one swing per take")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("high_rate_hz", "fmg_rate_hz"):
+            rate = getattr(self, name)
+            if not 0.0 < rate < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {rate}")
+        missing = [
+            m.name for m in muscles_for(self.joint)
+            if m not in self.torque.muscle_weights
+        ]
+        if missing:
+            raise ValueError(f"muscle_weights lacks {missing}")
+        if not self.noise.emg_snr > 0.0:
+            raise ValueError(f"emg_snr must be > 0, got {self.noise.emg_snr}")
         ratio = self.high_rate_hz / self.fmg_rate_hz
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("high rate must be an integer multiple of the FMG rate")

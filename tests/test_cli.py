@@ -253,6 +253,29 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert str(spec_file) in proc.stderr
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: {**d, "velocities_deg_s": [0.0]},
+        lambda d: {**d, "velocities_deg_s": [-60.0]},
+        lambda d: {**d, "velocities_deg_s": [float("nan")]},
+        lambda d: {**d, "velocities_deg_s": []},
+        lambda d: {**d, "takes_per_velocity": 0},
+        lambda d: {**d, "torque": {**d["torque"], "muscle_weights": dict(
+            list(d["torque"]["muscle_weights"].items())[1:])}},
+        lambda d: {**d, "noise": {**d["noise"], "emg_snr": 0.0}},
+        lambda d: {**d, "high_rate_hz": -2000.0, "fmg_rate_hz": -200.0},
+        lambda d: {**d, "fmg_rate_hz": -200.0},
+    ], ids=["zero velocity", "negative velocity", "NaN velocity", "no velocities",
+            "no takes", "muscle without weight", "zero EMG SNR", "negative rates",
+            "negative FMG rate"])
+    def test_out_of_range_spec_is_2(self, tmp_path, edit):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(edit(short_spec(Joint.KNEE).to_dict())))
+        out = tmp_path / "session"
+        proc = run_cli("simulate", "--spec", spec_file, "--out", out)
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert not out.exists()
+
     def test_seed_override_changes_data(self, tmp_path):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(short_spec(Joint.KNEE).to_dict()))

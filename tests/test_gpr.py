@@ -34,7 +34,6 @@ from myotorque.gpr import (
     Spectrum,
     _cross_covariance,
     _factor,
-    _noise_lml_and_grad,
     _spectrum,
     _sq_distances,
     fit,
@@ -240,14 +239,6 @@ class TestGradient:
         grad = lml_gradient(model)
         assert grad[2] == pytest.approx(-0.25, abs=1e-12)
 
-    def test_active_mask_selects_components(self):
-        x, y, hyper = random_problem(3, n_max=15)
-        model = fit(x, y, hyper)
-        full = lml_gradient(model)
-        noise_only = lml_gradient(model, active=np.array([False, False, True]))
-        assert noise_only.shape == (1,)
-        assert noise_only[0] == pytest.approx(full[2], rel=1e-12)
-
 
 def identity_solve_gradient(model):
     """Reference gradient: K^-1 from cho_solve on an identity and every
@@ -354,17 +345,6 @@ class TestGradientFromFactor:
                 abs(reference[i] - exact[i]) + 1e-15 * abs(exact[i])
             )
 
-    @pytest.mark.parametrize("active", [
-        [True, True, True], [True, False, True], [False, True, True],
-        [False, False, True], [True, True, False], [False, False, False],
-    ])
-    def test_active_subsets(self, active):
-        x, y, hyper = random_problem(11, n_max=30)
-        model = fit(x, y, hyper)
-        full = lml_gradient(model)
-        picked = lml_gradient(model, active=np.array(active))
-        assert np.array_equal(picked, full[np.array(active)])
-
 
 def pre_change_gradient(model):
     """``lml_gradient`` as it was before the search handed over its blocks:
@@ -421,9 +401,9 @@ class TestSearchEvaluation:
         y = np.cos(x[:, 0]) + 0.1 * rng.standard_normal(30)
         calls = []
 
-        def counting_gradient(model, active=None, **kwargs):
+        def counting_gradient(model, **kwargs):
             calls.append(kwargs)
-            return lml_gradient(model, active, **kwargs)
+            return lml_gradient(model, **kwargs)
 
         monkeypatch.setattr(gpr, "lml_gradient", counting_gradient)
         monkeypatch.setattr(gpr, "RESTARTS", 2)
@@ -872,7 +852,7 @@ class TestOptimize:
             theta[mask] = theta_free
             model = fit(x, y, Hyperparameters.from_log_array(theta))
             assert -value == model.log_marginal
-            assert np.array_equal(-grad, lml_gradient(model, active=mask))
+            assert np.array_equal(-grad, lml_gradient(model)[mask])
 
     def test_noise_matches_dense_eigendecomposition_reference(self, rng):
         # The same multi-start L-BFGS-B over the eigenvector route: the
@@ -913,7 +893,7 @@ class TestOptimize:
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
         y = np.array([0.5, -0.3])
         with pytest.raises(NotPositiveDefinite, match="tridiagonal solve"):
-            _noise_lml_and_grad(_spectrum(indefinite.copy(), y), math.log(0.5))
+            _spectrum(indefinite.copy(), y).lml_and_grad(math.log(0.5))
 
         monkeypatch.setattr(gpr, "gram_matrix", lambda x, hyper=None: indefinite.copy())
         monkeypatch.setattr(gpr, "RESTARTS", 3)
@@ -974,7 +954,7 @@ def plain_starts(x, y, initial, opts):
             model = fit(x, y, Hyperparameters.from_log_array(theta))
         except NotPositiveDefinite:
             return 1e25, np.zeros(len(theta_free))
-        return -model.log_marginal, -lml_gradient(model, active=mask)
+        return -model.log_marginal, -lml_gradient(model)[mask]
 
     draws = np.random.default_rng(opts.seed)
     starts = [theta0[mask]] + [
@@ -1310,7 +1290,7 @@ class TestSpectrum:
         k, y = np.asarray(k, dtype=np.float64), np.asarray(y, dtype=np.float64)
         spectrum = _spectrum(k.copy(), y)
         for log_noise in self.LOG_NOISES:
-            lml, grad = _noise_lml_and_grad(spectrum, log_noise)
+            lml, grad = spectrum.lml_and_grad(log_noise)
             ref_lml, ref_grad = dense_noise_objective(k, y, log_noise)
             assert lml == pytest.approx(ref_lml, rel=1e-9)
             assert grad == pytest.approx(ref_grad, rel=1e-9)
