@@ -126,11 +126,12 @@ def _check_joint(recorded: Joint, joint: Joint, session_dir) -> None:
         )
 
 
-def _load_or_synthesize(args, joint: Joint | None = None):
-    """The --session directory, checked against ``joint`` when one is
-    given, or else the default synthetic session of ``joint``."""
+def _load_or_synthesize(args, configs, joint: Joint | None = None):
+    """The --session directory, read for ``configs`` and checked against
+    ``joint`` when one is given, or else the default synthetic session of
+    ``joint``."""
     if args.session:
-        session = load_session(args.session)
+        session = load_session(args.session, configs)
         if joint is not None:
             _check_joint(session.joint, joint, args.session)
         return session
@@ -196,7 +197,7 @@ def cmd_evaluate(args) -> int:
     configs = _parse_configs(args.config)
     cells = {}
     for joint in joints:
-        session = _load_or_synthesize(args, joint)
+        session = _load_or_synthesize(args, configs, joint)
         cells.update(_session_cells(session, configs))
     # The export directory is made before the first fold runs.
     with _writing(args.out):
@@ -214,8 +215,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    session = _load_or_synthesize(args, Joint(args.joint) if args.joint else None)
     config = ModelConfig(args.config)
+    session = _load_or_synthesize(
+        args, [config], Joint(args.joint) if args.joint else None
+    )
     cell = _session_cells(session, [config])[(session.joint, config)]
     table = concat_tables(cell.tables)
     estimator = train_model(
@@ -239,7 +242,7 @@ def cmd_predict(args) -> int:
         index = read_session_index(args.session)
         _check_joint(index.joint, estimator.joint, args.session)
         entry = _pick_take(index.takes, args.velocity, args.take)
-        take = load_take(index, entry)
+        take = load_take(index, entry, [estimator.config])
         standing, initial_angle = load_calibration(index)
     else:
         session = generate_session(default_session_spec(estimator.joint))

@@ -159,6 +159,19 @@ def fmg_channel(muscle: Muscle) -> str:
     return f"fmg_{muscle.name}"
 
 
+def input_channels(joint: Joint, config: ModelConfig) -> tuple[str, ...]:
+    """The channels :func:`build_features` needs for ``(joint, config)``,
+    in the order it checks them: angle, torque, then the config's muscle
+    channels. Besides these it reads every FMG channel of the recording,
+    whatever the config, for the calibration check and the 200 Hz timeline."""
+    labels = [ANGLE_CHANNEL, TORQUE_CHANNEL]
+    if config is ModelConfig.EMG:
+        labels += [emg_channel(m) for m in muscles_for(joint)]
+    elif config is ModelConfig.FMG:
+        labels += [fmg_channel(m) for m in muscles_for(joint)]
+    return tuple(labels)
+
+
 def _muscle_from_label(label: str) -> Muscle:
     name = label.split("_", 1)[1]
     try:
@@ -335,12 +348,7 @@ def build_features(
     have a calibration offset, whether the config uses it or not.
     """
     muscles = muscles_for(joint)
-    required = [ANGLE_CHANNEL, TORQUE_CHANNEL]
-    if config is ModelConfig.EMG:
-        required += [emg_channel(m) for m in muscles]
-    elif config is ModelConfig.FMG:
-        required += [fmg_channel(m) for m in muscles]
-    for label in required:
+    for label in input_channels(joint, config):
         if label not in recording:
             raise MissingChannel(f"recording lacks required channel {label!r}")
     offsets = {

@@ -21,15 +21,33 @@ File format: a header row (``time_s`` first, then the channel labels),
 then one row per sample. Every cell is ``%.17g`` of a float64 (17
 significant digits, so ``-0`` and subnormals keep their exact value)
 and every line ends in CRLF: the bytes ``csv.writer`` produces from
-``format(x, ".17g")`` cells. :func:`write_float_table` formats whole
-chunks of rows at a time; :func:`read_recording_csv` parses the body
-with numpy's correctly rounded C parser (``np.loadtxt``), so a
-write/read cycle reproduces every float64 value bit for bit.
+``format(x, ".17g")`` cells.
+
+Writing: :func:`write_float_table`, the one writer of every CSV the
+package writes, formats 1024 rows at a time. A ``%.17g`` cell with
+1e-6 < |x| < 1e16 takes the vectorized fast path: the 17 digits are
+round-half-even(|x| * 10**(16 - k)), computed exactly with Dekker's
+two-product against the exact double 10**(16 - k), and laid out in %g's
+fixed or exponent form by per-class byte masks and shifts. The other
+cells (zeros, subnormals, tiny, huge and non-finite values, about 0.25 %
+of a simulated session) and every other kind of cell (literals, ``%d``)
+go through Python's ``%``. Both give ``format(x, ".17g")``'s bytes.
+
+Reading: :func:`read_recording_csv` parses the body with numpy's
+correctly rounded C parser (``np.loadtxt``), so a write/read cycle
+reproduces every float64 value bit for bit. Given a channel selection it
+parses only the time, the selected columns and the last one; cells of
+the columns it does not parse are not checked, while every row's width
+still is. :func:`load_take` and :func:`load_session` take the model
+configs a command uses and select the high-rate channels those configs
+read (:func:`~myotorque.preprocess.input_channels`); the FMG file and
+the calibration files are always read whole.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -39,14 +57,215 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, InvalidSpec, MissingChannel
-from .preprocess import Joint
+from .preprocess import Joint, input_channels
 from .synthgen import SyntheticSession, _checked, _field, _member
 from .timeseries import MultiChannelRecording, TimeSeries
 
 _FORMAT_VERSION = 2
 _INDEX_FILE = "session.json"
 TIME_COLUMN = "time_s"
-_CHUNK_ROWS = 4096  # rows formatted per write; bounds the text held at once
+_CHUNK_ROWS = 1024  # rows formatted per write; bounds the memory held at once
+
+# The vectorized %.17g formatter. A cell in its fast path, 1e-6 < |x| < 1e16,
+# has a decimal exponent X (x = d.ddd... * 10**X after rounding to 17
+# digits) from _MIN_EXP to _MAX_EXP. %g writes it in fixed notation for
+# X >= -4 and as d.ddde-0X below; either way the cell is a constant prefix,
+# one or two runs of the 17 digits (split by the decimal point) and a
+# constant suffix, with trailing zero digits dropped. A cell's class
+# (sign, X, significant digits, terminator) fixes that layout.
+_MIN_EXP, _MAX_EXP = -6, 15
+_N_EXP = _MAX_EXP - _MIN_EXP + 1
+_SLOT = 32  # bytes per formatted cell: four uint64 words, NUL-padded
+_LEAD_BYTE = 7  # the leading digit's byte in a cell's digit row
+
+
+def _cell_layouts():
+    """Per cell class, as uint64 words (one row per word) or per-class
+    shifts: the masks picking the digit runs before and after the decimal
+    point out of the digit row, the bit shifts that move each run to its
+    place in the cell, and the cell's constant bytes."""
+    n = 2 * _N_EXP * 17 * 2
+    run_a, run_b, const = (np.zeros((n, _SLOT), np.uint8) for _ in range(3))
+    shift_a, shift_b = np.zeros(n, np.uint64), np.zeros(n, np.uint64)
+    classes = itertools.product((0, 1), range(_MIN_EXP, _MAX_EXP + 1),
+                                range(1, 18), (0, 1))
+    for i, (negative, exp, digits, last) in enumerate(classes):
+        cell = "-" if negative else ""
+        if exp < -4:  # d.ddde-0X
+            n_a, at_a = 1, len(cell)
+            cell += "d" + ("." + "d" * (digits - 1) if digits > 1 else "")
+            cell += f"e-0{-exp}"
+        elif exp < 0:  # 0.000ddd
+            cell += "0." + "0" * (-exp - 1)
+            n_a, at_a = digits, len(cell)
+            cell += "d" * digits
+        else:  # ddd.ddd
+            n_a, at_a = exp + 1, len(cell)
+            cell += "d" * n_a + ("." + "d" * (digits - n_a) if digits > n_a else "")
+        cell += "\r\n" if last else ","
+        run_a[i, _LEAD_BYTE : _LEAD_BYTE + n_a] = 0xFF
+        run_b[i, _LEAD_BYTE + n_a : _LEAD_BYTE + digits] = 0xFF
+        shift_a[i] = 8 * (_LEAD_BYTE - at_a)
+        shift_b[i] = 8 * (_LEAD_BYTE - at_a - 1)  # run b follows the point
+        const[i, : len(cell)] = np.frombuffer(cell.replace("d", "\0").encode(), np.uint8)
+    words = lambda b: b.view("<u8").astype(np.uint64).T.copy()
+    return words(run_a), words(run_b), shift_a, shift_b, words(const)
+
+
+_RUN_A, _RUN_B, _SHIFT_A, _SHIFT_B, _CONST = _cell_layouts()
+_GROUPS = np.arange(10_000)
+# Four ASCII digits of 0..9999 in one word, most significant digit first.
+_ASCII4 = sum(
+    ((_GROUPS // 10 ** (3 - j) % 10 + 48) << (8 * j)).astype(np.uint64)
+    for j in range(4)
+)
+# Trailing zero digits of each four-digit group (4 for 0000).
+_ZEROS4 = sum((_GROUPS % 10**j == 0).astype(np.intp) for j in range(1, 5))
+# Exact doubles: 10**p = 2**p * 5**p, and 5**22 < 2**53.
+_POW10 = np.array([float(10**p) for p in range(23)])
+_DEKKER = 134217729.0  # 2**27 + 1, splits a double into two 26-bit halves
+
+
+def _split(a):
+    c = _DEKKER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+
+
+def _times_pow10(a, p):
+    """(hi, lo) with hi + lo == a * 10**p exactly (Dekker's two-product)."""
+    hi = a * _POW10[p]
+    a_high, a_low = _split(a)
+    p_high, p_low = _POW10_HIGH[p], _POW10_LOW[p]
+    lo = ((a_high * p_high - hi) + a_high * p_low + a_low * p_high) + a_low * p_low
+    return hi, lo
+
+
+def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, n) for every 1e-6 < a < 1e16: the decimal exponent k and the 17
+    digits n = round-half-even(a * 10**(16 - k)), 10**16 <= n < 10**17."""
+    # log10 can miss k by one near a power of ten; the exact product
+    # (hi, lo) tells.
+    k = np.floor(np.log10(a)).astype(np.intp)
+    np.clip(k, _MIN_EXP, _MAX_EXP, out=k)
+    hi, lo = _times_pow10(a, 16 - k)
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    off = below | above
+    if off.any():
+        k += above
+        k -= below
+        hi[off], lo[off] = _times_pow10(a[off], 16 - k[off])
+    # hi >= 1e16 > 2**53 is an even integer, so rounding lo half to even
+    # rounds hi + lo half to even, as %g does.
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = n == 10**17
+    n[carry] = 10**16
+    k += carry
+    return k, n
+
+
+def _digit_row(n: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The ASCII digits of every 17-digit n as a row of three uint64 words
+    (the leading digit in byte 7 of the first, then four groups of four
+    digits), and the count of its significant digits."""
+    lead, rest = np.divmod(n, 10**16)
+    g12, g34 = np.divmod(rest, 10**8)
+    g1, g2 = np.divmod(g12, 10**4)
+    g3, g4 = np.divmod(g34, 10**4)
+    zeros = _ZEROS4[g4]
+    tail = g4 == 0
+    for group in (g3, g2, g1):
+        zeros += tail * _ZEROS4[group]
+        tail &= group == 0
+    row = [(lead.astype(np.uint64) + np.uint64(48)) << np.uint64(56),
+           _ASCII4[g1] | (_ASCII4[g2] << np.uint64(32)),
+           _ASCII4[g3] | (_ASCII4[g4] << np.uint64(32))]
+    return row, 17 - zeros
+
+
+def _format_g17(x: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """``format(v, ".17g")`` of every cell of the 2-D array ``x``, then its
+    terminator (CRLF in the columns ``last`` marks, else a comma),
+    NUL-padded to :data:`_SLOT` bytes: an array of shape ``x.shape + (_SLOT,)``.
+
+    Cells in the fast path (1e-6 < |v| < 1e16) are formatted here; the
+    rest (zeros, subnormals, tiny, huge and non-finite values) by ``%``.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e16)
+    a[~fast] = 1.0  # a stand-in; ``%`` formats these cells below
+    k, n = _decimal(a.ravel())
+    row, digits = _digit_row(n)
+    cls = ((np.signbit(x).ravel() * _N_EXP + (k - _MIN_EXP)) * 17 + (digits - 1)) * 2
+    cls += np.broadcast_to(last, x.shape).ravel()
+    # Each run of digits moves down by 1 to 7 bytes, so a word takes its
+    # high bytes from the next word.
+    up_a, up_b = _SHIFT_A[cls], _SHIFT_B[cls]
+    down_a, down_b = np.uint64(64) - up_a, np.uint64(64) - up_b
+    a0, a1, a2 = (d & mask[cls] for d, mask in zip(row, _RUN_A))
+    b0, b1, b2 = (d & mask[cls] for d, mask in zip(row, _RUN_B))
+    words = np.empty((cls.size, 4), np.uint64)
+    words[:, 0] = _CONST[0][cls] | (a0 >> up_a) | (a1 << down_a) | (b0 >> up_b) | (b1 << down_b)
+    words[:, 1] = _CONST[1][cls] | (a1 >> up_a) | (a2 << down_a) | (b1 >> up_b) | (b2 << down_b)
+    words[:, 2] = _CONST[2][cls] | (a2 >> up_a) | (b2 >> up_b)
+    words[:, 3] = _CONST[3][cls]
+    cells = words.astype("<u8", copy=False).view(np.uint8)
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        ends = np.broadcast_to(last, x.shape).ravel()[slow].tolist()
+        text = b"".join(
+            ("%.17g" % v + ("\r\n" if end else ",")).encode().ljust(_SLOT, b"\0")
+            for v, end in zip(x.ravel()[slow].tolist(), ends)
+        )
+        cells[slow] = np.frombuffer(text, np.uint8).reshape(-1, _SLOT)
+    return cells.reshape(x.shape + (_SLOT,))
+
+
+def _row_cells(row_format: str, width: int) -> list[tuple[str, list[int]]]:
+    """The comma-separated cells of ``row_format``, each with the table
+    columns its ``%`` conversions take, in order."""
+    cells, column = [], 0
+    for cell in row_format.split(","):
+        n = cell.count("%") - 2 * cell.count("%%")
+        cells.append((cell, list(range(column, column + n))))
+        column += n
+    if column != width:
+        raise ValueError(f"row format {row_format!r} takes {column} columns, "
+                         f"the table has {width}")
+    return cells
+
+
+def _format_rows(chunk: np.ndarray, cells) -> str:
+    """The CSV lines of ``chunk``'s rows: ``%.17g`` cells through
+    :func:`_format_g17`, other cells through ``%``, as NUL-padded byte
+    blocks joined row by row; the NULs are dropped last."""
+    last = len(cells) - 1
+    blocks: list = [None] * len(cells)
+    fast = [i for i, (cell, _) in enumerate(cells) if cell == "%.17g"]
+    if fast:
+        formatted = _format_g17(
+            chunk[:, [cells[i][1][0] for i in fast]], np.array(fast) == last
+        )
+        for j, i in enumerate(fast):
+            blocks[i] = formatted[:, j]
+    for i, (cell, columns) in enumerate(cells):
+        if blocks[i] is not None:
+            continue
+        end = "\r\n" if i == last else ","
+        texts = [(cell % tuple(row) + end).encode()
+                 for row in chunk[:, columns].tolist()]
+        width = max(map(len, texts))
+        blocks[i] = np.frombuffer(
+            b"".join(t.ljust(width, b"\0") for t in texts), np.uint8
+        ).reshape(len(chunk), width)
+    rows = formatted if len(fast) == len(cells) else np.concatenate(blocks, axis=1)
+    return rows.tobytes().translate(None, b"\0").decode()
 
 
 def write_float_table(fh, header, columns, row_format: str | None = None) -> None:
@@ -55,18 +274,20 @@ def write_float_table(fh, header, columns, row_format: str | None = None) -> Non
     ``header`` (a list of names, or None for no header row) goes through
     :mod:`csv`. Each data row is ``row_format % row`` plus CRLF; the
     default format is ``%.17g`` per column, comma separated. A format may
-    hold literal cells and other conversions (``%d``) too. Open ``fh``
-    with ``newline=""`` so the CRLF line ends are written as they are.
+    hold literal cells and other conversions (``%d``) too; a cell that is
+    exactly ``%.17g`` is formatted by :func:`_format_g17`, to the same
+    bytes. Open ``fh`` with ``newline=""`` so the CRLF line ends are
+    written as they are.
     """
     if header is not None:
         csv.writer(fh).writerow(header)
-    table = np.column_stack(columns)
+    columns = [np.asarray(c) for c in columns]
     if row_format is None:
-        row_format = ",".join(["%.17g"] * table.shape[1])
-    row_format += "\r\n"
-    for start in range(0, len(table), _CHUNK_ROWS):
-        chunk = table[start : start + _CHUNK_ROWS]
-        fh.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
+        row_format = ",".join(["%.17g"] * len(columns))
+    cells = _row_cells(row_format, len(columns))
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunk = np.column_stack([c[start : start + _CHUNK_ROWS] for c in columns])
+        fh.write(_format_rows(chunk, cells))
 
 
 def _column_rank(label: str) -> tuple[int, str]:
@@ -103,9 +324,12 @@ def write_recording_csv(recording: MultiChannelRecording, path) -> None:
         write_float_table(fh, [TIME_COLUMN] + labels, columns)
 
 
-def _body_error(path: Path, header: list[str], exc: ValueError) -> DataError:
-    """The diagnostic for a body ``np.loadtxt`` rejected with ``exc``: the
-    first data row that is ragged or holds a cell that is not a number.
+def _body_error(path: Path, header: list[str], parsed: list[int],
+                detail: str) -> DataError:
+    """The diagnostic for a body ``np.loadtxt`` rejected (or whose comma
+    count is off): the first data row that is ragged or holds a cell that
+    is not a number in one of the ``parsed`` columns; ``detail`` if no row
+    does.
 
     Runs only on the error path; rows are counted as the parser counts
     them, skipping empty lines.
@@ -121,30 +345,35 @@ def _body_error(path: Path, header: list[str], exc: ValueError) -> DataError:
                         f"{path}: ragged rows: data row {row} has {len(cells)} "
                         f"cells, the header {len(header)}"
                     )
-                for label, cell in zip(header, cells):
+                for j in parsed:
                     try:
-                        float(cell)
+                        float(cells[j])
                     except ValueError:
                         return DataError(
-                            f"{path}: non-numeric cell {cell!r} in column "
-                            f"{label!r}, data row {row}"
+                            f"{path}: non-numeric cell {cells[j]!r} in column "
+                            f"{header[j]!r}, data row {row}"
                         )
     except (OSError, ValueError):
         pass
-    return DataError(f"{path}: non-numeric cell: {exc}")
+    return DataError(f"{path}: {detail}")
 
 
-def read_recording_csv(path, sample_rate_hz: float) -> MultiChannelRecording:
+def read_recording_csv(path, sample_rate_hz: float,
+                       channels=None) -> MultiChannelRecording:
     """Inverse of :func:`write_recording_csv`.
 
     The sample rate comes from the caller (normally the session index) and
-    must match the time steps.
+    must match the time steps. ``channels``, a collection of labels, names
+    the columns to read besides the time; None reads every column. Cells
+    of the columns not read are not checked, except that the last column
+    is always parsed, so that every row's width is.
     """
     path = Path(path)
     try:
         with open(path) as fh:
+            line = fh.readline()
             try:
-                header = next(csv.reader([fh.readline()]), None)
+                header = next(csv.reader([line]), None)
             except csv.Error as exc:
                 raise DataError(f"{path}: unreadable header: {exc}") from None
             if not header or header[0] != TIME_COLUMN:
@@ -152,31 +381,47 @@ def read_recording_csv(path, sample_rate_hz: float) -> MultiChannelRecording:
                     f"{path}: first column must be {TIME_COLUMN!r}, "
                     f"got {header[0] if header else 'nothing'!r}"
                 )
+            wanted = [j for j, label in enumerate(header)
+                      if j == 0 or channels is None or label in channels]
+            # Under usecols np.loadtxt stops checking row widths. A row too
+            # narrow lacks the last column; one too wide shows in the comma
+            # count below.
+            parsed = sorted({*wanted, len(header) - 1})
+            usecols = parsed if len(parsed) < len(header) else None
             try:
                 with warnings.catch_warnings():
                     # An empty body is reported below as "no data rows".
                     warnings.simplefilter("ignore", UserWarning)
                     data = np.loadtxt(
-                        fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64
+                        fh, delimiter=",", comments=None, ndmin=2,
+                        dtype=np.float64, usecols=usecols,
                     )
             except ValueError as exc:
-                raise _body_error(path, header, exc) from exc
+                raise _body_error(path, header, parsed,
+                                  f"non-numeric cell: {exc}") from exc
+        if usecols is not None:
+            body = np.frombuffer(path.read_bytes(), np.uint8)
+            commas = np.count_nonzero(body == ord(",")) - line.count(",")
+            if commas != len(data) * (len(header) - 1):
+                raise _body_error(path, header, parsed, "ragged rows")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric cell: {exc}") from exc
     if len(data) == 0:
         raise DataError(f"{path}: no data rows")
-    if data.shape[1] != len(header):
+    if data.shape[1] != len(parsed):
         raise DataError(
             f"{path}: ragged rows: data row 1 has {data.shape[1]} cells, "
             f"the header {len(header)}"
         )
-    bad_rows, bad_cols = np.nonzero(~np.isfinite(data))
+    kept = [i for i, j in enumerate(parsed) if j in wanted]
+    checked = data if len(kept) == len(parsed) else data[:, kept]
+    bad_rows, bad_cols = np.nonzero(~np.isfinite(checked))
     if bad_rows.size:
         raise DataError(
-            f"{path}: column {header[bad_cols[0]]!r} has a non-finite value "
-            f"in data row {bad_rows[0] + 1}"
+            f"{path}: column {header[parsed[kept[bad_cols[0]]]]!r} has a "
+            f"non-finite value in data row {bad_rows[0] + 1}"
         )
     times = data[:, 0]
     if len(times) > 1:
@@ -192,16 +437,16 @@ def read_recording_csv(path, sample_rate_hz: float) -> MultiChannelRecording:
         if abs(mid * sample_rate_hz - 1.0) > 1e-6:
             raise DataError(f"{path}: time steps of {mid:.9g} s disagree "
                             f"with the given rate of {sample_rate_hz:g} Hz")
-    channels = {
-        label: TimeSeries(
-            label=label,
+    recording = {
+        header[parsed[i]]: TimeSeries(
+            label=header[parsed[i]],
             sample_rate_hz=sample_rate_hz,
             start_time_s=float(times[0]),
-            values=data[:, j],
+            values=data[:, i],
         )
-        for j, label in enumerate(header[1:], start=1)
+        for i in kept[1:]
     }
-    return MultiChannelRecording(channels=channels)
+    return MultiChannelRecording(channels=recording)
 
 
 @dataclass
@@ -356,9 +601,19 @@ def read_session_index(session_dir) -> SessionIndex:
         raise InvalidSpec(f"{path}: {exc}") from None
 
 
-def load_take(index: SessionIndex, entry: TakeEntry) -> LoadedTake:
-    """Read one take's two data files at the rates the index names."""
-    hi = read_recording_csv(index.root / entry.high_rate_file, index.high_rate_hz)
+def load_take(index: SessionIndex, entry: TakeEntry, configs=None) -> LoadedTake:
+    """Read one take's two data files at the rates the index names.
+
+    With ``configs`` (model configs), only the high-rate channels those
+    configs use are read (see :func:`read_recording_csv`); the FMG file
+    is always read whole, since :func:`~myotorque.preprocess.build_features`
+    reads every FMG channel.
+    """
+    channels = None if configs is None else {
+        label for config in configs for label in input_channels(index.joint, config)
+    }
+    hi = read_recording_csv(index.root / entry.high_rate_file, index.high_rate_hz,
+                            channels)
     fmg = read_recording_csv(index.root / entry.fmg_file, index.fmg_rate_hz)
     overlap = set(hi.labels()) & set(fmg.labels())
     if overlap:
@@ -380,9 +635,10 @@ def load_calibration(index: SessionIndex) -> tuple[MultiChannelRecording, TimeSe
     return standing, angle_rec["angle_deg"]
 
 
-def load_session(session_dir) -> LoadedSession:
-    """Read a session directory back into memory through its index."""
+def load_session(session_dir, configs=None) -> LoadedSession:
+    """Read a session directory back into memory through its index; with
+    ``configs``, only the channels they use (see :func:`load_take`)."""
     index = read_session_index(session_dir)
-    takes = [load_take(index, entry) for entry in index.takes]
+    takes = [load_take(index, entry, configs) for entry in index.takes]
     standing, initial_angle = load_calibration(index)
     return LoadedSession(index.joint, standing, initial_angle, takes)

@@ -130,7 +130,10 @@ class TorqueModel:
 
 @dataclass(frozen=True)
 class SessionSpec:
-    """Complete description of one synthetic recording session."""
+    """Complete description of one synthetic recording session.
+
+    An out-of-range field raises :class:`InvalidSpec` naming it.
+    """
 
     joint: Joint
     velocities_deg_s: tuple[float, ...]
@@ -143,40 +146,53 @@ class SessionSpec:
     high_rate_hz: float = 2000.0
     fmg_rate_hz: float = 200.0
     seed: int = 42
-    torque: TorqueModel = field(
-        default_factory=lambda: TorqueModel(0.25, 0.05, {})
-    )
+    torque: TorqueModel = field(kw_only=True)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
-        if not self.velocities_deg_s:
-            raise ValueError("need at least one velocity")
+        def require(ok: bool, name: str, rule: str, value) -> None:
+            if not ok:
+                raise InvalidSpec(f"{name} must be {rule}, got {value!r}")
+
+        require(len(self.velocities_deg_s) > 0, "velocities_deg_s",
+                "a non-empty list", list(self.velocities_deg_s))
         for v in self.velocities_deg_s:
-            if not 0.0 < v < np.inf:
-                raise ValueError(f"velocities must be finite and > 0, got {v}")
+            require(0.0 < v < np.inf, "velocities_deg_s", "finite and > 0", v)
+        for name in ("angle_low_deg", "angle_high_deg"):
+            require(np.isfinite(getattr(self, name)), name, "finite",
+                    getattr(self, name))
         if self.angle_high_deg <= self.angle_low_deg:
-            raise ValueError("angle_high_deg must exceed angle_low_deg")
-        if self.takes_per_velocity < 1:
-            raise ValueError("need at least one take per velocity")
-        if self.swings_per_take < 1:
-            raise ValueError("need at least one swing per take")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise InvalidSpec("angle_high_deg must exceed angle_low_deg")
+        require(self.takes_per_velocity >= 1, "takes_per_velocity", ">= 1",
+                self.takes_per_velocity)
+        require(self.swings_per_take >= 1, "swings_per_take", ">= 1",
+                self.swings_per_take)
+        require(0.0 <= self.rep_amplitude_jitter < 1.0, "rep_amplitude_jitter",
+                "in [0, 1)", self.rep_amplitude_jitter)
+        require(0.0 <= self.hold_s < np.inf, "hold_s", "finite and >= 0", self.hold_s)
+        require(self.seed >= 0, "seed", ">= 0", self.seed)
         for name in ("high_rate_hz", "fmg_rate_hz"):
             rate = getattr(self, name)
-            if not 0.0 < rate < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {rate}")
+            require(0.0 < rate < np.inf, name, "finite and > 0", rate)
+        for name in ("angle_coeff", "velocity_coeff"):
+            value = getattr(self.torque, name)
+            require(np.isfinite(value), f"torque.{name}", "finite", value)
         missing = [
             m.name for m in muscles_for(self.joint)
             if m not in self.torque.muscle_weights
         ]
         if missing:
-            raise ValueError(f"muscle_weights lacks {missing}")
-        if not self.noise.emg_snr > 0.0:
-            raise ValueError(f"emg_snr must be > 0, got {self.noise.emg_snr}")
+            raise InvalidSpec(f"torque.muscle_weights lacks {missing}")
+        for m, w in self.torque.muscle_weights.items():
+            require(np.isfinite(w), f"torque.muscle_weights[{m.name}]", "finite", w)
+        for name, level in self.noise.to_dict().items():
+            if name == "emg_snr":
+                require(0.0 < level < np.inf, "noise.emg_snr", "finite and > 0", level)
+            else:
+                require(0.0 <= level < np.inf, f"noise.{name}", "finite and >= 0", level)
         ratio = self.high_rate_hz / self.fmg_rate_hz
         if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("high rate must be an integer multiple of the FMG rate")
+            raise InvalidSpec("high_rate_hz must be an integer multiple of fmg_rate_hz")
 
     @property
     def span_deg(self) -> float:
@@ -205,27 +221,28 @@ class SessionSpec:
         missing key, a wrongly typed or out-of-range field, an unknown
         joint, muscle or noise key) raises :class:`InvalidSpec`."""
         d = _checked(d, dict, "a session spec")
-        velocities = _field(d, "velocities_deg_s", list)
+        fields = dict(
+            joint=_member(Joint, _field(d, "joint", str), "joint"),
+            velocities_deg_s=tuple(
+                _checked(v, float, "a velocity")
+                for v in _field(d, "velocities_deg_s", list)
+            ),
+            angle_low_deg=_field(d, "angle_low_deg", float),
+            angle_high_deg=_field(d, "angle_high_deg", float),
+            takes_per_velocity=_field(d, "takes_per_velocity", int),
+            swings_per_take=_field(d, "swings_per_take", int),
+            rep_amplitude_jitter=_field(d, "rep_amplitude_jitter", float),
+            hold_s=_field(d, "hold_s", float),
+            high_rate_hz=_field(d, "high_rate_hz", float),
+            fmg_rate_hz=_field(d, "fmg_rate_hz", float),
+            seed=_field(d, "seed", int),
+            torque=TorqueModel.from_dict(_field(d, "torque", dict)),
+            noise=NoiseSpec.from_dict(_field(d, "noise", dict)),
+        )
         try:
-            return SessionSpec(
-                joint=_member(Joint, _field(d, "joint", str), "joint"),
-                velocities_deg_s=tuple(
-                    _checked(v, float, "a velocity") for v in velocities
-                ),
-                angle_low_deg=_field(d, "angle_low_deg", float),
-                angle_high_deg=_field(d, "angle_high_deg", float),
-                takes_per_velocity=_field(d, "takes_per_velocity", int),
-                swings_per_take=_field(d, "swings_per_take", int),
-                rep_amplitude_jitter=_field(d, "rep_amplitude_jitter", float),
-                hold_s=_field(d, "hold_s", float),
-                high_rate_hz=_field(d, "high_rate_hz", float),
-                fmg_rate_hz=_field(d, "fmg_rate_hz", float),
-                seed=_field(d, "seed", int),
-                torque=TorqueModel.from_dict(_field(d, "torque", dict)),
-                noise=NoiseSpec.from_dict(_field(d, "noise", dict)),
-            )
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidSpec(f"invalid session spec: {exc}") from exc
+            return SessionSpec(**fields)
+        except InvalidSpec as exc:
+            raise InvalidSpec(f"invalid session spec: {exc}") from None
 
 
 @dataclass

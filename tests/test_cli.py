@@ -264,9 +264,10 @@ class TestSimulate:
         lambda d: {**d, "noise": {**d["noise"], "emg_snr": 0.0}},
         lambda d: {**d, "high_rate_hz": -2000.0, "fmg_rate_hz": -200.0},
         lambda d: {**d, "fmg_rate_hz": -200.0},
+        lambda d: {**d, "hold_s": -1.0},
     ], ids=["zero velocity", "negative velocity", "NaN velocity", "no velocities",
             "no takes", "muscle without weight", "zero EMG SNR", "negative rates",
-            "negative FMG rate"])
+            "negative FMG rate", "negative hold"])
     def test_out_of_range_spec_is_2(self, tmp_path, edit):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(edit(short_spec(Joint.KNEE).to_dict())))
@@ -274,6 +275,18 @@ class TestSimulate:
         proc = run_cli("simulate", "--spec", spec_file, "--out", out)
         assert proc.returncode == 2, proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert not out.exists()
+
+    def test_out_of_range_field_is_named(self, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        d = short_spec(Joint.KNEE).to_dict()
+        d["noise"]["torque_noise_std"] = float("nan")
+        spec_file.write_text(json.dumps(d))
+        out = tmp_path / "session"
+        proc = run_cli("simulate", "--spec", spec_file, "--out", out)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert "noise.torque_noise_std must be finite and >= 0" in proc.stderr
         assert not out.exists()
 
     def test_seed_override_changes_data(self, tmp_path):
@@ -387,6 +400,31 @@ class TestTrainPredict:
         assert "take_v060_t0_fmg.csv" in err
         assert "non-finite" in err
         assert "manifest" not in err
+
+    def test_bad_emg_cell_stops_only_the_emg_config(self, quiet_knee_dir,
+                                                     tmp_path, capsys):
+        # fmg reads time, angle and torque of the high-rate file (and its
+        # last column, for the row widths); emg_BF is not read.
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for p in quiet_knee_dir.iterdir():
+            (broken / p.name).write_bytes(p.read_bytes())
+        path = broken / "take_v060_t1_hi.csv"
+        lines = path.read_text().splitlines()
+        column = lines[0].split(",").index("emg_BF")
+        assert column < len(lines[0].split(",")) - 1
+        cells = lines[5].split(",")
+        cells[column] = "nan"
+        lines[5] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["train", "--session", str(broken), "--cap", "50",
+                "--out", str(tmp_path / "m.npz"), "--config"]
+        assert main(argv + ["fmg"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["emg"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "take_v060_t1_hi.csv: column 'emg_BF' has a non-finite value in data row 5" in err
 
     def test_missing_take_is_2(self, fmg_model, quiet_knee_dir, capsys):
         code = main([

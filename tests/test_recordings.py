@@ -3,7 +3,12 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
+import math
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from myotorque import recordings
+from myotorque.recordings import _MAX_EXP, _MIN_EXP
 from myotorque.errors import DataError, InvalidSpec
 from myotorque.preprocess import Joint
 from myotorque.recordings import (
@@ -254,6 +260,172 @@ class TestFormatRoundTrip:
         back = read_recording_csv(path, 100.0)
         assert back["angle_deg"].start_time_s == 0.5
         assert np.signbit(back["angle_deg"].values[0])
+
+
+def format_rows(table) -> str:
+    """``table``'s rows as ``format(x, ".17g")`` cells, CRLF-terminated."""
+    return "".join(
+        ",".join(format(x, ".17g") for x in row) + "\r\n" for row in table.tolist()
+    )
+
+
+def assert_written_exactly(values):
+    """Every value, and its negation, written as a last cell (CRLF) and
+    as an inner cell (comma) gives ``format(x, ".17g")``'s bytes."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    values = np.concatenate([values, -values])
+    table = np.column_stack([values, values[::-1]])
+    buf = io.StringIO(newline="")
+    write_float_table(buf, None, [table[:, 0], table[:, 1]])
+    got, want = buf.getvalue(), format_rows(table)
+    lines = zip(got.splitlines(), want.splitlines())
+    assert got == want, [(g, w) for g, w in lines if g != w][:3]
+
+
+def ulp_neighbours(x, steps=2):
+    """``x`` and the ``steps`` doubles on either side of it."""
+    out = [x]
+    up = down = x
+    for _ in range(steps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return out
+
+
+class TestG17Writer:
+    """write_float_table's vectorized ``%.17g`` against ``format(x, ".17g")``:
+    the fast path covers 1e-6 < |x| < 1e16, ``%`` the rest."""
+
+    def test_every_exponent_at_its_power_of_ten(self):
+        # Decimal exponents -7..16 reach one past each end of the fast path.
+        assert_written_exactly(
+            [v for k in range(-7, 17) for v in ulp_neighbours(float(f"1e{k}"))]
+        )
+
+    def test_fast_path_edges(self):
+        assert_written_exactly(ulp_neighbours(1e-6, 4) + ulp_neighbours(1e16, 4))
+
+    def test_ties_round_half_to_even(self):
+        # m / 2**(17 - k) with m odd, in [10**k, 10**(k+1)), has 18
+        # significant digits ending in 5: a tie at 17 digits.
+        rng = np.random.default_rng(0)
+        values = [1 + 2.0**-17]
+        for k in range(-6, 16):
+            n = 17 - k
+            low = math.ceil(Fraction(10) ** k * 2**n)
+            high = min(int(Fraction(10) ** (k + 1) * 2**n), 2**53)
+            odd = [m | 1 for m in range(low, low + 40)]
+            odd += [int(m) | 1 for m in rng.integers(low, high, 200)]
+            values += [math.ldexp(m, -n) for m in odd if m < high]
+        for x in values[:50]:
+            digits = Decimal(x).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5, x
+        assert_written_exactly(values)
+
+    def test_roundings_up_to_the_next_digit(self):
+        # Values just below a power of ten, whose 17 digits are nines or
+        # round up into the next decade's digits.
+        values = []
+        for k in range(-6, 17):
+            p = float(f"1e{k}")
+            values += [np.nextafter(p, 0.0), float(f"9.99999999999999999e{k - 1}"),
+                       float(f"9.9999999999999995e{k - 1}"),
+                       float(f"9.9999999999999999e{k - 1}")]
+        assert_written_exactly(values)
+
+    def test_zeros_subnormals_and_extremes(self):
+        assert_written_exactly([
+            0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+            1e-300, 9.9e-7, 1e17, 1e22, 1.7e308, 1.7976931348623157e308,
+            np.inf, np.nan,
+        ])
+
+    def test_literal_and_integer_cells(self):
+        columns = [[0, 1, 12345678901], [0.1, -0.0, 1e-7], [3.5, 1e16, 2.0]]
+        for row_format in ("%d,%.17g,%.17g,test", "test,%d,%.17g,%.17g",
+                           "%d,%.17g,lit%%,%.17g", "knee,%d,x%.17g,%.17g"):
+            buf = io.StringIO(newline="")
+            write_float_table(buf, None, columns, row_format)
+            rows = np.column_stack(columns).tolist()
+            assert buf.getvalue() == "".join(row_format % tuple(r) + "\r\n" for r in rows)
+
+    def test_row_format_must_take_every_column(self):
+        with pytest.raises(ValueError, match="takes 1 columns, the table has 2"):
+            write_float_table(io.StringIO(), None, [[1.0], [2.0]], "%.17g,x")
+
+    def test_a_million_random_values_per_decade(self):
+        # Uniform over the doubles of each decade of the fast path, both
+        # signs, two to a row; one decade at a time keeps the strings small.
+        rng = np.random.default_rng(23)
+        for k in range(_MIN_EXP, _MAX_EXP + 1):
+            lo, hi = (np.array([float(f"1e{e}")]).view(np.int64)[0] for e in (k, k + 1))
+            values = rng.integers(lo, hi, 1_000_000).view(np.float64)
+            values[::3] *= -1
+            buf = io.StringIO(newline="")
+            write_float_table(buf, None, [values[0::2], values[1::2]])
+            cells = list(map(format, values.tolist(), itertools.repeat(".17g")))
+            want = "\r\n".join(map(",".join, zip(cells[0::2], cells[1::2]))) + "\r\n"
+            assert buf.getvalue() == want, k
+
+
+def knee_csv(tmp_path, rows) -> Path:
+    """A four-column high-rate CSV whose data rows are ``rows`` (strings)."""
+    path = tmp_path / "take.csv"
+    path.write_text("time_s,angle_deg,emg_BF,torque_nm\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def read_error(path, channels=None) -> str:
+    with pytest.raises(DataError) as info:
+        read_recording_csv(path, 100.0, channels)
+    return str(info.value)
+
+
+class TestSelectiveRead:
+    GOOD = ["0.0,1.0,0.5,2.0", "0.01,1.5,0.25,2.5", "0.02,2.0,-0.5,3.0"]
+
+    def test_selected_columns_are_the_full_reads(self, tmp_path):
+        path = knee_csv(tmp_path, self.GOOD)
+        full = read_recording_csv(path, 100.0)
+        for channels in ({"angle_deg"}, {"torque_nm"}, {"emg_BF", "fmg_BF"}, set()):
+            part = read_recording_csv(path, 100.0, channels)
+            assert sorted(part.labels()) == sorted(channels & set(full.labels()))
+            for label in part.labels():
+                assert part[label].values.tobytes() == full[label].values.tobytes()
+                assert part[label].start_time_s == full[label].start_time_s
+
+    @pytest.mark.parametrize("rows, message", [
+        pytest.param(["0.0,1.0,0.5,2.0", "0.01,1.5,0.25"],
+                     "ragged rows: data row 2 has 3 cells, the header 4", id="narrow"),
+        pytest.param(["0.0,1.0,0.5,2.0", "0.01,1.5,0.25,2.5,9", "0.02,2.0,-0.5,3.0"],
+                     "ragged rows: data row 2 has 5 cells, the header 4", id="wide"),
+        pytest.param(["0.0,1.0,0.5,2.0", "0.01,1.5,0.25,2.5,9", "0.02,2.0,-0.5"],
+                     "ragged rows: data row 2 has 5 cells, the header 4",
+                     id="wide-then-narrow"),
+        pytest.param(["0.0,1.0,0.5,2.0,7", "0.01,1.5,0.25,2.5,7"],
+                     "ragged rows: data row 1 has 5 cells, the header 4", id="all-wide"),
+        pytest.param(["0.0,1.0,0.5,2.0", "0.01,1.5,0.25,2.5", "0.02,x3,-0.5,3.0"],
+                     "non-numeric cell 'x3' in column 'angle_deg', data row 3",
+                     id="non-numeric"),
+        pytest.param(["0.0,1.0,0.5,2.0", "0.01,nan,0.25,2.5"],
+                     "column 'angle_deg' has a non-finite value in data row 2",
+                     id="non-finite"),
+    ])
+    def test_bad_rows_give_the_full_reads_error(self, tmp_path, rows, message):
+        path = knee_csv(tmp_path, rows)
+        assert message in read_error(path)
+        assert read_error(path, {"angle_deg"}) == read_error(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "x"])
+    def test_unread_columns_are_not_checked(self, tmp_path, cell):
+        path = knee_csv(tmp_path, ["0.0,1.0,0.5,2.0", f"0.01,1.5,{cell},2.5"])
+        assert "'emg_BF'" in read_error(path)
+        back = read_recording_csv(path, 100.0, {"angle_deg", "torque_nm"})
+        assert back["torque_nm"].values.tolist() == [2.0, 2.5]
+
+    def test_the_last_column_is_always_parsed(self, tmp_path):
+        path = knee_csv(tmp_path, ["0.0,1.0,0.5,2.0", "0.01,1.5,0.25,y"])
+        assert read_error(path, {"angle_deg"}) == read_error(path)
 
 
 @pytest.fixture(scope="module")

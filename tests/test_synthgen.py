@@ -8,7 +8,7 @@ from scipy import signal
 
 from myotorque import filters
 from myotorque.errors import InvalidSpec
-from myotorque.preprocess import Joint, compute_calibration, muscles_for
+from myotorque.preprocess import Joint, Muscle, compute_calibration, muscles_for
 from myotorque.synthgen import (
     NoiseSpec,
     SessionSpec,
@@ -36,6 +36,10 @@ def arrays_of(obj, path="session"):
             yield from arrays_of(value, f"{path}[{i}]")
 
 
+KNEE_WEIGHTS = {m: (30.0 if i % 2 else -30.0)
+                for i, m in enumerate(muscles_for(Joint.KNEE))}
+
+
 def quiet_spec(**overrides):
     """Small noise-free knee protocol with a sample-aligned swing period."""
     base = dict(
@@ -49,10 +53,7 @@ def quiet_spec(**overrides):
         high_rate_hz=2000.0,
         fmg_rate_hz=200.0,
         seed=7,
-        torque=TorqueModel(
-            0.3, 0.04, {m: (30.0 if i % 2 else -30.0)
-                        for i, m in enumerate(muscles_for(Joint.KNEE))}
-        ),
+        torque=TorqueModel(0.3, 0.04, KNEE_WEIGHTS),
         noise=NoiseSpec(emg_snr=1e9, fmg_noise_std=0.0, torque_noise_std=0.0,
                         angle_noise_std_deg=0.0, fmg_drift_amp=0.0),
     )
@@ -62,12 +63,44 @@ def quiet_spec(**overrides):
 
 class TestSpec:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="angle_high_deg must exceed"):
             quiet_spec(angle_low_deg=80.0)  # low above high
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="swings_per_take must be >= 1"):
             quiet_spec(swings_per_take=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="integer multiple of fmg_rate_hz"):
             quiet_spec(fmg_rate_hz=300.0)  # 2000/300 not an integer
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"hold_s": -1.0}, "hold_s"),
+        ({"hold_s": float("nan")}, "hold_s"),
+        ({"hold_s": float("inf")}, "hold_s"),
+        ({"angle_low_deg": float("nan")}, "angle_low_deg"),
+        ({"angle_high_deg": float("inf")}, "angle_high_deg"),
+        ({"angle_low_deg": -float("inf")}, "angle_low_deg"),
+        ({"rep_amplitude_jitter": -0.1}, "rep_amplitude_jitter"),
+        ({"rep_amplitude_jitter": 1.0}, "rep_amplitude_jitter"),
+        ({"rep_amplitude_jitter": float("nan")}, "rep_amplitude_jitter"),
+        ({"noise": NoiseSpec(emg_snr=float("inf"))}, "noise.emg_snr"),
+        ({"noise": NoiseSpec(fmg_noise_std=-0.1)}, "noise.fmg_noise_std"),
+        ({"noise": NoiseSpec(torque_noise_std=float("nan"))}, "noise.torque_noise_std"),
+        ({"noise": NoiseSpec(angle_noise_std_deg=float("inf"))},
+         "noise.angle_noise_std_deg"),
+        ({"noise": NoiseSpec(fmg_drift_amp=-1e-3)}, "noise.fmg_drift_amp"),
+        ({"torque": TorqueModel(float("nan"), 0.04, KNEE_WEIGHTS)}, "torque.angle_coeff"),
+        ({"torque": TorqueModel(0.3, float("inf"), KNEE_WEIGHTS)}, "torque.velocity_coeff"),
+        ({"torque": TorqueModel(0.3, 0.04, {**KNEE_WEIGHTS, Muscle.ST: float("nan")})},
+         r"torque.muscle_weights\[ST\]"),
+    ])
+    def test_out_of_range_field_is_named(self, overrides, field):
+        with pytest.raises(InvalidSpec, match=rf"^{field} must be "):
+            quiet_spec(**overrides)
+
+    def test_torque_is_required_and_keyword_only(self):
+        spec = quiet_spec()
+        kwargs = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+        del kwargs["torque"]
+        with pytest.raises(TypeError, match="keyword-only argument: 'torque'"):
+            SessionSpec(**kwargs)
 
     def test_dict_round_trip(self):
         spec = default_session_spec(Joint.ANKLE)
