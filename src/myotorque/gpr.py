@@ -19,7 +19,9 @@ else the Householder reduction K = H T H' of the gram matrix in place
 (:class:`_Reduction`, O(n) per evaluation). With a scale free, it is
 :func:`_free_scale_objective`, which factors K + noise I once per
 evaluation. The driver gives a point whose covariance cannot be factored
-a finite sentinel, and stops later free-scale starts that cannot win.
+a finite sentinel. In a free-scale search it stops a later start that
+enters the basin of an optimum already found, or whose latest
+evaluations all trailed the best completed start far behind.
 
 Predictions run over blocks of at most ``_QUERY_BLOCK`` query rows, so
 the cross-covariance (and, in :func:`predict`, the triangular solve)
@@ -145,14 +147,17 @@ LOG_BOUNDS = (-16.0, 8.0)
 
 # Free-scale search only: a start after the first stops once an iterate
 # lies within BASIN_RADIUS (Euclidean, over the free log parameters) of an
-# optimum a completed start reached, or once it has sat at two or more
-# bounds (within _AT_BOUND) for CORNER_ITERATIONS iterations in a row
-# while its LML trails the best completed start's by more than
-# CORNER_MARGIN of that LML's size.
+# optimum a completed start reached, or before its next evaluation once
+# each of its last TRAIL_EVALUATIONS evaluations, line-search trials
+# included, trailed the best completed start's LML by more than
+# TRAIL_MARGIN of that LML's size and by more than TRAIL_FLOOR log units.
+# The floor keeps the margin from vanishing when the best LML is near 0:
+# a later start can trail by up to about 90 log units over its first
+# evaluations and still climb past the best.
 BASIN_RADIUS = 1.0
-CORNER_ITERATIONS = 2
-CORNER_MARGIN = 0.1
-_AT_BOUND = 1e-3
+TRAIL_EVALUATIONS = 5
+TRAIL_MARGIN = 0.1
+TRAIL_FLOOR = 150.0
 
 # The objective of an evaluation whose covariance cannot be factored:
 # finite, so L-BFGS-B backs off from it.
@@ -168,7 +173,9 @@ class GpOptions:
     starts: the first is the initial hyperparameter value, the others draw
     log parameters uniformly from :data:`INIT_LOG_BOUNDS` with ``seed``,
     so the search is deterministic. With a free scale, a start after the
-    first may stop early (see :func:`optimize_hyperparameters`).
+    first may stop early, on a rule that reads only its own evaluations
+    and the completed starts' optima, so that stays deterministic too
+    (see :func:`_multi_start`).
     """
 
     optimize_output_scale: bool = False
@@ -853,7 +860,8 @@ class Spectrum:
 
 
 class _Pruned(Exception):
-    """Raised from the L-BFGS-B callback to stop a start that cannot win."""
+    """Raised from the L-BFGS-B callback or objective to stop a start that
+    cannot win."""
 
 
 def _free_scale_objective(
@@ -928,12 +936,16 @@ def _multi_start(objective, first: np.ndarray, seed: int, prune: bool) -> np.nda
     comparison, once it is not expected to win: when its start point or
     an iterate lies within :data:`BASIN_RADIUS` of an optimum a completed
     start reached, so it would most likely end there too (multi-level
-    single linkage, Rinnooy Kan & Timmer 1987), or when it has sat at two
-    or more bounds for :data:`CORNER_ITERATIONS` iterations while its LML
-    trails the best completed start's by more than :data:`CORNER_MARGIN`
-    of that LML's size. A stopped start might have gone on to a better
-    optimum, so the result can be worse than the best of the same starts
-    run to the end.
+    single linkage, Rinnooy Kan & Timmer 1987), or, before its next
+    evaluation, when each of its last :data:`TRAIL_EVALUATIONS`
+    evaluations trailed the best completed start's LML by more than
+    :data:`TRAIL_MARGIN` of that LML's size and by more than
+    :data:`TRAIL_FLOOR` log units. The trail counts every evaluation,
+    line-search trials and unfactorable points too, so a start whose line
+    search stalls far behind the best costs at most that many
+    evaluations; each one the start makes is still handed to L-BFGS-B. A
+    stopped start might have gone on to a better optimum, so the result
+    can be worse than the best of the same starts run to the end.
     """
     n_free = first.shape[0]
     rng = np.random.default_rng(seed)
@@ -942,44 +954,34 @@ def _multi_start(objective, first: np.ndarray, seed: int, prune: bool) -> np.nda
     ]
     found = []  # the usable optimum of each completed start, when pruning
     best_theta, best_value = None, np.inf
-    last = (None, _FAILED)  # the last evaluated point and its value
-    at_corner = 0  # consecutive iterations of this start at two or more bounds
+    trailing = 0  # this start's latest evaluations in a row behind the best
 
     def negative(theta_free: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal last
+        nonlocal trailing
+        if trailing >= TRAIL_EVALUATIONS:
+            raise _Pruned
         try:
             lml, grad = objective(theta_free)
             value, grad = -lml, -np.atleast_1d(grad)
         except NotPositiveDefinite:
             value, grad = _FAILED, np.zeros(n_free)
-        last = theta_free.copy(), value
+        margin = max(TRAIL_MARGIN * abs(best_value), TRAIL_FLOOR)
+        trails = bool(found) and value > best_value + margin
+        trailing = trailing + 1 if trails else 0
         return value, grad
 
     def in_found_basin(theta_free: np.ndarray) -> bool:
         return any(np.linalg.norm(theta_free - opt) <= BASIN_RADIUS for opt in found)
 
     def after_iteration(theta_free: np.ndarray) -> None:
-        """The L-BFGS-B callback of a later pruned start: raises
-        :class:`_Pruned` on the iterate where the start cannot win."""
-        nonlocal at_corner
+        """The L-BFGS-B callback of a later pruned start: the basin stop."""
         if in_found_basin(theta_free):
-            raise _Pruned
-        bounds_hit = np.count_nonzero(
-            (theta_free <= LOG_BOUNDS[0] + _AT_BOUND)
-            | (theta_free >= LOG_BOUNDS[1] - _AT_BOUND)
-        )
-        at_corner = at_corner + 1 if bounds_hit >= 2 else 0
-        # L-BFGS-B ends each iteration on the point it evaluated last.
-        trails = np.array_equal(last[0], theta_free) and (
-            last[1] > best_value + CORNER_MARGIN * abs(best_value)
-        )
-        if at_corner >= CORNER_ITERATIONS and trails:
             raise _Pruned
 
     for start in starts:
         if in_found_basin(start):
             continue
-        at_corner = 0
+        trailing = 0
         try:
             result = minimize(
                 negative,
@@ -1027,7 +1029,9 @@ def optimize_hyperparameters(
       ``spectrum`` with a free scale is a ValueError.
     - A scale free: the objective is :func:`_free_scale_objective`, over
       four n x n blocks, and the driver stops later starts that cannot
-      win (basin and corner stops).
+      win: one that enters a found optimum's basin, and one whose last
+      :data:`TRAIL_EVALUATIONS` evaluations all trailed the best by more
+      than :data:`TRAIL_MARGIN` of its size and :data:`TRAIL_FLOOR`.
     """
     x, y = _training_set(inputs, targets)
     if initial is None:

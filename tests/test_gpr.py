@@ -980,8 +980,9 @@ def record_runs(monkeypatch):
         runs.append((np.array(x0), points, False))
 
         def wrapped(theta_free):
+            out = fun(theta_free)  # a stopped start raises before evaluating
             points.append(theta_free.copy())
-            return fun(theta_free)
+            return out
 
         result = minimize(wrapped, x0, **kwargs)
         runs[-1] = (runs[-1][0], points, True)
@@ -997,6 +998,31 @@ def sine_problem(seed):
     return x, np.sin(2.0 * x[:, 0]) + 0.1 * rng.standard_normal(30)
 
 
+def multimodal_problem(seed):
+    """A sine of random frequency, amplitude and noise at 20-80 points, and
+    a random initial length scale: the first start alone often ends in a
+    worse optimum than the best of five."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 81))
+    x = rng.uniform(-3.0, 3.0, (n, 1))
+    y = (rng.uniform(0.2, 3.0) * np.sin(rng.uniform(0.5, 6.0) * x[:, 0])
+         + rng.uniform(0.01, 0.5) * rng.standard_normal(n))
+    initial = Hyperparameters(length_scale=float(np.exp(rng.uniform(-2.0, 3.5))))
+    return x, y, initial
+
+
+def knee_fmg_problem(session_seed, cap):
+    """The normalized training rows of a knee fmg model on a whole session."""
+    session = generate_session(default_session_spec(Joint.KNEE, seed=session_seed))
+    calib = compute_calibration(session.standing, session.initial_angle)
+    table = concat_tables([
+        build_features(take.recording, Joint.KNEE, ModelConfig.FMG, calib)
+        for take in session.takes
+    ])
+    model = train_model(table, train_cap=cap).model
+    return model.inputs, model.targets
+
+
 def at_corner(theta):
     lo, hi = gpr.LOG_BOUNDS
     return np.count_nonzero((theta <= lo + 1e-3) | (theta >= hi - 1e-3)) >= 2
@@ -1004,8 +1030,8 @@ def at_corner(theta):
 
 class TestPrunedSearch:
     """With a free scale, a later start stops once it enters the basin of
-    an optimum already found, or stalls at a corner of the box while it
-    trails; the search still returns the best optimum of the five."""
+    an optimum already found, or once its last few evaluations all trailed
+    the best; the search still returns the best optimum of the five."""
 
     def test_shared_optimum_costs_fewer_evaluations(self, monkeypatch):
         x, y = sine_problem(0)
@@ -1039,15 +1065,8 @@ class TestPrunedSearch:
     def test_start_stalled_at_a_corner_is_abandoned(self, monkeypatch):
         # Knee fmg at 299 rows: run to the end, the fourth start sits at
         # the (8, 8, -16) corner for its last iterations with an LML 70 %
-        # below the others'.
-        session = generate_session(default_session_spec(Joint.KNEE, seed=1))
-        calib = compute_calibration(session.standing, session.initial_angle)
-        table = concat_tables([
-            build_features(take.recording, Joint.KNEE, ModelConfig.FMG, calib)
-            for take in session.takes
-        ])
-        model = train_model(table, train_cap=300).model
-        x, y = model.inputs, model.targets
+        # below the others'; the trailing stop ends it there.
+        x, y = knee_fmg_problem(session_seed=1, cap=300)
         plain = plain_starts(x, y, Hyperparameters(), FREE)
         best = min(result.fun for _, result in plain)
         stalled = [(start, result) for start, result in plain
@@ -1063,16 +1082,86 @@ class TestPrunedSearch:
             assert len(points) < result.nfev
         assert -fit(x, y, hyper).log_marginal == pytest.approx(best, rel=1e-6)
 
-    @pytest.mark.parametrize("seed", range(6))
+    def test_line_search_stalled_far_behind_stops_within_the_trail(self, monkeypatch):
+        # Beyond a radius of 3 the LML is a plateau 1,000 log units below
+        # the best whose gradient points outward, as at the (8, 8, -16)
+        # corner of a knee fmg search: a start there finds no rise along
+        # it, and its one line search backtracks until it fails.
+        def objective(theta):
+            radius = np.linalg.norm(theta)
+            if radius > 3.0:
+                return -1000.0, theta / radius
+            return -float(theta @ theta), -2.0 * theta
+
+        first, seed = np.full(3, 0.5), 0
+        draws = np.random.default_rng(seed)
+        later = [draws.uniform(*gpr.INIT_LOG_BOUNDS, size=3)
+                 for _ in range(gpr.RESTARTS - 1)]
+        on_plateau = [start for start in later if np.linalg.norm(start) > 3.0]
+        assert on_plateau
+        bounds = [gpr.LOG_BOUNDS] * 3
+        for start in on_plateau:
+            plain = minimize(lambda t: tuple(-np.asarray(v) for v in objective(t)),
+                             start, jac=True, method="L-BFGS-B", bounds=bounds)
+            assert plain.nit == 0 and plain.nfev > 2 * gpr.TRAIL_EVALUATIONS
+
+        runs = record_runs(monkeypatch)
+        theta = gpr._multi_start(objective, first, seed, prune=True)
+        assert np.allclose(theta, 0.0, atol=1e-4)
+        for start in on_plateau:
+            [(points, done)] = [(p, d) for s, p, d in runs if np.array_equal(s, start)]
+            assert not done
+            assert len(points) == gpr.TRAIL_EVALUATIONS
+
+    def test_line_search_stalled_at_the_knee_corner_stops_within_the_trail(
+        self, monkeypatch
+    ):
+        # Knee fmg at 299 rows of session 39: run to the end, the fourth
+        # start's first step lands at the corner and its one line search
+        # fails there, about 30 evaluations for one iteration. Whether it
+        # fails hangs on the last bits of the factorizations near the
+        # corner, which the BLAS can change.
+        x, y = knee_fmg_problem(session_seed=39, cap=300)
+        plain = plain_starts(x, y, Hyperparameters(), FREE)
+        best = min(result.fun for _, result in plain)
+        margin = max(gpr.TRAIL_MARGIN * abs(best), gpr.TRAIL_FLOOR)
+        stalled = [(start, result) for start, result in plain
+                   if at_corner(result.x) and result.nit <= 1
+                   and result.nfev > 2 * gpr.TRAIL_EVALUATIONS
+                   and result.fun > best + margin]
+        if not stalled:
+            pytest.skip("no start's line search stalls at the corner with this BLAS")
+
+        runs = record_runs(monkeypatch)
+        hyper = optimize_hyperparameters(x, y, options=FREE)
+        for start, _ in stalled:
+            [(points, done)] = [(p, d) for s, p, d in runs if np.array_equal(s, start)]
+            assert not done
+            assert len(points) <= gpr.TRAIL_EVALUATIONS
+        assert -fit(x, y, hyper).log_marginal == pytest.approx(best, rel=1e-6)
+
+    @pytest.mark.parametrize("seed", [
+        *range(30),
+        # Multimodal problems on which a trailing margin proportional to
+        # the best LML's size, which vanishes as that LML nears 0, stopped
+        # the later start that goes on to the better optimum.
+        30163, 30319, 30323, 30361, 30408, 30518, 30577,
+        40018, 40090, 40252, 40358, 40378,
+        pytest.param(37, marks=pytest.mark.xfail(
+            reason="the better optimum lies 0.89 from a worse one a completed "
+                   "start reached, inside BASIN_RADIUS", strict=False)),
+    ])
     def test_never_worse_than_five_full_starts(self, seed):
         if seed < 3:
             x, y = sine_problem(seed + 2)
             initial = Hyperparameters(length_scale=20.0)
-        else:
+        elif seed < 6:
             rng = np.random.default_rng(seed)
             x = rng.uniform(-2.0, 2.0, (60, 3))
             y = np.sin(x[:, 0]) * x[:, 1] + 0.1 * rng.standard_normal(60)
             initial = Hyperparameters()
+        else:
+            x, y, initial = multimodal_problem(seed)
         opts = dataclasses.replace(FREE, seed=seed)
         best = -min(result.fun for _, result in plain_starts(x, y, initial, opts))
         hyper = optimize_hyperparameters(x, y, initial=initial, options=opts)
