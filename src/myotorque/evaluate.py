@@ -472,11 +472,12 @@ def write_metrics_csv(report: MetricsReport, path) -> None:
                 cell = report.cells.get((joint, config))
                 if cell is None:
                     continue
+                # An integral float's %.17g cell is its %d cell.
                 write_float_table(
                     fh,
                     None,
-                    [np.arange(cell.n_folds), cell.per_fold_mse, cell.per_fold_rmse],
-                    f"{joint.value},{config.value},%d,%.17g,%.17g",
+                    [joint.value, config.value, np.arange(cell.n_folds),
+                     cell.per_fold_mse, cell.per_fold_rmse],
                 )
 
 
@@ -491,8 +492,8 @@ def export_scatter(result: CvResult, path) -> None:
         write_float_table(
             fh,
             ["measured_nm", "estimated_nm", "split"],
-            [result.predictions.true_nm[tested], result.predictions.predicted_nm[tested]],
-            "%.17g,%.17g,test",
+            [result.predictions.true_nm[tested], result.predictions.predicted_nm[tested],
+             "test"],
         )
 
 

@@ -24,24 +24,25 @@ and every line ends in CRLF: the bytes ``csv.writer`` produces from
 ``format(x, ".17g")`` cells.
 
 Writing: :func:`write_float_table`, the one writer of every CSV the
-package writes, formats 1024 rows at a time. A ``%.17g`` cell with
-1e-6 < |x| < 1e16 takes the vectorized fast path: the 17 digits are
-round-half-even(|x| * 10**(16 - k)), computed exactly with Dekker's
-two-product against the exact double 10**(16 - k), and laid out in %g's
-fixed or exponent form by per-class byte masks and shifts. The other
-cells (zeros, subnormals, tiny, huge and non-finite values, about 0.25 %
-of a simulated session) and every other kind of cell (literals, ``%d``)
-go through Python's ``%``. Both give ``format(x, ".17g")``'s bytes.
+package writes, takes float columns and literal (``str``) columns and
+formats 1024 rows at a time. A float cell with 1e-6 < |x| < 1e16 takes
+the vectorized fast path: the 17 digits are round-half-even(|x| *
+10**(16 - k)), computed exactly with Dekker's two-product against the
+exact double 10**(16 - k), and laid out in %g's fixed or exponent form by
+per-class byte masks and shifts. The other float cells (zeros,
+subnormals, tiny, huge and non-finite values, about 0.25 % of a simulated
+session) go through Python's ``%``; both give ``format(x, ".17g")``'s
+bytes. A literal column is the same bytes on every row.
 
-Reading: :func:`read_recording_csv` parses the body with numpy's
-correctly rounded C parser (``np.loadtxt``), so a write/read cycle
-reproduces every float64 value bit for bit. Given a channel selection it
-parses only the time, the selected columns and the last one; cells of
-the columns it does not parse are not checked, while every row's width
-still is. :func:`load_take` and :func:`load_session` take the model
-configs a command uses and select the high-rate channels those configs
-read (:func:`~myotorque.preprocess.input_channels`); the FMG file and
-the calibration files are always read whole.
+Reading: :func:`read_recording_csv` first checks every row's width in one
+vectorized pass over the file's bytes, then parses the time and the
+selected columns with numpy's correctly rounded C parser
+(``np.loadtxt``), so a write/read cycle reproduces every float64 value
+bit for bit. Cells of the columns it does not parse are not checked.
+:func:`load_take` and :func:`load_session` take the model configs a
+command uses and select the high-rate channels those configs read
+(:func:`~myotorque.preprocess.input_channels`); the FMG file and the
+calibration files are always read whole.
 """
 
 from __future__ import annotations
@@ -227,67 +228,37 @@ def _format_g17(x: np.ndarray, last: np.ndarray) -> np.ndarray:
     return cells.reshape(x.shape + (_SLOT,))
 
 
-def _row_cells(row_format: str, width: int) -> list[tuple[str, list[int]]]:
-    """The comma-separated cells of ``row_format``, each with the table
-    columns its ``%`` conversions take, in order."""
-    cells, column = [], 0
-    for cell in row_format.split(","):
-        n = cell.count("%") - 2 * cell.count("%%")
-        cells.append((cell, list(range(column, column + n))))
-        column += n
-    if column != width:
-        raise ValueError(f"row format {row_format!r} takes {column} columns, "
-                         f"the table has {width}")
-    return cells
-
-
-def _format_rows(chunk: np.ndarray, cells) -> str:
-    """The CSV lines of ``chunk``'s rows: ``%.17g`` cells through
-    :func:`_format_g17`, other cells through ``%``, as NUL-padded byte
-    blocks joined row by row; the NULs are dropped last."""
-    last = len(cells) - 1
-    blocks: list = [None] * len(cells)
-    fast = [i for i, (cell, _) in enumerate(cells) if cell == "%.17g"]
-    if fast:
-        formatted = _format_g17(
-            chunk[:, [cells[i][1][0] for i in fast]], np.array(fast) == last
-        )
-        for j, i in enumerate(fast):
-            blocks[i] = formatted[:, j]
-    for i, (cell, columns) in enumerate(cells):
-        if blocks[i] is not None:
-            continue
-        end = "\r\n" if i == last else ","
-        texts = [(cell % tuple(row) + end).encode()
-                 for row in chunk[:, columns].tolist()]
-        width = max(map(len, texts))
-        blocks[i] = np.frombuffer(
-            b"".join(t.ljust(width, b"\0") for t in texts), np.uint8
-        ).reshape(len(chunk), width)
-    rows = formatted if len(fast) == len(cells) else np.concatenate(blocks, axis=1)
-    return rows.tobytes().translate(None, b"\0").decode()
-
-
-def write_float_table(fh, header, columns, row_format: str | None = None) -> None:
-    """Write equal-length float columns to the open text file ``fh`` as CSV.
+def write_float_table(fh, header, columns) -> None:
+    """Write a table to the open text file ``fh`` as CSV.
 
     ``header`` (a list of names, or None for no header row) goes through
-    :mod:`csv`. Each data row is ``row_format % row`` plus CRLF; the
-    default format is ``%.17g`` per column, comma separated. A format may
-    hold literal cells and other conversions (``%d``) too; a cell that is
-    exactly ``%.17g`` is formatted by :func:`_format_g17`, to the same
-    bytes. Open ``fh`` with ``newline=""`` so the CRLF line ends are
-    written as they are.
+    :mod:`csv`. A column is either a sequence of floats, written as
+    ``%.17g`` cells by :func:`_format_g17`, or a ``str``, written as that
+    literal on every row; the float columns share one length, the row
+    count. Rows end in CRLF, so open ``fh`` with ``newline=""``.
     """
     if header is not None:
         csv.writer(fh).writerow(header)
-    columns = [np.asarray(c) for c in columns]
-    if row_format is None:
-        row_format = ",".join(["%.17g"] * len(columns))
-    cells = _row_cells(row_format, len(columns))
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        chunk = np.column_stack([c[start : start + _CHUNK_ROWS] for c in columns])
-        fh.write(_format_rows(chunk, cells))
+    last = len(columns) - 1
+    literals = {
+        i: np.frombuffer((c + ("\r\n" if i == last else ",")).encode(), np.uint8)
+        for i, c in enumerate(columns) if isinstance(c, str)
+    }
+    at = [i for i in range(len(columns)) if i not in literals]
+    floats = [np.asarray(columns[i], dtype=np.float64) for i in at]
+    ends = np.array(at) == last
+    for start in range(0, len(floats[0]), _CHUNK_ROWS):
+        chunk = np.column_stack([c[start : start + _CHUNK_ROWS] for c in floats])
+        cells = _format_g17(chunk, ends)
+        if literals:
+            # The cells as NUL-padded byte blocks, joined row by row.
+            blocks = iter(cells.transpose(1, 0, 2))
+            cells = np.concatenate([
+                np.broadcast_to(literals[i], (len(chunk), literals[i].size))
+                if i in literals else next(blocks)
+                for i in range(len(columns))
+            ], axis=1)
+        fh.write(cells.tobytes().translate(None, b"\0").decode())
 
 
 def _column_rank(label: str) -> tuple[int, str]:
@@ -324,15 +295,42 @@ def write_recording_csv(recording: MultiChannelRecording, path) -> None:
         write_float_table(fh, [TIME_COLUMN] + labels, columns)
 
 
-def _body_error(path: Path, header: list[str], parsed: list[int],
-                detail: str) -> DataError:
-    """The diagnostic for a body ``np.loadtxt`` rejected (or whose comma
-    count is off): the first data row that is ragged or holds a cell that
-    is not a number in one of the ``parsed`` columns; ``detail`` if no row
-    does.
+def _check_row_widths(path: Path, width: int) -> None:
+    """Raise :class:`DataError` naming the first data row of ``path``
+    that does not have ``width`` cells.
 
-    Runs only on the error path; rows are counted as the parser counts
-    them, skipping empty lines.
+    One vectorized pass over the file's bytes counts the commas per line.
+    Lines end at CR or LF and empty lines are skipped, as ``np.loadtxt``
+    splits and skips them in a text-mode read; the first line is the
+    header.
+    """
+    text = np.frombuffer(path.read_bytes(), np.uint8)
+    # The commas and line ends in file order (all are bytes <= ','), then
+    # a line end past the last byte.
+    at = np.flatnonzero(text <= ord(","))
+    kind = text[at]
+    is_end = (kind == ord("\n")) | (kind == ord("\r"))
+    marks = is_end | (kind == ord(","))
+    at = np.append(at[marks], text.size)
+    ends = np.flatnonzero(np.append(is_end[marks], True))
+    cells = np.diff(ends)  # per line after the header: its commas + 1
+    rows = np.diff(at[ends]) > 1  # the line is not empty
+    bad = np.flatnonzero(rows & (cells != width))
+    if bad.size:
+        raise DataError(
+            f"{path}: ragged rows: data row {np.count_nonzero(rows[: bad[0] + 1])} "
+            f"has {cells[bad[0]]} cells, the header {width}"
+        )
+
+
+def _body_error(path: Path, header: list[str], parsed: list[int],
+                exc: ValueError) -> DataError:
+    """The diagnostic for a body ``np.loadtxt`` rejected: the first data
+    row with a cell that is not a number in one of the ``parsed``
+    columns, else the parser's own message.
+
+    Runs only on the error path, after :func:`_check_row_widths`; rows are
+    counted as the parser counts them, skipping empty lines.
     """
     try:
         with open(path) as fh:
@@ -340,11 +338,6 @@ def _body_error(path: Path, header: list[str], parsed: list[int],
             lines = (line.rstrip("\n") for line in fh)
             for row, line in enumerate(filter(None, lines), start=1):
                 cells = line.split(",")
-                if len(cells) != len(header):
-                    return DataError(
-                        f"{path}: ragged rows: data row {row} has {len(cells)} "
-                        f"cells, the header {len(header)}"
-                    )
                 for j in parsed:
                     try:
                         float(cells[j])
@@ -355,7 +348,7 @@ def _body_error(path: Path, header: list[str], parsed: list[int],
                         )
     except (OSError, ValueError):
         pass
-    return DataError(f"{path}: {detail}")
+    return DataError(f"{path}: non-numeric cell: {exc}")
 
 
 def read_recording_csv(path, sample_rate_hz: float,
@@ -364,9 +357,9 @@ def read_recording_csv(path, sample_rate_hz: float,
 
     The sample rate comes from the caller (normally the session index) and
     must match the time steps. ``channels``, a collection of labels, names
-    the columns to read besides the time; None reads every column. Cells
-    of the columns not read are not checked, except that the last column
-    is always parsed, so that every row's width is.
+    the columns to parse besides the time; None parses every column. Every
+    row's width is checked (:func:`_check_row_widths`); cells of the
+    columns not parsed are not.
     """
     path = Path(path)
     try:
@@ -381,46 +374,29 @@ def read_recording_csv(path, sample_rate_hz: float,
                     f"{path}: first column must be {TIME_COLUMN!r}, "
                     f"got {header[0] if header else 'nothing'!r}"
                 )
-            wanted = [j for j, label in enumerate(header)
+            _check_row_widths(path, len(header))
+            parsed = [j for j, label in enumerate(header)
                       if j == 0 or channels is None or label in channels]
-            # Under usecols np.loadtxt stops checking row widths. A row too
-            # narrow lacks the last column; one too wide shows in the comma
-            # count below.
-            parsed = sorted({*wanted, len(header) - 1})
-            usecols = parsed if len(parsed) < len(header) else None
             try:
                 with warnings.catch_warnings():
                     # An empty body is reported below as "no data rows".
                     warnings.simplefilter("ignore", UserWarning)
                     data = np.loadtxt(
-                        fh, delimiter=",", comments=None, ndmin=2,
-                        dtype=np.float64, usecols=usecols,
+                        fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64,
+                        usecols=parsed if len(parsed) < len(header) else None,
                     )
             except ValueError as exc:
-                raise _body_error(path, header, parsed,
-                                  f"non-numeric cell: {exc}") from exc
-        if usecols is not None:
-            body = np.frombuffer(path.read_bytes(), np.uint8)
-            commas = np.count_nonzero(body == ord(",")) - line.count(",")
-            if commas != len(data) * (len(header) - 1):
-                raise _body_error(path, header, parsed, "ragged rows")
+                raise _body_error(path, header, parsed, exc) from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric cell: {exc}") from exc
     if len(data) == 0:
         raise DataError(f"{path}: no data rows")
-    if data.shape[1] != len(parsed):
-        raise DataError(
-            f"{path}: ragged rows: data row 1 has {data.shape[1]} cells, "
-            f"the header {len(header)}"
-        )
-    kept = [i for i, j in enumerate(parsed) if j in wanted]
-    checked = data if len(kept) == len(parsed) else data[:, kept]
-    bad_rows, bad_cols = np.nonzero(~np.isfinite(checked))
+    bad_rows, bad_cols = np.nonzero(~np.isfinite(data))
     if bad_rows.size:
         raise DataError(
-            f"{path}: column {header[parsed[kept[bad_cols[0]]]]!r} has a "
+            f"{path}: column {header[parsed[bad_cols[0]]]!r} has a "
             f"non-finite value in data row {bad_rows[0] + 1}"
         )
     times = data[:, 0]
@@ -438,13 +414,13 @@ def read_recording_csv(path, sample_rate_hz: float,
             raise DataError(f"{path}: time steps of {mid:.9g} s disagree "
                             f"with the given rate of {sample_rate_hz:g} Hz")
     recording = {
-        header[parsed[i]]: TimeSeries(
-            label=header[parsed[i]],
+        header[j]: TimeSeries(
+            label=header[j],
             sample_rate_hz=sample_rate_hz,
             start_time_s=float(times[0]),
             values=data[:, i],
         )
-        for i in kept[1:]
+        for i, j in enumerate(parsed) if i > 0
     }
     return MultiChannelRecording(channels=recording)
 
@@ -489,7 +465,21 @@ class SessionIndex:
 
 def write_session(session: SyntheticSession, out_dir) -> Path:
     """Write a full session (calibration, every take, session.json) to a
-    directory; session.json keeps the generator spec for provenance."""
+    directory; session.json keeps the generator spec for provenance.
+
+    A take's files are named by its velocity rounded to an integer and its
+    index; two takes that would share a name raise :class:`DataError`
+    before any file is written.
+    """
+    stems = {}
+    for take in session.takes:
+        stem = f"take_v{int(round(take.velocity_deg_s)):03d}_t{take.take_index}"
+        other = stems.setdefault(stem, take)
+        if other is not take:
+            raise DataError(
+                f"takes at {other.velocity_deg_s:g} and {take.velocity_deg_s:g} deg/s "
+                f"(index {take.take_index}) would share the files {stem}_*.csv"
+            )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = session.spec
@@ -508,8 +498,7 @@ def write_session(session: SyntheticSession, out_dir) -> Path:
         MultiChannelRecording(channels={"angle_deg": session.initial_angle}),
         out / index["initial_angle_file"],
     )
-    for take in session.takes:
-        stem = f"take_v{int(round(take.velocity_deg_s)):03d}_t{take.take_index}"
+    for stem, take in stems.items():
         entry = {
             "velocity_deg_s": take.velocity_deg_s,
             "take_index": take.take_index,

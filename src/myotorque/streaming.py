@@ -11,6 +11,7 @@ with the same contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,6 +123,8 @@ class StreamingPredictor:
                 f"model needs {len(muscles)} FMG values per tick, "
                 f"got {len(fmg_values)}"
             )
+        if time_s is not None and not math.isfinite(time_s):
+            raise DataError(f"tick has a non-finite time {time_s!r}")
         if not (np.isfinite(angle_deg) and np.all(np.isfinite(fmg_values))):
             # Reject before any state moves: a NaN in the filter state
             # would poison every later tick of the stream.

@@ -158,6 +158,8 @@ class SessionSpec:
                 "a non-empty list", list(self.velocities_deg_s))
         for v in self.velocities_deg_s:
             require(0.0 < v < np.inf, "velocities_deg_s", "finite and > 0", v)
+        require(len(set(self.velocities_deg_s)) == len(self.velocities_deg_s),
+                "velocities_deg_s", "distinct", list(self.velocities_deg_s))
         for name in ("angle_low_deg", "angle_high_deg"):
             require(np.isfinite(getattr(self, name)), name, "finite",
                     getattr(self, name))

@@ -265,9 +265,12 @@ class TestSimulate:
         lambda d: {**d, "high_rate_hz": -2000.0, "fmg_rate_hz": -200.0},
         lambda d: {**d, "fmg_rate_hz": -200.0},
         lambda d: {**d, "hold_s": -1.0},
+        lambda d: {**d, "velocities_deg_s": [60.0, 60.0]},
+        lambda d: {**d, "velocities_deg_s": [60.2, 59.8]},
     ], ids=["zero velocity", "negative velocity", "NaN velocity", "no velocities",
             "no takes", "muscle without weight", "zero EMG SNR", "negative rates",
-            "negative FMG rate", "negative hold"])
+            "negative FMG rate", "negative hold", "repeated velocity",
+            "velocities sharing a file name"])
     def test_out_of_range_spec_is_2(self, tmp_path, edit):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(edit(short_spec(Joint.KNEE).to_dict())))
@@ -634,6 +637,25 @@ class TestStream:
         assert "skipping line 3" in captured.err
         assert "non-finite" in captured.err
         assert "processed 4 rows, skipped 1" in captured.err
+
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+    def test_non_finite_time_skips_only_its_own_line(
+            self, fmg_model, quiet_knee_dir, tmp_path, time):
+        # Such a line used to be streamed with its nan or inf timestamp.
+        good = [f"{i / 200.0:.3f},{30.0 + i},0.1,0.2,0.1,0.2,0.1" for i in range(4)]
+        clean = tmp_path / "clean.csv"
+        clean.write_text("\n".join(good) + "\n")
+        expected = run_cli(*stream_args(fmg_model, quiet_knee_dir, clean)).stdout
+
+        faulty = tmp_path / "faulty.csv"
+        lines = good[:2] + [f"{time},31.5,0.1,0.2,0.1,0.2,0.1"] + good[2:]
+        faulty.write_text("\n".join(lines) + "\n")
+        proc = run_cli(*stream_args(fmg_model, quiet_knee_dir, faulty))
+        assert proc.returncode == 0
+        assert proc.stdout == expected
+        skip, summary = proc.stderr.splitlines()
+        assert skip == f"stream: skipping line 3: tick has a non-finite time {float(time)!r}"
+        assert summary.startswith("stream: processed 4 rows, skipped 1, tick p50")
 
     @pytest.mark.parametrize("position", [0, 1, 30])
     def test_huge_angle_skips_only_its_own_line(

@@ -1,6 +1,7 @@
 """Scoring metrics, fold assignment, CV hygiene, and result exports."""
 
 import csv
+import dataclasses
 import math
 import tracemalloc
 
@@ -430,6 +431,22 @@ class TestReportAndExports:
             float(r["mse_norm"]) for r in rows if r["config"] == "baseline"
         ]
         assert got == list(cell.per_fold_mse)  # full-precision round trip
+
+    def test_metrics_csv_bytes_with_twelve_folds(self, report, tmp_path):
+        # Two-digit fold numbers, and fold scores that take the writer's
+        # fast path and its %-formatted zero.
+        mse = np.array([0.0, 1e-300, 0.1, 2.5] + [1.0 / k for k in range(3, 11)])
+        cell = dataclasses.replace(report.cells[(Joint.ANKLE, ModelConfig.BASELINE)],
+                                   n_folds=12, per_fold_mse=mse)
+        one = MetricsReport(n_folds=12, seed=0, cells={(Joint.KNEE, ModelConfig.EMG): cell})
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(one, path)
+        assert path.read_bytes() == (
+            "joint,config,fold,mse_norm,rmse_norm\r\n" + "".join(
+                f"knee,emg,{k},{format(m, '.17g')},{format(math.sqrt(m), '.17g')}\r\n"
+                for k, m in enumerate(mse.tolist())
+            )
+        ).encode()
 
     def test_scatter_export(self, tmp_path):
         result = evaluate_cv(smooth_table(), seed=0)

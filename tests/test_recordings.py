@@ -224,7 +224,7 @@ class TestFormatRoundTrip:
 
     def test_literal_cells_and_no_header(self):
         buf = io.StringIO(newline="")
-        write_float_table(buf, None, [[0, 1], [0.1, -0.0]], "knee,%d,%.17g,test")
+        write_float_table(buf, None, ["knee", [0, 1], [0.1, -0.0], "test"])
         assert buf.getvalue() == (
             "knee,0,0.10000000000000001,test\r\nknee,1,-0,test\r\n"
         )
@@ -341,17 +341,13 @@ class TestG17Writer:
         ])
 
     def test_literal_and_integer_cells(self):
-        columns = [[0, 1, 12345678901], [0.1, -0.0, 1e-7], [3.5, 1e16, 2.0]]
-        for row_format in ("%d,%.17g,%.17g,test", "test,%d,%.17g,%.17g",
-                           "%d,%.17g,lit%%,%.17g", "knee,%d,x%.17g,%.17g"):
-            buf = io.StringIO(newline="")
-            write_float_table(buf, None, columns, row_format)
-            rows = np.column_stack(columns).tolist()
-            assert buf.getvalue() == "".join(row_format % tuple(r) + "\r\n" for r in rows)
-
-    def test_row_format_must_take_every_column(self):
-        with pytest.raises(ValueError, match="takes 1 columns, the table has 2"):
-            write_float_table(io.StringIO(), None, [[1.0], [2.0]], "%.17g,x")
+        # An integral float's %.17g cell is its %d cell, up to 2**53.
+        ints = [0, 1, 9, 10, 11, 99, 12345678901, 2**53]
+        buf = io.StringIO(newline="")
+        write_float_table(buf, None, [ints, "lit%", np.arange(len(ints))])
+        assert buf.getvalue() == "".join(
+            "%d,lit%%,%d\r\n" % row for row in zip(ints, range(len(ints)))
+        )
 
     def test_a_million_random_values_per_decade(self):
         # Uniform over the doubles of each decade of the fast path, both
@@ -369,9 +365,11 @@ class TestG17Writer:
 
 
 def knee_csv(tmp_path, rows) -> Path:
-    """A four-column high-rate CSV whose data rows are ``rows`` (strings)."""
+    """A four-column high-rate CSV whose data rows are ``rows`` (strings),
+    or whose body is ``rows`` byte for byte when it is one string."""
+    body = rows if isinstance(rows, str) else "\n".join(rows) + "\n"
     path = tmp_path / "take.csv"
-    path.write_text("time_s,angle_deg,emg_BF,torque_nm\n" + "\n".join(rows) + "\n")
+    path.write_bytes(("time_s,angle_deg,emg_BF,torque_nm\n" + body).encode())
     return path
 
 
@@ -404,6 +402,15 @@ class TestSelectiveRead:
                      id="wide-then-narrow"),
         pytest.param(["0.0,1.0,0.5,2.0,7", "0.01,1.5,0.25,2.5,7"],
                      "ragged rows: data row 1 has 5 cells, the header 4", id="all-wide"),
+        pytest.param("0.0,1.0,0.5,2.0\n0.01,1.5,0.25",
+                     "ragged rows: data row 2 has 3 cells, the header 4",
+                     id="no-final-newline"),
+        pytest.param("0.0,1.0,0.5,2.0\r\n\r\n\r\n0.01,1.5,0.25,2.5,9\r\n",
+                     "ragged rows: data row 2 has 5 cells, the header 4",
+                     id="crlf-blank-lines"),
+        pytest.param(["0.0,1.0,0.5,2.0", "", "0.01,1.5,0.25,2.5", "", "0.02,2.0"],
+                     "ragged rows: data row 3 has 2 cells, the header 4",
+                     id="blank-before-ragged"),
         pytest.param(["0.0,1.0,0.5,2.0", "0.01,1.5,0.25,2.5", "0.02,x3,-0.5,3.0"],
                      "non-numeric cell 'x3' in column 'angle_deg', data row 3",
                      id="non-numeric"),
@@ -416,16 +423,41 @@ class TestSelectiveRead:
         assert message in read_error(path)
         assert read_error(path, {"angle_deg"}) == read_error(path)
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=st.text(alphabet="0,\r\n x", max_size=40))
+    def test_row_widths_match_a_line_by_line_count(self, tmp_path, body):
+        # The reference splits lines as a text-mode read does and skips
+        # the empty ones, as np.loadtxt does.
+        path = knee_csv(tmp_path, body)
+        lines = [line for line in body.replace("\r", "\n").split("\n") if line]
+        ragged = [(row, line.count(",") + 1) for row, line in enumerate(lines, start=1)
+                  if line.count(",") != 3]
+        for channels in (None, {"angle_deg"}):
+            try:
+                read_recording_csv(path, 100.0, channels)
+                message = ""
+            except DataError as exc:
+                message = str(exc)
+            if ragged:
+                row, cells = ragged[0]
+                assert message == (f"{path}: ragged rows: data row {row} has "
+                                   f"{cells} cells, the header 4")
+            else:
+                assert "ragged" not in message
+
     @pytest.mark.parametrize("cell", ["nan", "-inf", "x"])
     def test_unread_columns_are_not_checked(self, tmp_path, cell):
-        path = knee_csv(tmp_path, ["0.0,1.0,0.5,2.0", f"0.01,1.5,{cell},2.5"])
-        assert "'emg_BF'" in read_error(path)
-        back = read_recording_csv(path, 100.0, {"angle_deg", "torque_nm"})
-        assert back["torque_nm"].values.tolist() == [2.0, 2.5]
-
-    def test_the_last_column_is_always_parsed(self, tmp_path):
-        path = knee_csv(tmp_path, ["0.0,1.0,0.5,2.0", "0.01,1.5,0.25,y"])
-        assert read_error(path, {"angle_deg"}) == read_error(path)
+        # The bad cell in an inner column, then in the last one.
+        for rows, column, read in [
+            (["0.0,1.0,0.5,2.0", f"0.01,1.5,{cell},2.5"], "emg_BF", "torque_nm"),
+            (["0.0,1.0,0.5,2.0", f"0.01,1.5,0.25,{cell}"], "torque_nm", "emg_BF"),
+        ]:
+            path = knee_csv(tmp_path, rows)
+            assert f"'{column}'" in read_error(path)
+            back = read_recording_csv(path, 100.0, {"angle_deg", read})
+            assert back["angle_deg"].values.tolist() == [1.0, 1.5]
+            assert sorted(back.labels()) == sorted(["angle_deg", read])
 
 
 @pytest.fixture(scope="module")
@@ -473,6 +505,21 @@ class TestSessionRoundTrip:
             "high_rate_file": "take_v060_t1_hi.csv",
             "fmg_file": "take_v060_t1_fmg.csv",
         }
+
+    @pytest.mark.parametrize("velocities", [(60.2, 59.8), (60.0, 60.0)])
+    def test_takes_sharing_a_file_name_write_nothing(self, session_dir, tmp_path,
+                                                     velocities):
+        # Both takes would be written as take_v060_t0_*.csv.
+        session, _ = session_dir
+        take = session.takes[0]
+        takes = [dataclasses.replace(take, velocity_deg_s=v) for v in velocities]
+        out = tmp_path / "session"
+        with pytest.raises(DataError, match=(
+            rf"takes at {velocities[0]:g} and {velocities[1]:g} deg/s \(index 0\) "
+            r"would share the files take_v060_t0_\*\.csv"
+        )):
+            write_session(dataclasses.replace(session, takes=takes), out)
+        assert not out.exists()
 
     def test_bit_exact_values(self, session_dir):
         session, out = session_dir

@@ -191,6 +191,8 @@ class TestStreamingPredictor:
         (float("nan"), (0.1, 0.2, 0.1, 0.2, 0.1)),
         (30.0, (0.1, float("inf"), 0.1, 0.2, 0.1)),
         (float("nan"), (float("nan"),) * 5),
+        (30.0, (0.1, 0.2, 0.1, 0.2, 0.1), float("nan")),
+        (30.0, (0.1, 0.2, 0.1, 0.2, 0.1), float("-inf")),
     ])
     def test_non_finite_tick_rejected_without_touching_state(self, fmg_setup,
                                                             bad):

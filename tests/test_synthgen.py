@@ -90,6 +90,7 @@ class TestSpec:
         ({"torque": TorqueModel(0.3, float("inf"), KNEE_WEIGHTS)}, "torque.velocity_coeff"),
         ({"torque": TorqueModel(0.3, 0.04, {**KNEE_WEIGHTS, Muscle.ST: float("nan")})},
          r"torque.muscle_weights\[ST\]"),
+        ({"velocities_deg_s": (60.0, 90.0, 60.0)}, "velocities_deg_s"),
     ])
     def test_out_of_range_field_is_named(self, overrides, field):
         with pytest.raises(InvalidSpec, match=rf"^{field} must be "):
