@@ -28,8 +28,8 @@ from .errors import (
 from .gpr import (
     GpOptions,
     GprModel,
-    Spectrum,
     fit,
+    fit_mean,
     load_model,
     optimize_hyperparameters,
     predict,
@@ -219,7 +219,7 @@ def evaluate_cv(
     likelihood, test rows scored on the normalized scale. The reported MSE
     pools squared errors over every tested row; RMSE is its square root.
     A fold asks only for the posterior mean, so with the noise alone free
-    its model is mean-only (see :func:`_train`).
+    its model is mean-only (:func:`fit_mean`).
     """
     if folds is None:
         folds = kfold_split(table.segment_ids(), n_folds, seed)
@@ -327,19 +327,21 @@ def _train(
     from the masked rows, an even subsample of at most ``train_cap`` of them
     normalized by those statistics, the noise tuned on it, the exact fit.
 
-    ``mean_only`` with the noise alone free makes the model from the
-    search's own reduction (:class:`Spectrum`): no second n x n block and
-    no Cholesky factor, and it serves ``predict_mean`` only. Otherwise
-    the fit is the Cholesky one a saved model is refit with."""
+    ``mean_only`` takes the fold's model from :func:`fit_mean`, which with
+    the noise alone free builds no second n x n block and no Cholesky
+    factor, and serves ``predict_mean`` only. Otherwise the fit is the
+    Cholesky one a saved model is refit with."""
     column_stats, target_stats = fold_statistics(table, train_mask)
     train_rows = np.flatnonzero(train_mask)
     keep = train_rows[subsample_stride(len(train_rows), train_cap)]
     x = _normalize_columns(table.rows[keep], column_stats)
     y = (table.targets[keep] - target_stats.mean) / target_stats.std_dev
-    spectrum = Spectrum() if mean_only and options.noise_only else None
-    hyper = optimize_hyperparameters(x, y, options=options, spectrum=spectrum)
+    if mean_only:
+        model = fit_mean(x, y, options)
+    else:
+        model = fit(x, y, optimize_hyperparameters(x, y, options=options))
     return TrainedEstimator(
-        model=fit(x, y, hyper, spectrum=spectrum),
+        model=model,
         joint=table.joint,
         config=table.config,
         column_names=table.column_names,
@@ -392,7 +394,8 @@ def load_estimator(path) -> TrainedEstimator:
             )
         except KeyError as exc:
             raise ModelFormatError(f"{path}: model metadata lacks {exc}") from exc
-        except (ValueError, TypeError, ZeroVariance) as exc:
+        # OverflowError: an integer too large for a float.
+        except (ValueError, TypeError, OverflowError, ZeroVariance) as exc:
             raise ModelFormatError(f"{path}: bad model metadata: {exc}") from exc
 
     model, fields = load_model(path, read_metadata)

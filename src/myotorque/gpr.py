@@ -28,17 +28,16 @@ the cross-covariance (and, in :func:`predict`, the triangular solve)
 held at any time is n x block whatever the query size.
 
 A cross-validation fold of n training and m held-out rows asks only for
-the mean, and the noise-only search's reduction already fixes it: the
-dual weights are w = (K + noise I)^-1 y. Handed a :class:`Spectrum`,
-the search keeps its reduction, and :func:`fit` takes the weights and
-the log marginal likelihood from it (its ``weights(noise)``) and frees
-it. So a fold factors nothing by Cholesky, builds at most one n x n
-block, the search's gram matrix, and none when K is low-rank; its model
-is mean-only (:func:`predict_mean`). The m predictions add one
-n x ``_QUERY_BLOCK`` (128) block at a time. At the default cap of 2,000
-rows that is 32 MB for the n x n block and 2 MB per query block. Every
-other fit factors K + noise I by Cholesky, so that a model that is saved
-equals its refit bit for bit.
+the mean, and gets its model from :func:`fit_mean`. With the noise alone
+free, the search's reduction already fixes it: the dual weights
+w = (K + noise I)^-1 y and the log marginal likelihood come from the
+reduction at the tuned noise. So such a fold factors nothing by
+Cholesky, builds at most one n x n block, the search's gram matrix, and
+none when K is low-rank; its model is mean-only (:func:`predict_mean`).
+The m predictions add one n x ``_QUERY_BLOCK`` (128) block at a time.
+At the default cap of 2,000 rows that is 32 MB for the n x n block and
+2 MB per query block. Every other fit factors K + noise I by Cholesky,
+so that a model that is saved equals its refit bit for bit.
 """
 
 from __future__ import annotations
@@ -199,8 +198,8 @@ class GprModel:
     Immutable in use; every prediction is a pure function of the stored
     arrays. ``weights`` solves (K + noise I) w = y.
 
-    A mean-only model, which :func:`fit` makes from a search's
-    :class:`Spectrum` for a CV fold, has no factor (``cholesky_lower`` is
+    A mean-only model, which :func:`fit_mean` makes from the noise
+    search's reduction for a CV fold, has no factor (``cholesky_lower`` is
     None): it serves :func:`predict_mean`, and :func:`predict`,
     :func:`lml_gradient` and :func:`save_model` refuse it.
 
@@ -269,8 +268,8 @@ class GprModel:
         if self.cholesky_lower is None:
             raise ValueError(
                 f"{what} needs a Cholesky factor, and this model is mean-only "
-                "(fit from a search's Spectrum): use predict_mean, or fit "
-                "without a spectrum"
+                "(fit_mean's, from the noise search's reduction): use "
+                "predict_mean, or fit"
             )
         return self.cholesky_lower
 
@@ -465,22 +464,24 @@ def fit(
     inputs: np.ndarray,
     targets: np.ndarray,
     hyper: Hyperparameters,
-    spectrum: Spectrum | None = None,
+    _reduction: _Reduction | _LowRank | None = None,
 ) -> GprModel:
     """Exact fit: factor K + noise I and solve for the dual weights.
 
-    With ``spectrum``, which :func:`optimize_hyperparameters` filled on
-    the same inputs and targets, the fit is mean-only: it factors nothing
-    and builds no n x n block. The weights and the log marginal
-    likelihood come from the search's reduction of K (its ``weights``),
-    and the jitter is 0. What the spectrum held is freed, which leaves
-    it empty. The weights agree with the Cholesky ones to rounding, not
-    bit for bit (and, on a low-rank spectrum, to the dropped trailing
-    block of K, whose diagonal is below n eps); the model has no factor
-    (:class:`GprModel`)."""
+    With ``_reduction``, the noise search's reduction of K on the same
+    inputs and kernel scales, which only :func:`fit_mean` passes, the fit
+    is mean-only (:class:`GprModel`): no factor, no n x n block and jitter
+    0, the weights and the LML taken from the reduction (its ``weights``).
+    They agree with the Cholesky ones to rounding, not bit for bit (on a
+    low-rank reduction, to the dropped trailing block of K, whose
+    diagonal is below n eps)."""
     x, y = _training_set(inputs, targets)
-    if spectrum is not None:
-        return spectrum._mean_only_fit(x, y, hyper)
+    if _reduction is not None:
+        w, lml = _reduction.weights(hyper.noise_variance)
+        return GprModel(
+            inputs=x, targets=y, hyper=hyper, cholesky_lower=None,
+            weights=w, log_marginal=lml,
+        )
     lower, alpha, jitter = _factor_solve(gram_matrix(x, hyper), y, hyper.noise_variance)
     # The model's factor has zeros above its diagonal.
     np.copyto(lower.T, 0.0, where=np.tri(x.shape[0], k=-1, dtype=bool))
@@ -681,7 +682,8 @@ def _pivoted_cholesky(
     taken, continued geometrically to ``budget`` columns, would still not
     reach the tolerance. The first pivots of an RBF kernel fall more
     slowly than the later ones, so the decay since the start would
-    understate the rate.
+    understate the rate; a diagonal still at its first value (clusters
+    too far apart to correlate) has no decay to continue.
     """
     n = x.shape[0]
     with np.errstate(over="ignore"):  # huge inputs: as in _sq_distances
@@ -700,7 +702,7 @@ def _pivoted_cholesky(
         log_pivots.append(np.log(pivot))
         if j == budget:
             return None
-        if j >= _PROBE_WARMUP:
+        if j >= _PROBE_WARMUP and log_pivots[j] < log_pivots[0]:
             rate = (log_pivots[j] - log_pivots[j // 2]) / (j - j // 2)
             if log_pivots[j] + (budget - j) * rate > np.log(tolerance):
                 return None
@@ -816,47 +818,6 @@ def _noise_reduction(
         if factor is not None:
             return _low_rank(factor, y)
     return _spectrum(gram_matrix(x, hyper), y)
-
-
-class Spectrum:
-    """Where the noise-only search leaves its reduction of K for
-    :func:`fit`, so that a CV fold's mean needs no second n x n block
-    (module docstring): the low-rank basis of a pivoted Cholesky factor
-    when K's numerical rank is within the probe's budget, which holds no
-    n x n block at all, or else the Householder reduction K = H T H'.
-
-    Hand an empty one to :func:`optimize_hyperparameters` with only the
-    noise free, then to :func:`fit` with the same inputs, targets and
-    kernel scales: fit takes the reduction out and frees it, which leaves
-    the spectrum empty again.
-    """
-
-    def __init__(self):
-        # (inputs, targets, the kernel's hyperparameters, _LowRank or _Reduction)
-        self._held: tuple | None = None
-
-    def _mean_only_fit(
-        self, x: np.ndarray, y: np.ndarray, hyper: Hyperparameters
-    ) -> GprModel:
-        if self._held is None:
-            raise ValueError(
-                "the spectrum is empty: optimize_hyperparameters fills it, "
-                "and one fit empties it"
-            )
-        inputs, targets, kernel, reduction = self._held
-        self._held = None
-        same_data = np.array_equal(x, inputs) and np.array_equal(y, targets)
-        if not same_data or (hyper.output_scale, hyper.length_scale) != (
-            kernel.output_scale, kernel.length_scale
-        ):
-            raise ValueError(
-                "the spectrum was reduced from other training data or kernel scales"
-            )
-        w, lml = reduction.weights(hyper.noise_variance)
-        return GprModel(
-            inputs=x, targets=y, hyper=hyper, cholesky_lower=None,
-            weights=w, log_marginal=lml,
-        )
 
 
 class _Pruned(Exception):
@@ -1011,7 +972,7 @@ def optimize_hyperparameters(
     targets: np.ndarray,
     initial: Hyperparameters | None = None,
     options: GpOptions = GpOptions(),
-    spectrum: Spectrum | None = None,
+    _keep: list | None = None,
 ) -> Hyperparameters:
     """Maximize the log marginal likelihood over the free log parameters.
 
@@ -1024,9 +985,8 @@ def optimize_hyperparameters(
       :func:`_noise_reduction` chooses by K's numerical rank, low-rank
       (:class:`_LowRank`) or Householder (:class:`_Reduction`), and every
       start runs to completion. The reduction is freed when the search
-      returns, unless ``spectrum`` is given: the search then leaves it
-      there, for :func:`fit` to take a CV fold's mean-only model from. A
-      ``spectrum`` with a free scale is a ValueError.
+      returns, unless ``_keep``, a list only :func:`fit_mean` passes,
+      takes it for the fold's mean-only fit.
     - A scale free: the objective is :func:`_free_scale_objective`, over
       four n x n blocks, and the driver stops later starts that cannot
       win: one that enters a found optimum's basin, and one whose last
@@ -1036,21 +996,32 @@ def optimize_hyperparameters(
     x, y = _training_set(inputs, targets)
     if initial is None:
         initial = Hyperparameters()
-    if spectrum is not None and not options.noise_only:
-        raise ValueError("only the noise-only search leaves a spectrum")
     free = options.free_mask()
     theta = initial.log_array()
     if options.noise_only:
         reduction = _noise_reduction(x, y, initial)
+        if _keep is not None:
+            _keep.append(reduction)
         objective = lambda theta_free: reduction.lml_and_grad(float(theta_free[0]))
     else:
         objective = _free_scale_objective(x, y, theta.copy(), free)
     theta[free] = _multi_start(
         objective, theta[free], options.seed, prune=not options.noise_only
     )
-    if spectrum is not None:
-        spectrum._held = (x, y, initial, reduction)
     return Hyperparameters.from_log_array(theta)
+
+
+def fit_mean(
+    inputs: np.ndarray, targets: np.ndarray, options: GpOptions = GpOptions()
+) -> GprModel:
+    """The model a cross-validation fold predicts held-out means from:
+    :func:`fit` at the hyperparameters :func:`optimize_hyperparameters`
+    tunes. With the noise alone free, the fit takes its weights from the
+    search's reduction of K, so it makes no second n x n block and no
+    Cholesky factor, and the model is mean-only (:class:`GprModel`)."""
+    kept: list = []
+    hyper = optimize_hyperparameters(inputs, targets, options=options, _keep=kept)
+    return fit(inputs, targets, hyper, _reduction=kept.pop() if kept else None)
 
 
 def _query_points(model: GprModel, x_star: np.ndarray) -> np.ndarray:

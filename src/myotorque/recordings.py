@@ -330,7 +330,9 @@ def _body_error(path: Path, header: list[str], parsed: list[int],
     columns, else the parser's own message.
 
     Runs only on the error path, after :func:`_check_row_widths`; rows are
-    counted as the parser counts them, skipping empty lines.
+    counted as the parser counts them, skipping empty lines. A number is
+    what Python's ``float`` takes, less what numpy's parser refuses:
+    digit-group underscores (``1_0``) and non-ASCII digits.
     """
     try:
         with open(path) as fh:
@@ -340,6 +342,8 @@ def _body_error(path: Path, header: list[str], parsed: list[int],
                 cells = line.split(",")
                 for j in parsed:
                     try:
+                        if "_" in cells[j] or not cells[j].isascii():
+                            raise ValueError
                         float(cells[j])
                     except ValueError:
                         return DataError(

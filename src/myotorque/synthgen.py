@@ -39,13 +39,18 @@ _KIND_NAMES = {float: "a number", int: "an integer", str: "a string",
 def _checked(value, kind: type, what: str):
     """``value`` if it is a JSON value of ``kind``, else :class:`InvalidSpec`.
 
-    A number field takes an integer too (returned as a float); no field
-    takes a bool.
+    A number field takes an integer too (returned as a float), unless it
+    is too large for a float; no field takes a bool.
     """
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise InvalidSpec(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidSpec(f"{what} is an integer too large for a float") from None
 
 
 def _field(d: dict, key: str, kind: type):

@@ -92,6 +92,10 @@ def with_nan_cell(session_dir, tmp_path, csv_name):
     return copy
 
 
+# A JSON integer outside the float range: float() raises OverflowError.
+HUGE = 10**400
+
+
 def run_cli(*args):
     """``myotorque`` in a fresh interpreter, so a traceback shows on stderr."""
     return subprocess.run(
@@ -267,10 +271,11 @@ class TestSimulate:
         lambda d: {**d, "hold_s": -1.0},
         lambda d: {**d, "velocities_deg_s": [60.0, 60.0]},
         lambda d: {**d, "velocities_deg_s": [60.2, 59.8]},
+        lambda d: {**d, "hold_s": HUGE},
     ], ids=["zero velocity", "negative velocity", "NaN velocity", "no velocities",
             "no takes", "muscle without weight", "zero EMG SNR", "negative rates",
             "negative FMG rate", "negative hold", "repeated velocity",
-            "velocities sharing a file name"])
+            "velocities sharing a file name", "hold too large for a float"])
     def test_out_of_range_spec_is_2(self, tmp_path, edit):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(edit(short_spec(Joint.KNEE).to_dict())))
@@ -813,14 +818,18 @@ def with_nan_in_model(model_path, tmp_path, array):
     return with_fields(model_path, tmp_path, f"nan_{array}", **{array: arr})
 
 
-def run_on_model(command, model, session, tmp_path):
-    """``predict`` or ``stream`` (one knee FMG row) with ``model``, in a
-    fresh interpreter."""
+def model_argv(command, model, session, tmp_path):
+    """``predict`` or ``stream`` (one knee FMG row) with ``model``."""
     if command == "stream":
         infile = tmp_path / "rows.csv"
         infile.write_text("0.0,30.0,0.1,0.2,0.1,0.2,0.1\n")
-        return run_cli(*stream_args(model, session, infile))
-    return run_cli("predict", "--model", model, "--session", session)
+        return stream_args(model, session, infile)
+    return ["predict", "--model", str(model), "--session", str(session)]
+
+
+def run_on_model(command, model, session, tmp_path):
+    """:func:`model_argv` in a fresh interpreter."""
+    return run_cli(*model_argv(command, model, session, tmp_path))
 
 
 def assert_one_line_data_error(proc, *fragments):
@@ -832,6 +841,16 @@ def assert_one_line_data_error(proc, *fragments):
     for fragment in fragments:
         assert fragment in lines[0]
     assert proc.stdout == ""
+
+
+def main_data_error(capsys, argv) -> str:
+    """The one stderr line of ``main(argv)``, which must exit 2 and print
+    nothing on stdout; in-process, so an escaping exception fails the test."""
+    assert main([str(a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert "data error" in line and out == ""
+    return line
 
 
 @pytest.mark.parametrize("command", ["stream", "predict"])
@@ -856,6 +875,21 @@ def test_huge_model_input_is_one_line_2(fmg_model, quiet_knee_dir, tmp_path,
     broken = with_fields(fmg_model, tmp_path, "huge_inputs", inputs=inputs)
     proc = run_on_model(command, broken, quiet_knee_dir, tmp_path)
     assert_one_line_data_error(proc, "refit failed")
+
+
+@pytest.mark.parametrize("command", ["stream", "predict"])
+@pytest.mark.parametrize("field", ["target_mean", "sample_rate_hz", "column_means"])
+def test_huge_integer_in_model_metadata_is_2(fmg_model, quiet_knee_dir, tmp_path,
+                                             capsys, command, field):
+    model, meta = load_model(fmg_model)
+    if field == "column_means":
+        meta[field][0] = HUGE
+    else:
+        meta[field] = HUGE
+    broken = tmp_path / "huge.npz"
+    save_model(model, broken, meta)
+    argv = model_argv(command, broken, quiet_knee_dir, tmp_path)
+    assert "bad model metadata" in main_data_error(capsys, argv)
 
 
 def damaged_model(model_path, tmp_path, damage):
@@ -1091,6 +1125,24 @@ def test_damaged_session_exits_0_2_or_3(fmg_model, quiet_knee_dir, damage):
                 code = main([str(a) for a in argv])
             assert code in (0, 2, 3), (argv[0], code, err.getvalue())
             assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "stream"])
+@pytest.mark.parametrize("damage", [
+    ("set", "high_rate_hz", HUGE),
+    ("set", "fmg_rate_hz", HUGE),
+    ("take", "velocity_deg_s", HUGE),
+], ids=["high_rate_hz", "fmg_rate_hz", "velocity_deg_s"])
+def test_huge_integer_in_session_index_is_2(fmg_model, quiet_knee_dir, tmp_path,
+                                            capsys, command, damage):
+    session = damaged_session(quiet_knee_dir, tmp_path / "session", damage)
+    if command == "train":
+        argv = ["train", "--session", session, "--config", "fmg", "--cap", "50",
+                "--out", tmp_path / "m.npz"]
+    else:
+        argv = model_argv(command, fmg_model, session, tmp_path)
+    line = main_data_error(capsys, argv)
+    assert damage[1] in line and "too large for a float" in line
 
 
 def test_console_entry_point_runs():

@@ -317,13 +317,13 @@ class TestEvaluateCv:
     @pytest.mark.parametrize("free", [False, True], ids=["noise only", "free scale"])
     def test_only_noise_only_folds_are_mean_only(self, monkeypatch, free):
         models = []
-        real_fit = evaluate.fit
+        real_fit_mean = evaluate.fit_mean
 
-        def recording_fit(*args, **kwargs):
-            models.append(real_fit(*args, **kwargs))
+        def recording_fit_mean(*args, **kwargs):
+            models.append(real_fit_mean(*args, **kwargs))
             return models[-1]
 
-        monkeypatch.setattr(evaluate, "fit", recording_fit)
+        monkeypatch.setattr(evaluate, "fit_mean", recording_fit_mean)
         evaluate_cv(smooth_table(4, 25), n_folds=2, seed=0,
                     options=GpOptions(seed=0, optimize_length_scale=free))
         assert len(models) == 2

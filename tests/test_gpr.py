@@ -31,12 +31,12 @@ from myotorque.gpr import (
     GpOptions,
     GprModel,
     Hyperparameters,
-    Spectrum,
     _cross_covariance,
     _factor,
     _spectrum,
     _sq_distances,
     fit,
+    fit_mean,
     gram_matrix,
     kernel_rbf,
     lml_gradient,
@@ -737,9 +737,7 @@ class TestMemory:
         x, y, x_star = problem
 
         def fold():
-            spectrum = Spectrum()
-            hyper = optimize_hyperparameters(x, y, spectrum=spectrum)
-            predict_mean(fit(x, y, hyper, spectrum=spectrum), x_star)
+            predict_mean(fit_mean(x, y), x_star)
 
         assert traced_peak_bytes(fold) < 1.5 * self.N**2 * 8
 
@@ -1408,12 +1406,12 @@ class TestSpectrum:
         assert not np.array_equal(k, before)
 
 
-def mean_only_fit(x, y, hyper=None, options=GpOptions()):
-    """fit's mean-only model from the noise search's spectrum, at the tuned
-    noise or at the noise of ``hyper``."""
-    spectrum = Spectrum()
-    tuned = optimize_hyperparameters(x, y, options=options, spectrum=spectrum)
-    return fit(x, y, hyper or tuned, spectrum=spectrum)
+def mean_only_fit(x, y, hyper=None):
+    """The mean-only model from the noise search's reduction: fit_mean's,
+    at the tuned noise, or fit's from the reduction at ``hyper``."""
+    if hyper is None:
+        return fit_mean(x, y)
+    return fit(x, y, hyper, _reduction=gpr._noise_reduction(x, y, hyper))
 
 
 class TestMeanOnlyFit:
@@ -1459,27 +1457,17 @@ class TestMeanOnlyFit:
             call(model, tmp_path)
         assert not (tmp_path / "m.npz").exists()
 
-    def test_spectrum_misuse_is_refused(self, rng):
-        x, y = rng.standard_normal((20, 2)), rng.standard_normal(20)
-        with pytest.raises(ValueError, match="noise-only"):
-            optimize_hyperparameters(
-                x, y, options=GpOptions(optimize_length_scale=True), spectrum=Spectrum()
-            )
-        with pytest.raises(ValueError, match="empty"):
-            fit(x, y, Hyperparameters(), spectrum=Spectrum())
-        spectrum = Spectrum()
-        hyper = optimize_hyperparameters(x, y, spectrum=spectrum)
-        with pytest.raises(ValueError, match="other training data"):
-            fit(x, y + 1.0, hyper, spectrum=spectrum)
-        spectrum = Spectrum()
-        hyper = optimize_hyperparameters(x, y, spectrum=spectrum)
-        with pytest.raises(ValueError, match="kernel scales"):
-            fit(x, y, dataclasses.replace(hyper, length_scale=2.0), spectrum=spectrum)
-        spectrum = Spectrum()
-        hyper = optimize_hyperparameters(x, y, spectrum=spectrum)
-        fit(x, y, hyper, spectrum=spectrum)
-        with pytest.raises(ValueError, match="empty"):
-            fit(x, y, hyper, spectrum=spectrum)
+    def test_a_free_scale_gives_the_cholesky_fit(self, rng):
+        x = rng.standard_normal((40, 2))
+        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(40)
+        options = GpOptions(optimize_length_scale=True, seed=3)
+        model = fit_mean(x, y, options)
+        expected = fit(x, y, optimize_hyperparameters(x, y, options=options))
+        assert model.hyper == expected.hyper
+        for name in ("inputs", "targets", "cholesky_lower", "weights"):
+            assert np.array_equal(getattr(model, name), getattr(expected, name))
+        assert model.log_marginal == expected.log_marginal
+        assert model.jitter == expected.jitter
 
 
 def baseline_shaped(session, stride):
@@ -1507,11 +1495,11 @@ def clustered(n_clusters, copies):
 
 def searched(x, y, initial=None):
     """(tuned hyperparameters, the mean-only model at them, which
-    reduction the search used)."""
-    spectrum = Spectrum()
-    tuned = optimize_hyperparameters(x, y, initial=initial, spectrum=spectrum)
-    kind = type(spectrum._held[3])
-    return tuned, fit(x, y, tuned, spectrum=spectrum), kind
+    reduction the search used): fit_mean's steps, from ``initial``."""
+    kept = []
+    tuned = optimize_hyperparameters(x, y, initial=initial, _keep=kept)
+    kind = type(kept[0])
+    return tuned, fit(x, y, tuned, _reduction=kept.pop()), kind
 
 
 class TestLowRankSearch:
@@ -1607,6 +1595,7 @@ class TestLowRankSearch:
         (16, 31, False),  # 496 rows, below the probe's 512
         (16, 32, True),   # 512 rows of rank 16
         (1, 600, True),   # rank 1
+        (40, 16, True),   # rank 40 of budget 80: 40 pivots on a plateau
     ])
     def test_row_and_rank_edges(self, monkeypatch, n_clusters, copies, low_rank):
         x, y = clustered(n_clusters, copies)

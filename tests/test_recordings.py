@@ -414,6 +414,12 @@ class TestSelectiveRead:
         pytest.param(["0.0,1.0,0.5,2.0", "0.01,1.5,0.25,2.5", "0.02,x3,-0.5,3.0"],
                      "non-numeric cell 'x3' in column 'angle_deg', data row 3",
                      id="non-numeric"),
+        pytest.param(["0.0,1.0,0.5,2.0", "0.01,1_0,0.25,2.5"],
+                     "non-numeric cell '1_0' in column 'angle_deg', data row 2",
+                     id="underscore"),
+        pytest.param(["0.0,1.0,0.5,2.0", "0.01,1.5,0.25,2.5", "0.02,\uff12,-0.5,3.0"],
+                     "non-numeric cell '\uff12' in column 'angle_deg', data row 3",
+                     id="non-ascii-digit"),
         pytest.param(["0.0,1.0,0.5,2.0", "0.01,nan,0.25,2.5"],
                      "column 'angle_deg' has a non-finite value in data row 2",
                      id="non-finite"),
