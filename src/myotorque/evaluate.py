@@ -369,6 +369,25 @@ def load_estimator(path) -> TrainedEstimator:
     """Inverse of :func:`save_estimator`; incomplete metadata is a
     :class:`ModelFormatError`, raised before the model is refit."""
 
+    def number(field: str, value) -> float:
+        """A finite metadata number as a float; its errors name ``field``."""
+        try:
+            finite = math.isfinite(value)
+        # OverflowError: an integer too large for a float.
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"{field}: {exc}") from None
+        if not finite:
+            raise ValueError(f"{field} must be finite, got {value}")
+        return float(value)
+
+    def stats(mean_field: str, mean, std_field: str, std) -> NormalizationStats:
+        try:
+            return NormalizationStats(
+                mean=number(mean_field, mean), std_dev=number(std_field, std)
+            )
+        except ZeroVariance as exc:  # a finite std_dev <= 0
+            raise ValueError(f"{std_field}: {exc}") from None
+
     def read_metadata(meta: dict, n_features: int) -> dict:
         try:
             means, stds = meta["column_means"], meta["column_stds"]
@@ -377,25 +396,26 @@ def load_estimator(path) -> TrainedEstimator:
                     f"{len(means)} column means and {len(stds)} column stds "
                     f"for {n_features} model features"
                 )
-            rate = float(meta["sample_rate_hz"])
-            if not (math.isfinite(rate) and rate > 0):
-                raise ValueError(f"sample_rate_hz must be finite and > 0, got {rate}")
+            rate = number("sample_rate_hz", meta["sample_rate_hz"])
+            if rate <= 0:
+                raise ValueError(f"sample_rate_hz must be > 0, got {rate}")
             return dict(
                 joint=Joint(meta["joint"]),
                 config=ModelConfig(meta["config"]),
                 column_stats=[
-                    NormalizationStats(mean=m, std_dev=s) for m, s in zip(means, stds)
+                    stats(f"column_means[{i}]", m, f"column_stds[{i}]", s)
+                    for i, (m, s) in enumerate(zip(means, stds))
                 ],
                 column_names=tuple(meta["column_names"]),
-                target_stats=NormalizationStats(
-                    mean=meta["target_mean"], std_dev=meta["target_std"]
+                target_stats=stats(
+                    "target_mean", meta["target_mean"],
+                    "target_std", meta["target_std"],
                 ),
                 sample_rate_hz=rate,
             )
         except KeyError as exc:
             raise ModelFormatError(f"{path}: model metadata lacks {exc}") from exc
-        # OverflowError: an integer too large for a float.
-        except (ValueError, TypeError, OverflowError, ZeroVariance) as exc:
+        except (ValueError, TypeError) as exc:
             raise ModelFormatError(f"{path}: bad model metadata: {exc}") from exc
 
     model, fields = load_model(path, read_metadata)

@@ -15,8 +15,13 @@ Williams 2006, sections 2.2 and 5.4), the objective is a reduction of K
 made once per search (:func:`_noise_reduction`): the low-rank basis of a
 pivoted Cholesky factor (:class:`_LowRank`, O(r) per evaluation and no
 n x n block) when K's numerical rank is within an eighth of the rows,
-else the Householder reduction K = H T H' of the gram matrix in place
-(:class:`_Reduction`, O(n) per evaluation). With a scale free, it is
+else the reduction K = Q B Q' of the gram matrix in place to a band B of
+kd = 32 subdiagonals (:class:`_Reduction`, one O(n kd^2) band solve per
+evaluation). That reduction is LAPACK's two-stage one (dense to band,
+then band to tridiagonal for the eigenvalues), bound through ctypes
+because scipy does not wrap it; where scipy's LAPACK lacks it, the
+one-stage Householder reduction to tridiagonal form (B with one
+subdiagonal) takes its place. With a scale free, it is
 :func:`_free_scale_objective`, which factors K + noise I once per
 evaluation. The driver gives a point whose covariance cannot be factored
 a finite sentinel. In a free-scale search it stops a later start that
@@ -51,15 +56,16 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh_tridiagonal, solve_triangular
+from scipy.linalg import _flapack, eigh, solve_triangular
 from scipy.linalg.blas import dgemm, dtrsv
 from scipy.linalg.lapack import (
     dgeqrf,
     dormqr,
+    dpbsv,
     dpotrf,
     dpotri,
     dpotrs,
-    dptsv,
+    dsterf,
     dsytrd,
     dsytrd_lwork,
 )
@@ -104,6 +110,45 @@ try:  # glibc's; None where the C library has no malloc_trim
     _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
 except (AttributeError, OSError, TypeError):
     _MALLOC_TRIM = None
+
+# Noise-only search: the subdiagonals of the band that the two-stage
+# reduction leaves (:func:`_band_reduction`). On a 1,860-row fmg fold (one
+# BLAS thread) the first stage took 0.33 s at 16, 0.21 s at 32, 0.20 s at
+# 64 and 0.23 s at 96; the second took 0.12 s up to 32 and 0.20-0.21 s at
+# 64 and 96, and each band solve grows as the width squared.
+_BAND_WIDTH = 32
+
+
+def _two_stage_routines():
+    """LAPACK's ``dsytrd_sy2sb`` and ``dsytrd_sb2st`` as ctypes functions,
+    or None where the LAPACK behind scipy lacks either.
+
+    scipy wraps neither, so they are looked up through the handle of its
+    own LAPACK extension; dlsym searches that library's dependencies too,
+    so this finds the LAPACK whose ``dsytrd`` scipy calls, where scipy's
+    build prefixes the names with ``scipy_``. Both take 32-bit integers by
+    reference and, per CHARACTER argument, one trailing hidden length
+    (the gfortran convention)."""
+    try:
+        lib = ctypes.CDLL(_flapack.__file__)
+    except OSError:
+        return None
+    sy2sb, sb2st = (
+        getattr(lib, f"scipy_{name}_", None) or getattr(lib, f"{name}_", None)
+        for name in ("dsytrd_sy2sb", "dsytrd_sb2st")
+    )
+    if sy2sb is None or sb2st is None:
+        return None
+    char, ptr, length = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
+    # uplo, n, kd, a, lda, ab, ldab, tau, work, lwork, info
+    sy2sb.argtypes = [char] + [ptr] * 10 + [length]
+    # stage1, vect, uplo, n, kd, ab, ldab, d, e, hous, lhous, work, lwork, info
+    sb2st.argtypes = [char] * 3 + [ptr] * 11 + [length] * 3
+    sy2sb.restype = sb2st.restype = None
+    return sy2sb, sb2st
+
+
+_TWO_STAGE = _two_stage_routines()
 
 
 @dataclass(frozen=True)
@@ -410,12 +455,18 @@ def kernel_rbf(
     return float(hyper.output_scale**2 * np.exp(-0.5 * d2 / hyper.length_scale**2))
 
 
-def gram_matrix(x: np.ndarray, hyper: Hyperparameters | None = None) -> np.ndarray:
-    """Symmetric noise-free covariance matrix of one input set (n x d)."""
+def gram_matrix(
+    x: np.ndarray, hyper: Hyperparameters | None = None, _symmetric: bool = True
+) -> np.ndarray:
+    """Symmetric noise-free covariance matrix of one input set (n x d).
+
+    With ``_symmetric`` false, which only the noise-only search passes, it
+    is the block as the GEMM behind it leaves it, symmetric to rounding."""
     if hyper is None:
         hyper = Hyperparameters()
     pts = _as_points(x)
-    return _symmetrize(_rbf_from_sq(_sq_distances(pts, pts), hyper))
+    k = _rbf_from_sq(_sq_distances(pts, pts), hyper)
+    return _symmetrize(k) if _symmetric else k
 
 
 def _diagonal_scale(k: np.ndarray) -> float:
@@ -575,27 +626,27 @@ def lml_gradient(
 
 
 class _Reduction(NamedTuple):
-    """K = H T H' as :func:`_spectrum` leaves it: the noise-only objective
-    in O(n) per evaluation."""
+    """K = Q B Q' as :func:`_spectrum` leaves it, B a symmetric band of
+    ``kd`` subdiagonals: the noise-only objective in O(n kd^2) per
+    evaluation."""
 
     lam: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
+    band: np.ndarray
     z: np.ndarray
     reflectors: np.ndarray
     tau: np.ndarray
+    kd: int
 
     def _solve(self, v: float) -> tuple[float, np.ndarray]:
-        """(LML, u) at noise ``v``. One tridiagonal solve (T + v I) u = z
-        gives the quadratic term y'(K + v I)^-1 y = z'u; the log
-        determinant comes from the eigenvalues. Raises
-        :class:`NotPositiveDefinite` when LAPACK ``ptsv`` finds T + v I
-        not positive definite."""
-        _, _, u, info = dptsv(self.d + v, self.e, self.z)
+        """(LML, u) at noise ``v``. One band solve (B + v I) u = z gives the
+        quadratic term y'(K + v I)^-1 y = z'u; the log determinant comes
+        from the eigenvalues. Raises :class:`NotPositiveDefinite` when
+        LAPACK ``pbsv`` finds B + v I not positive definite."""
+        ab = self.band.copy(order="F")
+        ab[0] += v
+        _, u, info = dpbsv(ab, self.z, lower=1, overwrite_ab=1)
         if info != 0:
-            raise NotPositiveDefinite(
-                f"tridiagonal solve at noise {v:g} failed (info={info})"
-            )
+            raise NotPositiveDefinite(f"band solve at noise {v:g} failed (info={info})")
         lml = (
             -0.5 * float(self.z @ u)
             - 0.5 * float(np.sum(np.log(self.lam + v)))
@@ -605,59 +656,126 @@ class _Reduction(NamedTuple):
 
     def lml_and_grad(self, log_noise: float) -> tuple[float, float]:
         """The LML and its derivative in log noise. The gradient's data
-        term ||(K + v I)^-1 y||^2 is u'u, as H is orthogonal, and
+        term ||(K + v I)^-1 y||^2 is u'u, as Q is orthogonal, and
         tr((K + v I)^-1) comes from the eigenvalues."""
         v = np.exp(log_noise)
         lml, u = self._solve(v)
         return lml, 0.5 * v * (float(u @ u) - float(np.sum(1.0 / (self.lam + v))))
 
     def weights(self, noise: float) -> tuple[np.ndarray, float]:
-        """(w, LML) at ``noise``: w = H u = H_0 (H_1 (... (H_{n-2} u))),
+        """(w, LML) at ``noise``: w = Q u = H_0 (H_1 (... (H_last u))),
         the last reflector applied first."""
-        lml, u = self._solve(noise)
-        a, tau, n = self.reflectors, self.tau, self.lam.shape[0]
-        w = u[:n]
-        for i in range(n - 2, -1, -1):
-            v = a[i + 1 :, i]
-            w[i + 1 :] -= (tau[i] * (v @ w[i + 1 :])) * v
+        lml, w = self._solve(noise)
+        a, tau, kd = self.reflectors, self.tau, self.kd
+        for i in range(tau.shape[0] - 1, -1, -1):
+            v = a[i + kd :, i]
+            w[i + kd :] -= (tau[i] * (v @ w[i + kd :])) * v
         return w, lml
 
 
 def _spectrum(k: np.ndarray, y: np.ndarray) -> _Reduction:
     """What the noise-only search needs from a symmetric K, without any
-    eigenvector: (lam, d, e, z, reflectors, tau).
+    eigenvector: (lam, band, z, reflectors, tau, kd).
 
-    K = H T H' by Householder reduction; d and e are the diagonal and
-    subdiagonal of T, z = H' y (the n - 1 reflectors applied to y only)
-    and lam the eigenvalues of T, which are those of K, ascending and
-    clamped at zero against rounding. d, e and z carry one extra
-    decoupled row (d = 1, e = 0, z = 0): it leaves every solve with T
-    unchanged and keeps e non-empty at n = 1, which the LAPACK wrappers
-    require. ``k`` is overwritten: ``reflectors`` is its Fortran-ordered
-    view, H = H_0 H_1 ... H_{n-2} with H_i = I - tau_i v v', v[:i+1] = 0
-    and v[i+1:] = reflectors[i+1:, i] (its leading 1 written in). Raises
-    :class:`NotPositiveDefinite`, as :func:`fit` does, on a ``k`` whose
-    mean diagonal is not finite and positive: finite but huge inputs give
-    NaN entries, which the tridiagonal routines reject with a bare
-    ``ValueError``.
+    K = Q B Q' with B a symmetric band of ``kd`` subdiagonals, by the
+    two-stage reduction (:func:`_band_reduction`, kd = :data:`_BAND_WIDTH`)
+    or, where the LAPACK behind scipy lacks it, by the one-stage
+    Householder reduction to tridiagonal form (:func:`_tridiagonal_reduction`,
+    kd = 1). Either reads one triangle of ``k`` only. ``band`` is B in
+    LAPACK's lower band storage (row r holds the r-th subdiagonal), z = Q'y
+    (the reflectors applied to y only) and lam the eigenvalues of K,
+    ascending and clamped at zero against rounding, from the tridiagonal
+    form by LAPACK ``sterf``. ``k`` is overwritten: ``reflectors`` is its
+    Fortran-ordered view, Q = H_0 H_1 ... with H_i = I - tau_i v v',
+    v[:i+kd] = 0 and v[i+kd:] = reflectors[i+kd:, i] (its leading 1
+    written in). Raises :class:`NotPositiveDefinite`, as :func:`fit`
+    does, on a ``k`` whose mean diagonal is not finite and positive:
+    finite but huge inputs give NaN entries, which would pass through the
+    reduction unnoticed.
     """
     _diagonal_scale(k)
+    reduce = _band_reduction if _TWO_STAGE is not None else _tridiagonal_reduction
+    band, tau, d, e = reduce(k)
+    kd, a = band.shape[0] - 1, k.T
+    # Q'y applies H_0 first.
+    z = y.copy()
+    for i in range(tau.shape[0]):
+        v = a[i + kd :, i]
+        v[0] = 1.0  # the slot held the band's last entry, which is in ``band``
+        z[i + kd :] -= (tau[i] * (v @ z[i + kd :])) * v
+    lam, info = dsterf(d, e, overwrite_d=1)
+    if info != 0:
+        raise NumericalError(f"tridiagonal eigenvalues failed (info={info})")
+    return _Reduction(np.maximum(lam, 0.0), band, z, a, tau, kd)
+
+
+def _band_reduction(k: np.ndarray):
+    """(band, tau, d, e) of the symmetric ``k``, reduced in place in two
+    stages (Bischof, Lang & Sun 2000): LAPACK ``dsytrd_sy2sb`` takes K to
+    the band B = Q'KQ of :data:`_BAND_WIDTH` subdiagonals with level-3
+    BLAS, leaving Q's n - kd reflectors below the band of its lower
+    triangle, and ``dsytrd_sb2st`` takes a copy of B to its tridiagonal
+    form, whose diagonal is d and subdiagonal e (padded to one entry at
+    n = 1, as ``sterf``'s wrapper wants), without its reflectors.
+
+    On the knee emg and fmg folds at the default cap (1,824-1,983 rows,
+    one BLAS thread) the two stages took 0.30-0.44 s against 0.51-0.72 s
+    for the one-stage ``dsytrd``; at 1,000 rows and below they are no
+    faster."""
+    # LAPACK reads k.T through a pointer, as n x n Fortran-ordered doubles.
+    if k.dtype != np.float64 or not k.flags.c_contiguous:
+        raise ValueError("the band reduction needs a C-ordered float64 block")
+    sy2sb, sb2st = _TWO_STAGE
+    n, kd = k.shape[0], _BAND_WIDTH
+    band = np.zeros((kd + 1, n), order="F")
+    tau = np.zeros(max(n - kd, 1))
+    d, e = np.empty(n), np.empty(max(n - 1, 1))
+    info = ctypes.c_int()
+
+    def ref(value: int):
+        return ctypes.byref(ctypes.c_int(value))
+
+    def stage1(work: np.ndarray, lwork: int) -> None:
+        sy2sb(b"L", ref(n), ref(kd), k.ctypes, ref(n), band.ctypes, ref(kd + 1),
+              tau.ctypes, work.ctypes, ref(lwork), ctypes.byref(info), 1)
+
+    def stage2(hous: np.ndarray, lhous: int, work: np.ndarray, lwork: int) -> None:
+        sb2st(b"N", b"N", b"L", ref(n), ref(kd), band.ctypes, ref(kd + 1),
+              d.ctypes, e.ctypes, hous.ctypes, ref(lhous), work.ctypes,
+              ref(lwork), ctypes.byref(info), 1, 1, 1)
+
+    # With sizes of -1 each routine only writes the workspace sizes it
+    # needs to their first entry. One workspace then serves both stages.
+    sizes = np.zeros(3)
+    stage1(sizes[0:], -1)
+    stage2(sizes[1:], -1, sizes[2:], -1)
+    lwork, lhous = int(max(sizes[0], sizes[2], 1)), int(max(sizes[1], 1))
+    work, hous = np.empty(lwork), np.empty(lhous)
+    stage1(work, lwork)
+    if info.value != 0:
+        raise NumericalError(f"band reduction failed (info={info.value})")
+    stage2(hous, lhous, work, lwork)
+    if info.value != 0:
+        raise NumericalError(
+            f"band to tridiagonal reduction failed (info={info.value})"
+        )
+    return band, tau[: max(n - kd, 0)], d, e
+
+
+def _tridiagonal_reduction(k: np.ndarray):
+    """(band, tau, d, e) of the symmetric ``k`` as :func:`_band_reduction`
+    gives them, from LAPACK's one-stage ``dsytrd`` in place: the band is
+    the tridiagonal form itself (kd = 1), the rows d and e."""
     n = k.shape[0]
     lwork, _ = dsytrd_lwork(n, lower=1)
     # k.T is the Fortran-ordered view of the symmetric k, so LAPACK reduces
     # it in place; the queried workspace selects the blocked reduction
     # (scipy's default workspace runs the unblocked one, twice as slow).
-    a, d, e, tau, info = dsytrd(k.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    _, d, e, tau, info = dsytrd(k.T, lower=1, lwork=int(lwork), overwrite_a=1)
     if info != 0:
         raise NumericalError(f"tridiagonal reduction failed (info={info})")
-    # H' y applies H_0 first.
-    z = np.append(y, 0.0)
-    for i in range(n - 1):
-        v = a[i + 1 :, i]
-        v[0] = 1.0  # the slot held e[i], which is already in ``e``
-        z[i + 1 : n] -= (tau[i] * (v @ z[i + 1 : n])) * v
-    lam = np.maximum(eigvalsh_tridiagonal(d, e), 0.0)
-    return _Reduction(lam, np.append(d, 1.0), np.append(e, 0.0), z, a, tau)
+    band = np.asfortranarray([d, np.append(e, 0.0)])
+    return band, tau, d, band[1, : max(n - 1, 1)]
 
 
 def _pivoted_cholesky(
@@ -808,16 +926,19 @@ def _noise_reduction(
 ) -> _Reduction | _LowRank:
     """The noise-only search's reduction of K: low-rank when the pivoted
     Cholesky probe stops within :data:`_PROBE_BUDGET` of the rows, else
-    the Householder reduction of the gram matrix. The probe's columns are
-    freed before the gram matrix is built. The two-feature kinematics
-    baseline has rank 150-175 at about 1,900 rows; the EMG and FMG
-    features do not stop within the budget."""
+    the band reduction of the gram matrix (:func:`_spectrum`). The probe's
+    columns are freed before the gram matrix is built. The reduction reads
+    one triangle, so the block is left as the GEMM behind it leaves it,
+    symmetric to rounding only, without :func:`gram_matrix`'s
+    symmetrizing pass (7-8 ms at 1,900 rows). The two-feature
+    kinematics baseline has rank 150-175 at about 1,900 rows; the EMG and
+    FMG features do not stop within the budget."""
     n = x.shape[0]
     if n >= _PROBE_MIN_ROWS:
         factor = _pivoted_cholesky(x, hyper, int(_PROBE_BUDGET * n))
         if factor is not None:
             return _low_rank(factor, y)
-    return _spectrum(gram_matrix(x, hyper), y)
+    return _spectrum(gram_matrix(x, hyper, _symmetric=False), y)
 
 
 class _Pruned(Exception):
@@ -983,7 +1104,7 @@ def optimize_hyperparameters(
 
     - Noise only: the objective is the reduction of K that
       :func:`_noise_reduction` chooses by K's numerical rank, low-rank
-      (:class:`_LowRank`) or Householder (:class:`_Reduction`), and every
+      (:class:`_LowRank`) or band (:class:`_Reduction`), and every
       start runs to completion. The reduction is freed when the search
       returns, unless ``_keep``, a list only :func:`fit_mean` passes,
       takes it for the fold's mean-only fit.

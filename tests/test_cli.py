@@ -892,6 +892,31 @@ def test_huge_integer_in_model_metadata_is_2(fmg_model, quiet_knee_dir, tmp_path
     assert "bad model metadata" in main_data_error(capsys, argv)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("target_std", HUGE),
+    ("target_mean", HUGE),
+    ("sample_rate_hz", HUGE),
+    ("column_means[0]", HUGE),
+    ("column_stds[2]", HUGE),
+    ("column_stds[2]", "wide"),
+    ("column_stds[2]", 0.0),
+    ("target_mean", float("nan")),
+])
+def test_bad_model_metadata_number_names_its_field(fmg_model, quiet_knee_dir,
+                                                   tmp_path, capsys, field, value):
+    model, meta = load_model(fmg_model)
+    key, _, index = field.partition("[")
+    if index:
+        meta[key][int(index.rstrip("]"))] = value
+    else:
+        meta[key] = value
+    broken = tmp_path / "bad.npz"
+    save_model(model, broken, meta)
+    argv = model_argv("predict", broken, quiet_knee_dir, tmp_path)
+    line = main_data_error(capsys, argv)
+    assert f"bad model metadata: {field}" in line
+
+
 def damaged_model(model_path, tmp_path, damage):
     """A copy of a saved model file with one kind of damage."""
     broken = tmp_path / f"{damage.replace(' ', '_')}.npz"

@@ -9,12 +9,13 @@ finite differences in log-parameter space.
 import dataclasses
 import math
 import tracemalloc
+import types
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky, eigh, eigh_tridiagonal, solve_triangular
+from scipy.linalg import cho_solve, cholesky, eig_banded, eigh, solve_triangular
 from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
@@ -854,16 +855,16 @@ class TestOptimize:
 
     def test_noise_matches_dense_eigendecomposition_reference(self, rng):
         # The same multi-start L-BFGS-B over the eigenvector route: the
-        # dense eigendecomposition T = V diag(lam) V' of the tridiagonal T,
+        # dense eigendecomposition B = V diag(lam) V' of the band B,
         # y_hat = V'z, and sums over the clamped eigenvalues.
         x = rng.standard_normal((300, 4))
         y = np.sin(x[:, 0]) * np.cos(x[:, 1]) + 0.1 * rng.standard_normal(300)
         opts = GpOptions(seed=0)
         tuned = optimize_hyperparameters(x, y, options=opts)
 
-        _, d, e, z = _spectrum(gram_matrix(x), y)[:4]
-        lam, vecs = eigh_tridiagonal(d[:-1], e[:-1])
-        y_hat = vecs.T @ z[:-1]
+        reduction = _spectrum(gram_matrix(x), y)
+        lam, vecs = eig_banded(reduction.band, lower=True)
+        y_hat = vecs.T @ reduction.z
 
         def negative(theta):
             lml, g = spectral_objective(lam, y_hat, float(theta[0]))
@@ -885,15 +886,19 @@ class TestOptimize:
         reference = math.exp(float(best.x[0]))
         assert tuned.noise_variance == pytest.approx(reference, rel=1e-6)
 
-    def test_failed_tridiagonal_solve_returns_the_sentinel(self, monkeypatch):
-        # K = [[1, 2], [2, 1]] has the eigenvalue -1, so T + v I is not
-        # positive definite for v <= 1 and LAPACK ptsv reports it.
+    @pytest.mark.parametrize("two_stage", [True, False], ids=["two-stage", "one-stage"])
+    def test_failed_band_solve_returns_the_sentinel(self, monkeypatch, two_stage):
+        # K = [[1, 2], [2, 1]] has the eigenvalue -1, so B + v I is not
+        # positive definite for v <= 1 and LAPACK pbsv reports it.
+        if not two_stage:
+            monkeypatch.setattr(gpr, "_TWO_STAGE", None)
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
         y = np.array([0.5, -0.3])
-        with pytest.raises(NotPositiveDefinite, match="tridiagonal solve"):
+        with pytest.raises(NotPositiveDefinite, match="band solve"):
             _spectrum(indefinite.copy(), y).lml_and_grad(math.log(0.5))
 
-        monkeypatch.setattr(gpr, "gram_matrix", lambda x, hyper=None: indefinite.copy())
+        monkeypatch.setattr(gpr, "gram_matrix",
+                            lambda x, hyper=None, _symmetric=True: indefinite.copy())
         monkeypatch.setattr(gpr, "RESTARTS", 3)
         seen = record_search(monkeypatch, np.zeros((2, 1)), y,
                              Hyperparameters(noise_variance=2.0),
@@ -904,12 +909,32 @@ class TestOptimize:
         assert all(value == 1e25 and grad.tolist() == [0.0] for value, grad in failed)
         assert all(np.isfinite(value) and value < 1e25 for value in solved)
 
+    def test_one_stage_reduction_tunes_the_same_noise(self, rng, monkeypatch):
+        # The one-stage reduction, which runs where scipy's LAPACK lacks the
+        # two-stage routines, on a full-rank fold-like problem.
+        x = rng.standard_normal((600, 7))
+        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(600)
+        two_stage = optimize_hyperparameters(x, y)
+        monkeypatch.setattr(gpr, "_TWO_STAGE", None)
+        one_stage = optimize_hyperparameters(x, y)
+        assert two_stage.noise_variance == pytest.approx(
+            one_stage.noise_variance, rel=1e-6
+        )
+
+    def test_unloadable_lapack_leaves_the_one_stage_reduction(
+        self, monkeypatch, tmp_path
+    ):
+        missing = types.SimpleNamespace(__file__=str(tmp_path / "missing.so"))
+        monkeypatch.setattr(gpr, "_flapack", missing)
+        assert gpr._two_stage_routines() is None
+
     def test_search_with_no_factorable_point_raises(self, monkeypatch):
         # Every noise the box allows leaves 1e9 [[1, 2], [2, 1]] + v I
         # indefinite, so every evaluation fails and no start has a usable
         # optimum, though each ends on the finite sentinel.
         indefinite = 1e9 * np.array([[1.0, 2.0], [2.0, 1.0]])
-        monkeypatch.setattr(gpr, "gram_matrix", lambda x, hyper=None: indefinite.copy())
+        monkeypatch.setattr(gpr, "gram_matrix",
+                            lambda x, hyper=None, _symmetric=True: indefinite.copy())
         with pytest.raises(NotPositiveDefinite, match="no usable optimum"):
             optimize_hyperparameters(np.zeros((2, 1)), np.array([0.5, -0.3]))
 
@@ -1356,14 +1381,17 @@ def spectral_objective(lam, y_hat, log_noise):
     return lml, grad
 
 
-def dense_noise_objective(k, y, log_noise):
-    """:func:`spectral_objective` from a dense ``eigh`` of K."""
+def dense_noise_objective(k, y):
+    """:func:`spectral_objective` from one dense ``eigh`` of K, as a
+    function of log noise."""
     lam, q = eigh(k)
-    return spectral_objective(lam, q.T @ y, log_noise)
+    y_hat = q.T @ y
+    return lambda log_noise: spectral_objective(lam, y_hat, log_noise)
 
 
 class TestSpectrum:
-    """The search's tridiagonal solve against a dense ``eigh``.
+    """The search's band solve against a dense ``eigh``, on the reduction
+    this platform runs: the two-stage one where scipy's LAPACK has it.
 
     Log noise runs from -12 up: near the lower bound of -16 the
     rounding-level eigenvalues of an RBF gram (about 1e-13 of the
@@ -1376,9 +1404,11 @@ class TestSpectrum:
     def check(self, k, y):
         k, y = np.asarray(k, dtype=np.float64), np.asarray(y, dtype=np.float64)
         spectrum = _spectrum(k.copy(), y)
+        assert spectrum.kd == (gpr._BAND_WIDTH if gpr._TWO_STAGE is not None else 1)
+        reference = dense_noise_objective(k, y)
         for log_noise in self.LOG_NOISES:
             lml, grad = spectrum.lml_and_grad(log_noise)
-            ref_lml, ref_grad = dense_noise_objective(k, y, log_noise)
+            ref_lml, ref_grad = reference(log_noise)
             assert lml == pytest.approx(ref_lml, rel=1e-9)
             assert grad == pytest.approx(ref_grad, rel=1e-9)
 
@@ -1392,6 +1422,14 @@ class TestSpectrum:
         a = rng.standard_normal((3, 3))
         self.check(a @ a.T + np.eye(3), rng.standard_normal(3))
 
+    @pytest.mark.parametrize("extra", [0, 1, 2], ids=["kd", "kd+1", "kd+2"])
+    def test_sizes_at_the_band_width(self, rng, extra):
+        # At n <= kd + 1 the first stage only copies K into the band; from
+        # kd + 2 rows on it makes reflectors.
+        n = gpr._BAND_WIDTH + extra
+        x = rng.standard_normal((n, 3))
+        self.check(gram_matrix(x), np.sin(x[:, 0]) + 0.1 * rng.standard_normal(n))
+
     def test_rbf_gram_500_rows(self, rng):
         # Three input dimensions give the cluster of rounding-level
         # eigenvalues a real training set has.
@@ -1399,11 +1437,28 @@ class TestSpectrum:
         y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(500)
         self.check(gram_matrix(x), y)
 
+    def test_rbf_gram_of_a_fold_size(self, rng):
+        # The size and width of an emg or fmg fold at the default cap.
+        x = rng.standard_normal((1900, 7))
+        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(1900)
+        self.check(gram_matrix(x), y)
+
     def test_reduces_its_input_in_place(self, rng):
-        k = gram_matrix(rng.standard_normal((20, 2)))
+        # Above kd + 1 rows, where the first stage makes reflectors.
+        n = 2 * gpr._BAND_WIDTH
+        k = gram_matrix(rng.standard_normal((n, 2)))
         before = k.copy()
-        _spectrum(k, np.ones(20))
+        _spectrum(k, np.ones(n))
         assert not np.array_equal(k, before)
+
+
+class TestOneStageSpectrum(TestSpectrum):
+    """The same checks on the one-stage reduction, which runs where the
+    LAPACK behind scipy lacks the two-stage routines."""
+
+    @pytest.fixture(autouse=True)
+    def one_stage(self, monkeypatch):
+        monkeypatch.setattr(gpr, "_TWO_STAGE", None)
 
 
 def mean_only_fit(x, y, hyper=None):
