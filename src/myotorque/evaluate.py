@@ -33,7 +33,6 @@ from .gpr import (
     load_model,
     optimize_hyperparameters,
     predict,
-    predict_mean,
     save_model,
 )
 from .preprocess import FeatureTable, Joint, ModelConfig, concat_tables
@@ -218,8 +217,10 @@ def evaluate_cv(
     training subsample up to ``train_cap`` rows, noise tuned by marginal
     likelihood, test rows scored on the normalized scale. The reported MSE
     pools squared errors over every tested row; RMSE is its square root.
-    A fold asks only for the posterior mean, so with the noise alone free
-    its model is mean-only (:func:`fit_mean`).
+    A fold asks only for the posterior mean, so the cell's folds go to one
+    :func:`fit_mean` call: with the noise alone free each model is
+    mean-only, and folds that need the full band reduction run two at a
+    time.
     """
     if folds is None:
         folds = kfold_split(table.segment_ids(), n_folds, seed)
@@ -233,20 +234,24 @@ def evaluate_cv(
     predicted_nm = np.full(n, np.nan)
     per_fold_mse = np.empty(folds.k)
     noise_variances = np.empty(folds.k)
+    target_stats = []  # each fold's, in fold order
 
-    for fold in range(folds.k):
+    def problems():
+        for fold in range(folds.k):
+            test_mask = fold_of_row == fold
+            x, y, column_stats, stats = _training_rows(table, ~test_mask, train_cap)
+            target_stats.append(stats)
+            yield x, y, _normalize_columns(table.rows[test_mask], column_stats)
+
+    for fold, (model, y_hat) in enumerate(fit_mean(problems(), options)):
         test_mask = fold_of_row == fold
-        est = _train(table, ~test_mask, options, train_cap, mean_only=True)
-        x_test = _normalize_columns(table.rows[test_mask], est.column_stats)
-        t_mean, t_std = est.target_stats.mean, est.target_stats.std_dev
+        t_mean, t_std = target_stats[fold].mean, target_stats[fold].std_dev
         y_test = (table.targets[test_mask] - t_mean) / t_std
-        y_hat = predict_mean(est.model, x_test)
         predicted_norm[test_mask] = y_hat
         true_norm[test_mask] = y_test
         predicted_nm[test_mask] = y_hat * t_std + t_mean
         per_fold_mse[fold] = mse(y_test, y_hat)
-        noise_variances[fold] = est.model.hyper.noise_variance
-        del est  # the next fold's n x n block need not coexist with it
+        noise_variances[fold] = model.hyper.noise_variance
 
     tested = fold_of_row >= 0
     pooled_mse = mse(true_norm[tested], predicted_norm[tested])
@@ -316,30 +321,31 @@ def train_model(
     return _train(table, np.ones(table.n_rows, dtype=bool), options, train_cap)
 
 
-def _train(
-    table: FeatureTable,
-    train_mask: np.ndarray,
-    options: GpOptions,
-    train_cap: int,
-    mean_only: bool = False,
-) -> TrainedEstimator:
-    """The one training path of CV folds and :func:`train_model`: statistics
-    from the masked rows, an even subsample of at most ``train_cap`` of them
-    normalized by those statistics, the noise tuned on it, the exact fit.
-
-    ``mean_only`` takes the fold's model from :func:`fit_mean`, which with
-    the noise alone free builds no second n x n block and no Cholesky
-    factor, and serves ``predict_mean`` only. Otherwise the fit is the
-    Cholesky one a saved model is refit with."""
+def _training_rows(
+    table: FeatureTable, train_mask: np.ndarray, train_cap: int
+) -> tuple[np.ndarray, np.ndarray, list[NormalizationStats], NormalizationStats]:
+    """The one training path of CV folds and :func:`train_model`: (x, y,
+    column statistics, target statistics), the statistics from the masked
+    rows and x, y an even subsample of at most ``train_cap`` of them
+    normalized by those statistics."""
     column_stats, target_stats = fold_statistics(table, train_mask)
     train_rows = np.flatnonzero(train_mask)
     keep = train_rows[subsample_stride(len(train_rows), train_cap)]
     x = _normalize_columns(table.rows[keep], column_stats)
     y = (table.targets[keep] - target_stats.mean) / target_stats.std_dev
-    if mean_only:
-        model = fit_mean(x, y, options)
-    else:
-        model = fit(x, y, optimize_hyperparameters(x, y, options=options))
+    return x, y, column_stats, target_stats
+
+
+def _train(
+    table: FeatureTable,
+    train_mask: np.ndarray,
+    options: GpOptions,
+    train_cap: int,
+) -> TrainedEstimator:
+    """An estimator of the masked rows (:func:`_training_rows`): the noise
+    tuned on them and the Cholesky fit a saved model is refit with."""
+    x, y, column_stats, target_stats = _training_rows(table, train_mask, train_cap)
+    model = fit(x, y, optimize_hyperparameters(x, y, options=options))
     return TrainedEstimator(
         model=model,
         joint=table.joint,

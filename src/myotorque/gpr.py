@@ -33,16 +33,20 @@ the cross-covariance (and, in :func:`predict`, the triangular solve)
 held at any time is n x block whatever the query size.
 
 A cross-validation fold of n training and m held-out rows asks only for
-the mean, and gets its model from :func:`fit_mean`. With the noise alone
-free, the search's reduction already fixes it: the dual weights
+the mean, and gets its model and means from :func:`fit_mean`, which takes
+a cell's folds in one call. With the noise alone free, the search's
+reduction already fixes the model: the dual weights
 w = (K + noise I)^-1 y and the log marginal likelihood come from the
 reduction at the tuned noise. So such a fold factors nothing by
 Cholesky, builds at most one n x n block, the search's gram matrix, and
 none when K is low-rank; its model is mean-only (:func:`predict_mean`).
-The m predictions add one n x ``_QUERY_BLOCK`` (128) block at a time.
-At the default cap of 2,000 rows that is 32 MB for the n x n block and
-2 MB per query block. Every other fit factors K + noise I by Cholesky,
-so that a model that is saved equals its refit bit for bit.
+Two folds that both need the band reduction share one block of
+(N + 1) x N doubles, each reduced in its own triangle on its own thread
+(:func:`_fit_pair`). The m predictions add one n x ``_QUERY_BLOCK`` (128)
+block at a time. At the default cap of 2,000 rows that is 32 MB for the
+n x n block and 2 MB per query block. Every other fit factors
+K + noise I by Cholesky, so that a model that is saved equals its refit
+bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import ctypes
 import json
 import zipfile
 import zlib
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import astuple, dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -111,11 +116,10 @@ try:  # glibc's; None where the C library has no malloc_trim
 except (AttributeError, OSError, TypeError):
     _MALLOC_TRIM = None
 
-# Noise-only search: the subdiagonals of the band that the two-stage
-# reduction leaves (:func:`_band_reduction`). On a 1,860-row fmg fold (one
-# BLAS thread) the first stage took 0.33 s at 16, 0.21 s at 32, 0.20 s at
-# 64 and 0.23 s at 96; the second took 0.12 s up to 32 and 0.20-0.21 s at
-# 64 and 96, and each band solve grows as the width squared.
+# Noise-only search: the off-diagonals of the band that the two-stage
+# reduction leaves (:func:`_band_reduction`). A wider band makes the first
+# stage faster up to about 32 and the second stage slower beyond it, and
+# each band solve grows as the width squared.
 _BAND_WIDTH = 32
 
 
@@ -456,17 +460,39 @@ def kernel_rbf(
 
 
 def gram_matrix(
-    x: np.ndarray, hyper: Hyperparameters | None = None, _symmetric: bool = True
+    x: np.ndarray,
+    hyper: Hyperparameters | None = None,
+    _symmetric: bool = True,
+    _into: tuple[np.ndarray, bool] | None = None,
 ) -> np.ndarray:
     """Symmetric noise-free covariance matrix of one input set (n x d).
 
-    With ``_symmetric`` false, which only the noise-only search passes, it
-    is the block as the GEMM behind it leaves it, symmetric to rounding."""
+    Two private forms serve the noise-only search, whose reduction reads
+    one triangle. With ``_symmetric`` false it is the block as the GEMM
+    behind it leaves it, symmetric to rounding. With ``_into`` = (k, upper)
+    K goes into one triangle of the n x n ``k``, which is returned: the
+    triangle on and above the diagonal of ``k.T`` with ``upper``, else the
+    one on and below. The other triangle is not touched. It is built one
+    block of rows at a time, so there is no n x n temporary; the GEMM of a
+    block of rows may round an entry differently from the GEMM of all."""
     if hyper is None:
         hyper = Hyperparameters()
     pts = _as_points(x)
-    k = _rbf_from_sq(_sq_distances(pts, pts), hyper)
-    return _symmetrize(k) if _symmetric else k
+    if _into is None:
+        k = _rbf_from_sq(_sq_distances(pts, pts), hyper)
+        return _symmetrize(k) if _symmetric else k
+    k, upper = _into
+    n = pts.shape[0]
+    for r0 in range(0, n, _QUERY_BLOCK):
+        # k.T's upper triangle is k's lower one: in rows [r0, r1) of k, the
+        # columns up to r1 (else from r0 on), each on its side of the diagonal.
+        r1 = min(r0 + _QUERY_BLOCK, n)
+        c0, c1 = (0, r1) if upper else (r0, n)
+        block = _cross_covariance(pts[r0:r1], pts[c0:c1], hyper)
+        row, col = np.ogrid[r0:r1, c0:c1]
+        np.copyto(k[r0:r1, c0:c1], block, where=(col <= row) if upper else (col >= row))
+        del block  # before the next block of rows is made
+    return k
 
 
 def _diagonal_scale(k: np.ndarray) -> float:
@@ -627,8 +653,8 @@ def lml_gradient(
 
 class _Reduction(NamedTuple):
     """K = Q B Q' as :func:`_spectrum` leaves it, B a symmetric band of
-    ``kd`` subdiagonals: the noise-only objective in O(n kd^2) per
-    evaluation."""
+    ``kd`` off-diagonals held in its ``upper`` or lower triangle: the
+    noise-only objective in O(n kd^2) per evaluation."""
 
     lam: np.ndarray
     band: np.ndarray
@@ -636,6 +662,20 @@ class _Reduction(NamedTuple):
     reflectors: np.ndarray
     tau: np.ndarray
     kd: int
+    upper: bool
+
+    def _reflect(self, b: np.ndarray, adjoint: bool) -> np.ndarray:
+        """Q'b (``adjoint``) or Q b, in place, one reflector at a time:
+        Q = H_0 H_1 ... in either triangle, H_i = I - tau_i v v' with
+        v[:i+kd] = 0 and v[i+kd:] column i of ``reflectors`` (lower) or
+        row i (upper) from the band's edge on. So Q'b applies H_0 first and
+        Q b the last reflector first."""
+        a, tau, kd = self.reflectors, self.tau, self.kd
+        order = range(tau.shape[0])
+        for i in order if adjoint else reversed(order):
+            v = a[i, i + kd :] if self.upper else a[i + kd :, i]
+            b[i + kd :] -= (tau[i] * (v @ b[i + kd :])) * v
+        return b
 
     def _solve(self, v: float) -> tuple[float, np.ndarray]:
         """(LML, u) at noise ``v``. One band solve (B + v I) u = z gives the
@@ -643,8 +683,8 @@ class _Reduction(NamedTuple):
         from the eigenvalues. Raises :class:`NotPositiveDefinite` when
         LAPACK ``pbsv`` finds B + v I not positive definite."""
         ab = self.band.copy(order="F")
-        ab[0] += v
-        _, u, info = dpbsv(ab, self.z, lower=1, overwrite_ab=1)
+        ab[self.kd if self.upper else 0] += v  # the diagonal's row
+        _, u, info = dpbsv(ab, self.z, lower=int(not self.upper), overwrite_ab=1)
         if info != 0:
             raise NotPositiveDefinite(f"band solve at noise {v:g} failed (info={info})")
         lml = (
@@ -663,70 +703,68 @@ class _Reduction(NamedTuple):
         return lml, 0.5 * v * (float(u @ u) - float(np.sum(1.0 / (self.lam + v))))
 
     def weights(self, noise: float) -> tuple[np.ndarray, float]:
-        """(w, LML) at ``noise``: w = Q u = H_0 (H_1 (... (H_last u))),
-        the last reflector applied first."""
-        lml, w = self._solve(noise)
-        a, tau, kd = self.reflectors, self.tau, self.kd
-        for i in range(tau.shape[0] - 1, -1, -1):
-            v = a[i + kd :, i]
-            w[i + kd :] -= (tau[i] * (v @ w[i + kd :])) * v
-        return w, lml
+        """(w, LML) at ``noise``: w = Q u."""
+        lml, u = self._solve(noise)
+        return self._reflect(u, adjoint=False), lml
 
 
-def _spectrum(k: np.ndarray, y: np.ndarray) -> _Reduction:
-    """What the noise-only search needs from a symmetric K, without any
-    eigenvector: (lam, band, z, reflectors, tau, kd).
+def _spectrum(k: np.ndarray, y: np.ndarray, upper: bool = False) -> _Reduction:
+    """What the noise-only search needs from the symmetric ``k.T``, of
+    which it reads the ``upper`` or lower triangle only, without any
+    eigenvector: (lam, band, z, reflectors, tau, kd, upper).
 
-    K = Q B Q' with B a symmetric band of ``kd`` subdiagonals, by the
+    K = Q B Q' with B a symmetric band of ``kd`` off-diagonals, by the
     two-stage reduction (:func:`_band_reduction`, kd = :data:`_BAND_WIDTH`)
     or, where the LAPACK behind scipy lacks it, by the one-stage
-    Householder reduction to tridiagonal form (:func:`_tridiagonal_reduction`,
-    kd = 1). Either reads one triangle of ``k`` only. ``band`` is B in
-    LAPACK's lower band storage (row r holds the r-th subdiagonal), z = Q'y
-    (the reflectors applied to y only) and lam the eigenvalues of K,
-    ascending and clamped at zero against rounding, from the tridiagonal
-    form by LAPACK ``sterf``. ``k`` is overwritten: ``reflectors`` is its
-    Fortran-ordered view, Q = H_0 H_1 ... with H_i = I - tau_i v v',
-    v[:i+kd] = 0 and v[i+kd:] = reflectors[i+kd:, i] (its leading 1
-    written in). Raises :class:`NotPositiveDefinite`, as :func:`fit`
-    does, on a ``k`` whose mean diagonal is not finite and positive:
-    finite but huge inputs give NaN entries, which would pass through the
-    reduction unnoticed.
+    Householder reduction of the lower triangle to tridiagonal form
+    (:func:`_tridiagonal_reduction`, kd = 1). ``band`` is B in LAPACK's
+    band storage of that triangle (lower: row r holds the r-th
+    subdiagonal; upper: row kd - r the r-th superdiagonal), z = Q'y (the
+    reflectors applied to y only) and lam the eigenvalues of K, ascending
+    and clamped at zero against rounding, from the tridiagonal form by
+    LAPACK ``sterf``. ``k``'s triangle is overwritten: ``reflectors`` is
+    ``k.T``, holding Q's reflectors (:meth:`_Reduction._reflect`) with
+    their leading 1 written in. ``k`` is a C-ordered n x n block or such
+    a view of a wider one, so ``k.T`` may have a leading dimension larger
+    than n. Raises :class:`NotPositiveDefinite`, as :func:`fit` does, on a
+    ``k`` whose mean diagonal is not finite and positive: finite but huge
+    inputs give NaN entries, which would pass through the reduction
+    unnoticed.
     """
     _diagonal_scale(k)
     reduce = _band_reduction if _TWO_STAGE is not None else _tridiagonal_reduction
-    band, tau, d, e = reduce(k)
+    band, tau, d, e = reduce(k, upper)
     kd, a = band.shape[0] - 1, k.T
-    # Q'y applies H_0 first.
-    z = y.copy()
-    for i in range(tau.shape[0]):
-        v = a[i + kd :, i]
-        v[0] = 1.0  # the slot held the band's last entry, which is in ``band``
-        z[i + kd :] -= (tau[i] * (v @ z[i + kd :])) * v
+    # Each reflector's leading 1 goes where the band's outermost entry was;
+    # that entry is in ``band``.
+    i = np.arange(tau.shape[0])
+    a[(i, i + kd) if upper else (i + kd, i)] = 1.0
     lam, info = dsterf(d, e, overwrite_d=1)
     if info != 0:
         raise NumericalError(f"tridiagonal eigenvalues failed (info={info})")
-    return _Reduction(np.maximum(lam, 0.0), band, z, a, tau, kd)
+    reduction = _Reduction(np.maximum(lam, 0.0), band, y.copy(), a, tau, kd, upper)
+    reduction._reflect(reduction.z, adjoint=True)
+    return reduction
 
 
-def _band_reduction(k: np.ndarray):
-    """(band, tau, d, e) of the symmetric ``k``, reduced in place in two
-    stages (Bischof, Lang & Sun 2000): LAPACK ``dsytrd_sy2sb`` takes K to
-    the band B = Q'KQ of :data:`_BAND_WIDTH` subdiagonals with level-3
-    BLAS, leaving Q's n - kd reflectors below the band of its lower
-    triangle, and ``dsytrd_sb2st`` takes a copy of B to its tridiagonal
-    form, whose diagonal is d and subdiagonal e (padded to one entry at
-    n = 1, as ``sterf``'s wrapper wants), without its reflectors.
-
-    On the knee emg and fmg folds at the default cap (1,824-1,983 rows,
-    one BLAS thread) the two stages took 0.30-0.44 s against 0.51-0.72 s
-    for the one-stage ``dsytrd``; at 1,000 rows and below they are no
-    faster."""
-    # LAPACK reads k.T through a pointer, as n x n Fortran-ordered doubles.
-    if k.dtype != np.float64 or not k.flags.c_contiguous:
-        raise ValueError("the band reduction needs a C-ordered float64 block")
-    sy2sb, sb2st = _TWO_STAGE
+def _band_reduction(k: np.ndarray, upper: bool):
+    """(band, tau, d, e) of the symmetric ``k.T``, reduced in place in two
+    stages (Bischof, Lang & Sun 2000): LAPACK ``dsytrd_sy2sb`` takes the
+    ``upper`` or lower triangle of K to the band B = Q'KQ of
+    :data:`_BAND_WIDTH` off-diagonals with level-3 BLAS, leaving Q's
+    n - kd reflectors outside the band of that triangle, and
+    ``dsytrd_sb2st`` takes a copy of B to its tridiagonal form, whose
+    diagonal is d and off-diagonal e (padded to one entry at n = 1, as
+    ``sterf``'s wrapper wants), without its reflectors. Neither reads or
+    writes an entry of ``k`` outside that triangle."""
+    # LAPACK reads k.T through a pointer, as n x n Fortran-ordered doubles
+    # with a leading dimension of lda.
     n, kd = k.shape[0], _BAND_WIDTH
+    lda = k.strides[0] // 8
+    if k.dtype != np.float64 or k.strides[1] != 8 or k.strides[0] != 8 * lda or lda < n:
+        raise ValueError("the band reduction needs float64 rows, each contiguous")
+    sy2sb, sb2st = _TWO_STAGE
+    uplo = b"U" if upper else b"L"
     band = np.zeros((kd + 1, n), order="F")
     tau = np.zeros(max(n - kd, 1))
     d, e = np.empty(n), np.empty(max(n - 1, 1))
@@ -736,11 +774,12 @@ def _band_reduction(k: np.ndarray):
         return ctypes.byref(ctypes.c_int(value))
 
     def stage1(work: np.ndarray, lwork: int) -> None:
-        sy2sb(b"L", ref(n), ref(kd), k.ctypes, ref(n), band.ctypes, ref(kd + 1),
-              tau.ctypes, work.ctypes, ref(lwork), ctypes.byref(info), 1)
+        sy2sb(uplo, ref(n), ref(kd), ctypes.c_void_p(k.ctypes.data), ref(lda),
+              band.ctypes, ref(kd + 1), tau.ctypes, work.ctypes, ref(lwork),
+              ctypes.byref(info), 1)
 
     def stage2(hous: np.ndarray, lhous: int, work: np.ndarray, lwork: int) -> None:
-        sb2st(b"N", b"N", b"L", ref(n), ref(kd), band.ctypes, ref(kd + 1),
+        sb2st(b"N", b"N", uplo, ref(n), ref(kd), band.ctypes, ref(kd + 1),
               d.ctypes, e.ctypes, hous.ctypes, ref(lhous), work.ctypes,
               ref(lwork), ctypes.byref(info), 1, 1, 1)
 
@@ -762,10 +801,14 @@ def _band_reduction(k: np.ndarray):
     return band, tau[: max(n - kd, 0)], d, e
 
 
-def _tridiagonal_reduction(k: np.ndarray):
-    """(band, tau, d, e) of the symmetric ``k`` as :func:`_band_reduction`
-    gives them, from LAPACK's one-stage ``dsytrd`` in place: the band is
-    the tridiagonal form itself (kd = 1), the rows d and e."""
+def _tridiagonal_reduction(k: np.ndarray, upper: bool):
+    """(band, tau, d, e) of the symmetric ``k.T`` as :func:`_band_reduction`
+    gives them for its lower triangle, from LAPACK's one-stage ``dsytrd``
+    in place: the band is the tridiagonal form itself (kd = 1), the rows
+    d and e. ``k`` must be C-contiguous, so that the reduction is done in
+    it and not in a copy."""
+    if upper or not k.flags.c_contiguous:
+        raise ValueError("the one-stage reduction takes a C-ordered lower triangle")
     n = k.shape[0]
     lwork, _ = dsytrd_lwork(n, lower=1)
     # k.T is the Fortran-ordered view of the symmetric k, so LAPACK reduces
@@ -925,20 +968,46 @@ def _noise_reduction(
     x: np.ndarray, y: np.ndarray, hyper: Hyperparameters
 ) -> _Reduction | _LowRank:
     """The noise-only search's reduction of K: low-rank when the pivoted
-    Cholesky probe stops within :data:`_PROBE_BUDGET` of the rows, else
-    the band reduction of the gram matrix (:func:`_spectrum`). The probe's
-    columns are freed before the gram matrix is built. The reduction reads
-    one triangle, so the block is left as the GEMM behind it leaves it,
-    symmetric to rounding only, without :func:`gram_matrix`'s
-    symmetrizing pass (7-8 ms at 1,900 rows). The two-feature
-    kinematics baseline has rank 150-175 at about 1,900 rows; the EMG and
-    FMG features do not stop within the budget."""
+    Cholesky probe stops (:func:`_low_rank_reduction`), else the band
+    reduction of the gram matrix (:func:`_spectrum`), left as the GEMM
+    behind it leaves it, without :func:`gram_matrix`'s symmetrizing pass:
+    the reduction reads one triangle."""
+    reduction = _low_rank_reduction(x, y, hyper)
+    if reduction is None:
+        reduction = _spectrum(gram_matrix(x, hyper, _symmetric=False), y)
+    return reduction
+
+
+def _low_rank_reduction(
+    x: np.ndarray, y: np.ndarray, hyper: Hyperparameters
+) -> _LowRank | None:
+    """The noise-only search's reduction of K when the pivoted Cholesky
+    probe stops within :data:`_PROBE_BUDGET` of the rows; else None. The
+    probe's columns are freed before anything else is built. The
+    two-feature kinematics baseline has rank 150-175 at about 1,900 rows;
+    the EMG and FMG features do not stop within the budget."""
     n = x.shape[0]
-    if n >= _PROBE_MIN_ROWS:
-        factor = _pivoted_cholesky(x, hyper, int(_PROBE_BUDGET * n))
-        if factor is not None:
-            return _low_rank(factor, y)
-    return _spectrum(gram_matrix(x, hyper, _symmetric=False), y)
+    if n < _PROBE_MIN_ROWS:
+        return None
+    factor = _pivoted_cholesky(x, hyper, int(_PROBE_BUDGET * n))
+    return None if factor is None else _low_rank(factor, y)
+
+
+def _pair_blocks(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two folds' gram matrices in one block: a C-ordered block of
+    (N + 1) x N doubles, N = max(n_a, n_b), as its n_a x n_a view at
+    (0, 0) and its n_b x n_b view at (1, 0), the transpose of each being
+    that fold's matrix. In the block's Fortran view, N x (N + 1), the
+    first starts at (0, 0) and takes the triangle on and below its
+    diagonal, and the second starts at (0, 1) and takes the one on and
+    above its own, which lies above the first's. The two share no entry
+    (the rectangular full packed layout of Gustavson, Wasniewski, Dongarra
+    & Langou 2010)."""
+    width = max(n_a, n_b)
+    if (width + 1) * width * 8 >= _TRIM_BYTES:
+        _release_free_heap()
+    block = np.empty((width + 1, width))
+    return block[:n_a, :n_a], block[1 : n_b + 1, :n_b]
 
 
 class _Pruned(Exception):
@@ -1093,7 +1162,7 @@ def optimize_hyperparameters(
     targets: np.ndarray,
     initial: Hyperparameters | None = None,
     options: GpOptions = GpOptions(),
-    _keep: list | None = None,
+    _reduction: _Reduction | _LowRank | None = None,
 ) -> Hyperparameters:
     """Maximize the log marginal likelihood over the free log parameters.
 
@@ -1104,10 +1173,10 @@ def optimize_hyperparameters(
 
     - Noise only: the objective is the reduction of K that
       :func:`_noise_reduction` chooses by K's numerical rank, low-rank
-      (:class:`_LowRank`) or band (:class:`_Reduction`), and every
-      start runs to completion. The reduction is freed when the search
-      returns, unless ``_keep``, a list only :func:`fit_mean` passes,
-      takes it for the fold's mean-only fit.
+      (:class:`_LowRank`) or band (:class:`_Reduction`), and every start
+      runs to completion. ``_reduction``, which only :func:`fit_mean`
+      passes, is such a reduction made beforehand on the same inputs and
+      ``initial``'s kernel scales.
     - A scale free: the objective is :func:`_free_scale_objective`, over
       four n x n blocks, and the driver stops later starts that cannot
       win: one that enters a found optimum's basin, and one whose last
@@ -1120,9 +1189,7 @@ def optimize_hyperparameters(
     free = options.free_mask()
     theta = initial.log_array()
     if options.noise_only:
-        reduction = _noise_reduction(x, y, initial)
-        if _keep is not None:
-            _keep.append(reduction)
+        reduction = _noise_reduction(x, y, initial) if _reduction is None else _reduction
         objective = lambda theta_free: reduction.lml_and_grad(float(theta_free[0]))
     else:
         objective = _free_scale_objective(x, y, theta.copy(), free)
@@ -1132,17 +1199,96 @@ def optimize_hyperparameters(
     return Hyperparameters.from_log_array(theta)
 
 
-def fit_mean(
-    inputs: np.ndarray, targets: np.ndarray, options: GpOptions = GpOptions()
-) -> GprModel:
-    """The model a cross-validation fold predicts held-out means from:
-    :func:`fit` at the hyperparameters :func:`optimize_hyperparameters`
-    tunes. With the noise alone free, the fit takes its weights from the
-    search's reduction of K, so it makes no second n x n block and no
-    Cholesky factor, and the model is mean-only (:class:`GprModel`)."""
-    kept: list = []
-    hyper = optimize_hyperparameters(inputs, targets, options=options, _keep=kept)
-    return fit(inputs, targets, hyper, _reduction=kept.pop() if kept else None)
+def fit_mean(problems, options: GpOptions = GpOptions()):
+    """The models cross-validation folds predict held-out means from, with
+    those means: for each problem (inputs, targets, queries), in order, the
+    pair (:func:`fit` at the hyperparameters
+    :func:`optimize_hyperparameters` tunes, :func:`predict_mean` of it at
+    the queries).
+
+    A generator: it takes a problem from ``problems`` only when it gets to
+    it and yields each result as soon as it has it. With a scale free
+    each fold is fitted by Cholesky. With the noise alone free a fold's fit
+    takes its weights from the search's reduction of K, so its model is
+    mean-only, without a Cholesky factor. A fold whose K the pivoted
+    Cholesky probe finds low-rank runs alone; so does every fold where the
+    two-stage reduction is missing. The other folds run two at a time
+    (:func:`_fit_pair`), each on its own thread and in its own triangle of
+    one block, and a fold left without a partner runs alone.
+
+    An error leaves only after every earlier problem has been fitted and
+    both of a pair's threads have ended, so it is the error of the first
+    problem that fails, or of taking the next one from ``problems``, as if
+    the folds ran one at a time.
+    """
+    pair_width = 2 if _TWO_STAGE is not None else 1
+    held: list = []  # full-rank folds (x, y, queries) waiting for a partner
+
+    def run_held():
+        folds, held[:] = list(held), []
+        if len(folds) == 2:
+            return _fit_pair(folds, options)
+        return [
+            _fit_one(x, y, queries, options, _spectrum(gram_matrix(x, _symmetric=False), y))
+            for x, y, queries in folds
+        ]
+
+    def take(inputs, targets, queries) -> list:
+        """The results ready once this problem is taken, in order. Its
+        reduction is freed on return, before the next problem's is made."""
+        x, y = _training_set(inputs, targets)
+        reduction = None
+        if options.noise_only:
+            reduction = _low_rank_reduction(x, y, Hyperparameters())
+            if reduction is None:
+                held.append((x, y, queries))
+                return run_held() if len(held) == pair_width else []
+        return run_held() + [_fit_one(x, y, queries, options, reduction)]
+
+    try:
+        for problem in problems:
+            yield from take(*problem)
+    except Exception:
+        yield from run_held()
+        raise
+    yield from run_held()
+
+
+def _fit_pair(folds: list, options: GpOptions) -> list:
+    """Two full-rank folds (x, y, queries) of :func:`fit_mean`, the first
+    on this thread and the second on another: the first builds and
+    reduces its gram matrix in the lower triangle of :func:`_pair_blocks`'
+    block, the second in the upper one, and each searches and fits from
+    its reduction. The two-stage reduction reads and writes its triangle
+    only, and its LAPACK calls release the GIL, so each fold gets the bits
+    it would get alone in the same triangle. Once both fits are done the
+    block is freed, and each fold predicts its held-out means on its
+    thread. An error leaves after both threads are done with it, in fold
+    order: the first fold's fit, then its means, then the second's."""
+    blocks = _pair_blocks(*(x.shape[0] for x, _, _ in folds))
+
+    def fit_in(fold, k, upper):
+        x, y, _ = fold
+        reduction = _spectrum(gram_matrix(x, _into=(k, upper)), y, upper)
+        hyper = optimize_hyperparameters(x, y, options=options, _reduction=reduction)
+        return fit(x, y, hyper, _reduction=reduction)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        second = pool.submit(fit_in, folds[1], blocks[1], True)
+        first = fit_in(folds[0], blocks[0], False)
+        wait([second])
+        del blocks  # the predictions need no n x n block
+        second_means = pool.submit(lambda: predict_mean(second.result(), folds[1][2]))
+        first_means = predict_mean(first, folds[0][2])
+    return [(first, first_means), (second.result(), second_means.result())]
+
+
+def _fit_one(x, y, queries, options: GpOptions, reduction) -> tuple:
+    """One fold of :func:`fit_mean`: the search over ``reduction`` (None
+    with a scale free), the fit and the held-out means."""
+    hyper = optimize_hyperparameters(x, y, options=options, _reduction=reduction)
+    model = fit(x, y, hyper, _reduction=reduction)
+    return model, predict_mean(model, queries)
 
 
 def _query_points(model: GprModel, x_star: np.ndarray) -> np.ndarray:
@@ -1220,6 +1366,7 @@ def predict_mean(model: GprModel, x_star: np.ndarray) -> np.ndarray:
     mean = np.empty(xq.shape[0])
     for rows, k_star in _query_blocks(model, xq):
         mean[rows] = k_star.T @ model.weights
+        del k_star  # before the next block is made
     return mean
 
 

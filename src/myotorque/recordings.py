@@ -362,8 +362,12 @@ def read_recording_csv(path, sample_rate_hz: float,
     The sample rate comes from the caller (normally the session index) and
     must match the time steps. ``channels``, a collection of labels, names
     the columns to parse besides the time; None parses every column. Every
-    row's width is checked (:func:`_check_row_widths`); cells of the
-    columns not parsed are not.
+    row's width is checked; cells of the columns not parsed are not. A
+    read of every column leaves that to ``np.loadtxt``, which refuses a
+    row wider or narrower than the first, and compares the first with the
+    header; a read of some columns checks every row first
+    (:func:`_check_row_widths`), which also names the ragged row when
+    ``np.loadtxt`` refuses one.
     """
     path = Path(path)
     try:
@@ -378,9 +382,10 @@ def read_recording_csv(path, sample_rate_hz: float,
                     f"{path}: first column must be {TIME_COLUMN!r}, "
                     f"got {header[0] if header else 'nothing'!r}"
                 )
-            _check_row_widths(path, len(header))
             parsed = [j for j, label in enumerate(header)
                       if j == 0 or channels is None or label in channels]
+            if len(parsed) < len(header):
+                _check_row_widths(path, len(header))
             try:
                 with warnings.catch_warnings():
                     # An empty body is reported below as "no data rows".
@@ -390,7 +395,10 @@ def read_recording_csv(path, sample_rate_hz: float,
                         usecols=parsed if len(parsed) < len(header) else None,
                     )
             except ValueError as exc:
+                _check_row_widths(path, len(header))
                 raise _body_error(path, header, parsed, exc) from exc
+            if data.shape[1] != len(parsed):  # rows as wide as the first
+                _check_row_widths(path, len(header))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -121,6 +122,26 @@ class TestExitCodes:
         code = main(["evaluate", "--session", str(knee_dir)])
         assert code == 2
         assert "--joint" in capsys.readouterr().err
+
+    def test_error_inside_a_fold_pair_is_3(self, knee_dir, capsys, monkeypatch,
+                                           tmp_path):
+        # Every full-rank fold fails in its own thread: both folds of the
+        # first pair raise, and the CLI reports the one-at-a-time error.
+        def failing(k, y, upper=False):
+            raise NotPositiveDefinite("forced in the reduction")
+
+        monkeypatch.setattr(gpr, "_spectrum", failing)
+        argv = ["evaluate", "--session", str(knee_dir), "--joint", "knee",
+                "--config", "fmg", "--out", str(tmp_path / "eval")]
+        threads = threading.active_count()
+        assert main(argv) == 3
+        assert threading.active_count() == threads
+        paired = capsys.readouterr().err
+        assert paired.count("\n") == 1 and "Traceback" not in paired
+        assert "forced in the reduction" in paired
+        monkeypatch.setattr(gpr, "_TWO_STAGE", None)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == paired
 
 
 class TestArgumentContract:

@@ -3,17 +3,20 @@
 import csv
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import myotorque.evaluate as evaluate
+import myotorque.gpr as gpr
 from myotorque.errors import (
     DegenerateTarget,
     LengthMismatch,
     ModelFormatError,
     NonPositiveBaseline,
+    NotPositiveDefinite,
     TooFewUnits,
     ZeroVariance,
 )
@@ -25,6 +28,7 @@ from myotorque.evaluate import (
     _fold_of_row,
     _normalize_columns,
     _train,
+    _training_rows,
     estimate_table,
     evaluate_cv,
     export_scatter,
@@ -41,7 +45,14 @@ from myotorque.evaluate import (
     train_model,
     write_metrics_csv,
 )
-from myotorque.gpr import GpOptions, load_model, predict_mean, save_model
+from myotorque.gpr import (
+    GpOptions,
+    Hyperparameters,
+    fit,
+    load_model,
+    predict_mean,
+    save_model,
+)
 from myotorque.preprocess import FeatureTable, Joint, ModelConfig, feature_columns
 
 
@@ -309,10 +320,47 @@ class TestEvaluateCv:
             est = _train(table, ~test, GpOptions(seed=0), cap)
             assert est.model.cholesky_lower is not None
             assert est.model.n_train == (1 if case == "one training row" else 800)
+            # Folds that run as a pair search a gram matrix built in their
+            # own triangle of a shared block, which rounds differently from
+            # the lone search's, so their noise agrees with it to the
+            # search's tolerance; the means are compared at the fold's own.
+            noise = result.cell.noise_variances[fold]
+            assert noise == pytest.approx(est.model.hyper.noise_variance, rel=1e-6)
+            exact = fit(est.model.inputs, est.model.targets,
+                        Hyperparameters(noise_variance=noise))
             x_test = _normalize_columns(table.rows[test], est.column_stats)
-            expected = predict_mean(est.model, x_test)
+            expected = predict_mean(exact, x_test)
             err = np.max(np.abs(result.predictions.predicted_norm[test] - expected))
             assert err <= 1e-9
+
+    @pytest.mark.parametrize("failing", [0, 1, 4],
+                             ids=["first of a pair", "second of a pair", "alone"])
+    def test_an_error_in_a_fold_is_the_one_at_a_time_error(
+        self, rng, monkeypatch, failing
+    ):
+        # Five full-rank folds: pairs (0, 1) and (2, 3), then fold 4 alone.
+        # The failing fold is told apart by its training targets.
+        n = 1000
+        table = make_table(rng.standard_normal((n, 2)), rng.standard_normal(n),
+                           1 + np.arange(n) // 100)
+        fold_of_row = _fold_of_row(table, kfold_split(table.segment_ids(), 5, 0))
+        _, fold_y, _, _ = _training_rows(table, fold_of_row != failing, DEFAULT_TRAIN_CAP)
+        real = gpr._spectrum
+
+        def spectrum(k, y, upper=False):
+            if np.array_equal(y, fold_y):
+                raise NotPositiveDefinite(f"forced in a fold of {y.shape[0]} rows")
+            return real(k, y, upper)
+
+        monkeypatch.setattr(gpr, "_spectrum", spectrum)
+        threads = threading.active_count()
+        with pytest.raises(NotPositiveDefinite) as paired:
+            evaluate_cv(table, seed=0)
+        assert threading.active_count() == threads
+        monkeypatch.setattr(gpr, "_TWO_STAGE", None)
+        with pytest.raises(NotPositiveDefinite) as alone:
+            evaluate_cv(table, seed=0)
+        assert str(paired.value) == str(alone.value)
 
     @pytest.mark.parametrize("free", [False, True], ids=["noise only", "free scale"])
     def test_only_noise_only_folds_are_mean_only(self, monkeypatch, free):
@@ -320,8 +368,9 @@ class TestEvaluateCv:
         real_fit_mean = evaluate.fit_mean
 
         def recording_fit_mean(*args, **kwargs):
-            models.append(real_fit_mean(*args, **kwargs))
-            return models[-1]
+            for model, means in real_fit_mean(*args, **kwargs):
+                models.append(model)
+                yield model, means
 
         monkeypatch.setattr(evaluate, "fit_mean", recording_fit_mean)
         evaluate_cv(smooth_table(4, 25), n_folds=2, seed=0,

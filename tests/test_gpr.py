@@ -8,6 +8,7 @@ finite differences in log-parameter space.
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 import types
 import warnings
@@ -709,6 +710,20 @@ def traced_peak_bytes(call):
         tracemalloc.stop()
 
 
+def spy_on_pairs(monkeypatch):
+    """The training-row counts of each pair of folds fit_mean runs together,
+    in a list that fills as it runs them."""
+    pairs = []
+    real = gpr._fit_pair
+
+    def recording(folds, options):
+        pairs.append([x.shape[0] for x, _, _ in folds])
+        return real(folds, options)
+
+    monkeypatch.setattr(gpr, "_fit_pair", recording)
+    return pairs
+
+
 class TestMemory:
     """Bounded temporaries at 1,500 training rows, seen by ``tracemalloc``
     (numpy reports its allocations to it). One n x n block is 18 MB: the
@@ -738,9 +753,22 @@ class TestMemory:
         x, y, x_star = problem
 
         def fold():
-            predict_mean(fit_mean(x, y), x_star)
+            list(fit_mean([(x, y, x_star)]))
 
         assert traced_peak_bytes(fold) < 1.5 * self.N**2 * 8
+
+    def test_fold_pair_holds_one_gram_block(self, problem, monkeypatch):
+        # Two full-rank folds, each with its search, mean-only fit and
+        # prediction, share one (N + 1) x N block: the same bound as one
+        # fold's, so no second block.
+        x, y, x_star = problem
+        rng = np.random.default_rng(8)
+        x2 = rng.standard_normal((self.N - 100, 3))
+        y2 = np.sin(x2[:, 0]) + 0.1 * rng.standard_normal(self.N - 100)
+        pairs = spy_on_pairs(monkeypatch)
+        peak = traced_peak_bytes(lambda: list(fit_mean([(x, y, x_star), (x2, y2, x_star)])))
+        assert pairs == [[self.N, self.N - 100]]
+        assert peak < 1.5 * self.N**2 * 8
 
     def test_free_heap_is_released_before_each_training_block(self, problem, monkeypatch):
         # Each n x n block (18 MB here) is allocated after the C heap's free
@@ -1400,10 +1428,11 @@ class TestSpectrum:
     """
 
     LOG_NOISES = (-12.0, -8.0, -4.0, -1.0, 0.0, 2.0, 6.0)
+    UPPER = False  # which triangle of k.T the reduction reads
 
     def check(self, k, y):
         k, y = np.asarray(k, dtype=np.float64), np.asarray(y, dtype=np.float64)
-        spectrum = _spectrum(k.copy(), y)
+        spectrum = _spectrum(k.copy(), y, self.UPPER)
         assert spectrum.kd == (gpr._BAND_WIDTH if gpr._TWO_STAGE is not None else 1)
         reference = dense_noise_objective(k, y)
         for log_noise in self.LOG_NOISES:
@@ -1448,7 +1477,7 @@ class TestSpectrum:
         n = 2 * gpr._BAND_WIDTH
         k = gram_matrix(rng.standard_normal((n, 2)))
         before = k.copy()
-        _spectrum(k, np.ones(n))
+        _spectrum(k, np.ones(n), self.UPPER)
         assert not np.array_equal(k, before)
 
 
@@ -1461,11 +1490,39 @@ class TestOneStageSpectrum(TestSpectrum):
         monkeypatch.setattr(gpr, "_TWO_STAGE", None)
 
 
+@pytest.mark.skipif(gpr._TWO_STAGE is None,
+                    reason="the one-stage reduction reads the lower triangle only")
+class TestUpperSpectrum(TestSpectrum):
+    """The same checks on the two-stage reduction of the upper triangle of
+    k.T, which the second fold of a pair reads (its band in LAPACK's upper
+    band storage, its reflectors in rows)."""
+
+    UPPER = True
+
+    @pytest.mark.parametrize("log_noise", [-12.0, -4.0, 0.0, 6.0])
+    def test_weights_are_the_cholesky_weights(self, rng, log_noise):
+        # The bound of TestMeanOnlyFit's lower-triangle case.
+        x = rng.standard_normal((300, 3))
+        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(300)
+        v = math.exp(log_noise)
+        w, lml = _spectrum(gram_matrix(x), y, upper=True).weights(v)
+        exact = fit(x, y, Hyperparameters(noise_variance=v))
+        err = np.max(np.abs(w - exact.weights))
+        assert err <= 1e-13 * max(1.0, 1.0 / v) * np.max(np.abs(exact.weights))
+        if log_noise >= -8.0:
+            assert lml == pytest.approx(exact.log_marginal, rel=1e-9)
+
+    def test_one_stage_reduction_refuses_the_upper_triangle(self, monkeypatch):
+        monkeypatch.setattr(gpr, "_TWO_STAGE", None)
+        with pytest.raises(ValueError, match="lower triangle"):
+            _spectrum(np.eye(3), np.ones(3), upper=True)
+
+
 def mean_only_fit(x, y, hyper=None):
     """The mean-only model from the noise search's reduction: fit_mean's,
     at the tuned noise, or fit's from the reduction at ``hyper``."""
     if hyper is None:
-        return fit_mean(x, y)
+        return next(fit_mean([(x, y, x[:0])]))[0]
     return fit(x, y, hyper, _reduction=gpr._noise_reduction(x, y, hyper))
 
 
@@ -1516,13 +1573,128 @@ class TestMeanOnlyFit:
         x = rng.standard_normal((40, 2))
         y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(40)
         options = GpOptions(optimize_length_scale=True, seed=3)
-        model = fit_mean(x, y, options)
+        ((model, _),) = fit_mean([(x, y, x[:0])], options)
         expected = fit(x, y, optimize_hyperparameters(x, y, options=options))
         assert model.hyper == expected.hyper
         for name in ("inputs", "targets", "cholesky_lower", "weights"):
             assert np.array_equal(getattr(model, name), getattr(expected, name))
         assert model.log_marginal == expected.log_marginal
         assert model.jitter == expected.jitter
+
+
+def full_rank_fold(seed, n, features=5):
+    """A CV fold (inputs, targets, queries) whose kernel the low-rank probe
+    gives up on (or, below 512 rows, does not try): it takes the band
+    reduction."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, features))
+    y = np.sin(x[:, 0]) * np.cos(x[:, 1]) + 0.1 * rng.standard_normal(n)
+    return x, y, rng.standard_normal((70, features))
+
+
+def fold_alone(fold, upper):
+    """fit_mean's result for ``fold`` reduced in the lower or ``upper``
+    triangle of a block of its own, one thread only."""
+    x, y, queries = fold
+    k = gpr._pair_blocks(x.shape[0], x.shape[0])[int(upper)]
+    reduction = _spectrum(gram_matrix(x, _into=(k, upper)), y, upper)
+    return gpr._fit_one(x, y, queries, GpOptions(), reduction)
+
+
+def assert_same_fit(result, expected):
+    (model, means), (ref_model, ref_means) = result, expected
+    assert model.hyper == ref_model.hyper
+    assert model.log_marginal == ref_model.log_marginal
+    assert np.array_equal(model.weights, ref_model.weights)
+    assert np.array_equal(means, ref_means)
+
+
+@pytest.mark.skipif(gpr._TWO_STAGE is None, reason="folds pair up on the two-stage path")
+class TestFoldPairs:
+    """fit_mean's full-rank folds, two at a time in the two triangles of
+    one block, each on its own thread."""
+
+    @pytest.mark.parametrize("sizes", [(300, 300), (300, 240), (240, 300)])
+    def test_each_fold_gets_the_bits_it_gets_alone(self, monkeypatch, sizes):
+        folds = [full_rank_fold(seed, n) for seed, n in enumerate(sizes)]
+        pairs = spy_on_pairs(monkeypatch)
+        results = list(fit_mean(folds))
+        assert pairs == [list(sizes)]
+        assert_same_fit(results[0], fold_alone(folds[0], upper=False))
+        assert_same_fit(results[1], fold_alone(folds[1], upper=True))
+
+    def test_folds_pair_in_order_and_the_odd_one_runs_alone(self, monkeypatch):
+        # A low-rank fold runs alone in its turn, and so does a full-rank
+        # fold left without a partner before it, on the lone search's path.
+        low_rank = (np.repeat(np.arange(8.0), 80)[:, None], np.ones(640),
+                    np.zeros((3, 1)))
+        folds = [full_rank_fold(seed, n) for seed, n in enumerate((200, 210, 220))]
+        pairs = spy_on_pairs(monkeypatch)
+        results = list(fit_mean([folds[0], low_rank, folds[1], folds[2]]))
+        assert pairs == [[210, 220]]
+        assert [model.n_train for model, _ in results] == [200, 640, 210, 220]
+        x, y, queries = folds[0]
+        lone = gpr._fit_one(x, y, queries, GpOptions(), gpr._noise_reduction(
+            x, y, Hyperparameters()))
+        assert_same_fit(results[0], lone)
+
+    def test_repeated_pairs_give_identical_bits(self):
+        # Concurrent LAPACK and BLAS calls on the two threads, 20 times.
+        folds = [full_rank_fold(3, 700, 7), full_rank_fold(4, 650, 7)]
+        first = list(fit_mean(folds))
+        for _ in range(19):
+            for result, expected in zip(fit_mean(folds), first):
+                assert_same_fit(result, expected)
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["first fold", "second fold"])
+    def test_an_error_in_either_fold_is_the_one_at_a_time_error(
+        self, monkeypatch, failing
+    ):
+        # A 1e200 training row: its squared norm overflows and the gram
+        # matrix's diagonal is NaN, in the pair's thread.
+        folds = [full_rank_fold(seed, 260 + 10 * seed) for seed in range(3)]
+        x, y, queries = folds[failing]
+        x = x.copy()
+        x[7, 1] = 1e200
+        folds[failing] = (x, y, queries)
+        threads = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite) as paired:
+                list(fit_mean(folds))
+        assert threading.active_count() == threads
+        monkeypatch.setattr(gpr, "_TWO_STAGE", None)
+        with pytest.raises(NotPositiveDefinite) as alone:
+            list(fit_mean(folds))
+        assert str(paired.value) == str(alone.value)
+
+    def test_results_before_the_failing_problem_are_yielded(self):
+        # Taking the third problem fails: the first two, a pair, come out
+        # first, then the error, as if the folds ran one at a time.
+        def problems():
+            yield full_rank_fold(0, 200)
+            yield full_rank_fold(1, 200)
+            raise DataError("the third fold's rows")
+
+        results = fit_mean(problems())
+        assert next(results)[0].n_train == 200
+        assert next(results)[0].n_train == 200
+        with pytest.raises(DataError, match="third fold"):
+            next(results)
+
+    def test_a_fold_waiting_for_a_partner_runs_before_a_later_error(self):
+        # The first fold waits for a partner when the second problem
+        # fails; it is fitted and yielded before the error leaves.
+        fitted = []
+
+        def problems():
+            yield full_rank_fold(0, 200)
+            yield np.zeros((3, 2)), np.array([0.0, np.nan, 1.0]), np.zeros((1, 2))
+
+        with pytest.raises(DataError, match="targets must be finite"):
+            for model, _ in fit_mean(problems()):
+                fitted.append(model.n_train)
+        assert fitted == [200]
 
 
 def baseline_shaped(session, stride):
@@ -1551,10 +1723,9 @@ def clustered(n_clusters, copies):
 def searched(x, y, initial=None):
     """(tuned hyperparameters, the mean-only model at them, which
     reduction the search used): fit_mean's steps, from ``initial``."""
-    kept = []
-    tuned = optimize_hyperparameters(x, y, initial=initial, _keep=kept)
-    kind = type(kept[0])
-    return tuned, fit(x, y, tuned, _reduction=kept.pop()), kind
+    reduction = gpr._noise_reduction(x, y, initial or Hyperparameters())
+    tuned = optimize_hyperparameters(x, y, initial=initial, _reduction=reduction)
+    return tuned, fit(x, y, tuned, _reduction=reduction), type(reduction)
 
 
 class TestLowRankSearch:
