@@ -42,9 +42,10 @@ Cholesky, builds at most one n x n block, the search's gram matrix, and
 none when K is low-rank; its model is mean-only (:func:`predict_mean`).
 Two folds that both need the band reduction share one block of
 (N + 1) x N doubles, each reduced in its own triangle on its own thread
-(:func:`_fit_pair`). The m predictions add one n x ``_QUERY_BLOCK`` (128)
-block at a time. At the default cap of 2,000 rows that is 32 MB for the
-n x n block and 2 MB per query block. Every other fit factors
+(:func:`_fit_pair`), where the BLAS runs one thread and the process has
+a second core (:func:`_spare_core`). The m predictions add one
+n x ``_QUERY_BLOCK`` (128) block at a time. At the default cap of 2,000
+rows that is 32 MB for the n x n block and 2 MB per query block. Every other fit factors
 K + noise I by Cholesky, so that a model that is saved equals its refit
 bit for bit.
 """
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import os
 import zipfile
 import zlib
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -116,6 +118,11 @@ try:  # glibc's; None where the C library has no malloc_trim
 except (AttributeError, OSError, TypeError):
     _MALLOC_TRIM = None
 
+# Rows of a gram matrix that :func:`_gram_triangle` builds at a time. Each
+# thread of a fold pair holds one such block beside the pair's shared one,
+# so a smaller block keeps the pair's peak closer to that one block.
+_TRIANGLE_ROWS = 32
+
 # Noise-only search: the off-diagonals of the band that the two-stage
 # reduction leaves (:func:`_band_reduction`). A wider band makes the first
 # stage faster up to about 32 and the second stage slower beyond it, and
@@ -123,24 +130,27 @@ except (AttributeError, OSError, TypeError):
 _BAND_WIDTH = 32
 
 
-def _two_stage_routines():
-    """LAPACK's ``dsytrd_sy2sb`` and ``dsytrd_sb2st`` as ctypes functions,
-    or None where the LAPACK behind scipy lacks either.
+def _scipy_symbol(name: str):
+    """The C function ``name`` as a ctypes function of the LAPACK and BLAS
+    behind scipy, or None where they lack it.
 
-    scipy wraps neither, so they are looked up through the handle of its
-    own LAPACK extension; dlsym searches that library's dependencies too,
-    so this finds the LAPACK whose ``dsytrd`` scipy calls, where scipy's
-    build prefixes the names with ``scipy_``. Both take 32-bit integers by
-    reference and, per CHARACTER argument, one trailing hidden length
-    (the gfortran convention)."""
+    It is looked up through the handle of scipy's own LAPACK extension;
+    dlsym searches that library's dependencies too, so this finds the
+    library whose ``dsytrd`` scipy calls, where scipy's build prefixes the
+    names with ``scipy_``."""
     try:
         lib = ctypes.CDLL(_flapack.__file__)
     except OSError:
         return None
-    sy2sb, sb2st = (
-        getattr(lib, f"scipy_{name}_", None) or getattr(lib, f"{name}_", None)
-        for name in ("dsytrd_sy2sb", "dsytrd_sb2st")
-    )
+    return getattr(lib, f"scipy_{name}", None) or getattr(lib, name, None)
+
+
+def _two_stage_routines():
+    """LAPACK's ``dsytrd_sy2sb`` and ``dsytrd_sb2st`` as ctypes functions,
+    or None where the LAPACK behind scipy lacks either (scipy wraps
+    neither). Both take 32-bit integers by reference and, per CHARACTER
+    argument, one trailing hidden length (the gfortran convention)."""
+    sy2sb, sb2st = _scipy_symbol("dsytrd_sy2sb_"), _scipy_symbol("dsytrd_sb2st_")
     if sy2sb is None or sb2st is None:
         return None
     char, ptr, length = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
@@ -153,6 +163,12 @@ def _two_stage_routines():
 
 
 _TWO_STAGE = _two_stage_routines()
+
+# OpenBLAS's count of its threads (:func:`_spare_core`); None where the
+# BLAS behind scipy does not report one.
+_BLAS_THREADS = _scipy_symbol("openblas_get_num_threads")
+if _BLAS_THREADS is not None:
+    _BLAS_THREADS.argtypes, _BLAS_THREADS.restype = [], ctypes.c_int
 
 
 @dataclass(frozen=True)
@@ -460,33 +476,33 @@ def kernel_rbf(
 
 
 def gram_matrix(
-    x: np.ndarray,
-    hyper: Hyperparameters | None = None,
-    _symmetric: bool = True,
-    _into: tuple[np.ndarray, bool] | None = None,
+    x: np.ndarray, hyper: Hyperparameters | None = None, _symmetric: bool = True
 ) -> np.ndarray:
     """Symmetric noise-free covariance matrix of one input set (n x d).
 
-    Two private forms serve the noise-only search, whose reduction reads
-    one triangle. With ``_symmetric`` false it is the block as the GEMM
-    behind it leaves it, symmetric to rounding. With ``_into`` = (k, upper)
-    K goes into one triangle of the n x n ``k``, which is returned: the
-    triangle on and above the diagonal of ``k.T`` with ``upper``, else the
-    one on and below. The other triangle is not touched. It is built one
-    block of rows at a time, so there is no n x n temporary; the GEMM of a
-    block of rows may round an entry differently from the GEMM of all."""
+    With ``_symmetric`` false, which only the noise-only search passes, it
+    is the block as the GEMM behind it leaves it, symmetric to rounding."""
     if hyper is None:
         hyper = Hyperparameters()
     pts = _as_points(x)
-    if _into is None:
-        k = _rbf_from_sq(_sq_distances(pts, pts), hyper)
-        return _symmetrize(k) if _symmetric else k
-    k, upper = _into
+    k = _rbf_from_sq(_sq_distances(pts, pts), hyper)
+    return _symmetrize(k) if _symmetric else k
+
+
+def _gram_triangle(x: np.ndarray, k: np.ndarray, upper: bool) -> np.ndarray:
+    """The default-kernel :func:`gram_matrix` of ``x`` written into one
+    triangle of the n x n ``k``, which is returned: the triangle on and
+    above the diagonal of ``k.T`` with ``upper``, else the one on and
+    below. The other triangle is not touched. It is built
+    :data:`_TRIANGLE_ROWS` rows at a time, so there is no n x n temporary;
+    the GEMM of a block of rows may round an entry differently from the
+    GEMM of all."""
+    pts, hyper = _as_points(x), Hyperparameters()
     n = pts.shape[0]
-    for r0 in range(0, n, _QUERY_BLOCK):
+    for r0 in range(0, n, _TRIANGLE_ROWS):
         # k.T's upper triangle is k's lower one: in rows [r0, r1) of k, the
         # columns up to r1 (else from r0 on), each on its side of the diagonal.
-        r1 = min(r0 + _QUERY_BLOCK, n)
+        r1 = min(r0 + _TRIANGLE_ROWS, n)
         c0, c1 = (0, r1) if upper else (r0, n)
         block = _cross_covariance(pts[r0:r1], pts[c0:c1], hyper)
         row, col = np.ogrid[r0:r1, c0:c1]
@@ -1212,7 +1228,8 @@ def fit_mean(problems, options: GpOptions = GpOptions()):
     takes its weights from the search's reduction of K, so its model is
     mean-only, without a Cholesky factor. A fold whose K the pivoted
     Cholesky probe finds low-rank runs alone; so does every fold where the
-    two-stage reduction is missing. The other folds run two at a time
+    two-stage reduction is missing or a second thread would have no core
+    of its own (:func:`_spare_core`). The other folds run two at a time
     (:func:`_fit_pair`), each on its own thread and in its own triangle of
     one block, and a fold left without a partner runs alone.
 
@@ -1221,7 +1238,7 @@ def fit_mean(problems, options: GpOptions = GpOptions()):
     problem that fails, or of taking the next one from ``problems``, as if
     the folds ran one at a time.
     """
-    pair_width = 2 if _TWO_STAGE is not None else 1
+    pair_width = 2 if _TWO_STAGE is not None and _spare_core() else 1
     held: list = []  # full-rank folds (x, y, queries) waiting for a partner
 
     def run_held():
@@ -1254,6 +1271,18 @@ def fit_mean(problems, options: GpOptions = GpOptions()):
     yield from run_held()
 
 
+def _spare_core() -> bool:
+    """Whether a second thread of LAPACK calls gets a core of its own: the
+    BLAS behind scipy reports one thread (a BLAS that reports none counts
+    as threaded) and this process may run on more than one core. A
+    threaded BLAS already spreads one fold's reduction over the cores, and
+    a second fold's thread would compete with it."""
+    threads = _BLAS_THREADS() if _BLAS_THREADS is not None else 0
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+    return threads == 1 and cores > 1
+
+
 def _fit_pair(folds: list, options: GpOptions) -> list:
     """Two full-rank folds (x, y, queries) of :func:`fit_mean`, the first
     on this thread and the second on another: the first builds and
@@ -1269,9 +1298,7 @@ def _fit_pair(folds: list, options: GpOptions) -> list:
 
     def fit_in(fold, k, upper):
         x, y, _ = fold
-        reduction = _spectrum(gram_matrix(x, _into=(k, upper)), y, upper)
-        hyper = optimize_hyperparameters(x, y, options=options, _reduction=reduction)
-        return fit(x, y, hyper, _reduction=reduction)
+        return _fit_reduced(x, y, options, _spectrum(_gram_triangle(x, k, upper), y, upper))
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         second = pool.submit(fit_in, folds[1], blocks[1], True)
@@ -1283,11 +1310,16 @@ def _fit_pair(folds: list, options: GpOptions) -> list:
     return [(first, first_means), (second.result(), second_means.result())]
 
 
-def _fit_one(x, y, queries, options: GpOptions, reduction) -> tuple:
-    """One fold of :func:`fit_mean`: the search over ``reduction`` (None
-    with a scale free), the fit and the held-out means."""
+def _fit_reduced(x, y, options: GpOptions, reduction) -> GprModel:
+    """The search over ``reduction`` (None with a scale free) and the fit."""
     hyper = optimize_hyperparameters(x, y, options=options, _reduction=reduction)
-    model = fit(x, y, hyper, _reduction=reduction)
+    return fit(x, y, hyper, _reduction=reduction)
+
+
+def _fit_one(x, y, queries, options: GpOptions, reduction) -> tuple:
+    """One fold of :func:`fit_mean` (:func:`_fit_reduced`) with its
+    held-out means."""
+    model = _fit_reduced(x, y, options, reduction)
     return model, predict_mean(model, queries)
 
 

@@ -131,6 +131,7 @@ class TestExitCodes:
             raise NotPositiveDefinite("forced in the reduction")
 
         monkeypatch.setattr(gpr, "_spectrum", failing)
+        monkeypatch.setattr(gpr, "_spare_core", lambda: True)
         argv = ["evaluate", "--session", str(knee_dir), "--joint", "knee",
                 "--config", "fmg", "--out", str(tmp_path / "eval")]
         threads = threading.active_count()

@@ -8,6 +8,7 @@ finite differences in log-parameter space.
 
 import dataclasses
 import math
+import os
 import threading
 import tracemalloc
 import types
@@ -757,6 +758,7 @@ class TestMemory:
 
         assert traced_peak_bytes(fold) < 1.5 * self.N**2 * 8
 
+    @pytest.mark.skipif(gpr._TWO_STAGE is None, reason="folds pair up on the two-stage path")
     def test_fold_pair_holds_one_gram_block(self, problem, monkeypatch):
         # Two full-rank folds, each with its search, mean-only fit and
         # prediction, share one (N + 1) x N block: the same bound as one
@@ -765,6 +767,7 @@ class TestMemory:
         rng = np.random.default_rng(8)
         x2 = rng.standard_normal((self.N - 100, 3))
         y2 = np.sin(x2[:, 0]) + 0.1 * rng.standard_normal(self.N - 100)
+        monkeypatch.setattr(gpr, "_spare_core", lambda: True)
         pairs = spy_on_pairs(monkeypatch)
         peak = traced_peak_bytes(lambda: list(fit_mean([(x, y, x_star), (x2, y2, x_star)])))
         assert pairs == [[self.N, self.N - 100]]
@@ -1597,7 +1600,7 @@ def fold_alone(fold, upper):
     triangle of a block of its own, one thread only."""
     x, y, queries = fold
     k = gpr._pair_blocks(x.shape[0], x.shape[0])[int(upper)]
-    reduction = _spectrum(gram_matrix(x, _into=(k, upper)), y, upper)
+    reduction = _spectrum(gpr._gram_triangle(x, k, upper), y, upper)
     return gpr._fit_one(x, y, queries, GpOptions(), reduction)
 
 
@@ -1613,6 +1616,10 @@ def assert_same_fit(result, expected):
 class TestFoldPairs:
     """fit_mean's full-rank folds, two at a time in the two triangles of
     one block, each on its own thread."""
+
+    @pytest.fixture(autouse=True)
+    def pairs_run(self, monkeypatch):
+        monkeypatch.setattr(gpr, "_spare_core", lambda: True)
 
     @pytest.mark.parametrize("sizes", [(300, 300), (300, 240), (240, 300)])
     def test_each_fold_gets_the_bits_it_gets_alone(self, monkeypatch, sizes):
@@ -1695,6 +1702,22 @@ class TestFoldPairs:
             for model, _ in fit_mean(problems()):
                 fitted.append(model.n_train)
         assert fitted == [200]
+
+
+@pytest.mark.parametrize("threads, cores, spare", [
+    (1, 2, True), (2, 2, False), (None, 2, False), (1, 1, False),
+], ids=["one BLAS thread", "threaded BLAS", "BLAS without a count", "one core"])
+def test_folds_pair_only_beside_a_one_thread_blas_with_a_spare_core(
+    monkeypatch, threads, cores, spare
+):
+    monkeypatch.setattr(gpr, "_BLAS_THREADS", threads and (lambda: threads))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    assert gpr._spare_core() is spare
+    pairs = spy_on_pairs(monkeypatch)
+    results = list(fit_mean([full_rank_fold(seed, 200) for seed in range(2)]))
+    assert len(results) == 2
+    assert pairs == ([[200, 200]] if spare and gpr._TWO_STAGE is not None else [])
 
 
 def baseline_shaped(session, stride):
