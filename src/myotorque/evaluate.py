@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +205,32 @@ class CvResult:
     predictions: CvPredictions
 
 
+def _fold_problems(table: FeatureTable, folds: FoldAssignment, train_cap: int):
+    """Each fold's :func:`fit_mean` problem (training inputs and targets,
+    normalized held-out rows) with its target statistics, in fold order."""
+    fold_of_row = _fold_of_row(table, folds)
+    for fold in range(folds.k):
+        test_mask = fold_of_row == fold
+        x, y, column_stats, stats = _training_rows(table, ~test_mask, train_cap)
+        yield (x, y, _normalize_columns(table.rows[test_mask], column_stats)), stats
+
+
+def _fold_stream(problems, options: GpOptions):
+    """(model, held-out means, target statistics) of each fold of
+    ``problems`` (:func:`_fold_problems`' items, of one table or several
+    in turn), in order, from one :func:`fit_mean` call, so that a table's
+    last fold may pair with the next table's first."""
+    stats = deque()  # of the folds taken and not yet yielded, in order
+
+    def taken():
+        for problem, target_stats in problems:
+            stats.append(target_stats)
+            yield problem
+
+    for model, means in fit_mean(taken(), options):
+        yield model, means, stats.popleft()
+
+
 def evaluate_cv(
     table: FeatureTable,
     folds: FoldAssignment | None = None,
@@ -210,6 +238,7 @@ def evaluate_cv(
     train_cap: int = DEFAULT_TRAIN_CAP,
     n_folds: int = DEFAULT_FOLDS,
     seed: int = 0,
+    _stream=None,
 ) -> CvResult:
     """k-fold CV of the GP estimator on one feature table.
 
@@ -220,12 +249,16 @@ def evaluate_cv(
     A fold asks only for the posterior mean, so the cell's folds go to one
     :func:`fit_mean` call: with the noise alone free each model is
     mean-only, and folds that need the full band reduction run two at a
-    time.
+    time. ``_stream``, which only :func:`evaluate_with_exports` passes, is
+    a :func:`_fold_stream` shared by several tables, whose next ``folds.k``
+    results are this table's folds; its own options and cap then apply.
     """
     if folds is None:
         folds = kfold_split(table.segment_ids(), n_folds, seed)
     if options is None:
         options = GpOptions(seed=folds.seed)
+    if _stream is None:
+        _stream = _fold_stream(_fold_problems(table, folds, train_cap), options)
 
     n = table.n_rows
     fold_of_row = _fold_of_row(table, folds)
@@ -234,18 +267,10 @@ def evaluate_cv(
     predicted_nm = np.full(n, np.nan)
     per_fold_mse = np.empty(folds.k)
     noise_variances = np.empty(folds.k)
-    target_stats = []  # each fold's, in fold order
 
-    def problems():
-        for fold in range(folds.k):
-            test_mask = fold_of_row == fold
-            x, y, column_stats, stats = _training_rows(table, ~test_mask, train_cap)
-            target_stats.append(stats)
-            yield x, y, _normalize_columns(table.rows[test_mask], column_stats)
-
-    for fold, (model, y_hat) in enumerate(fit_mean(problems(), options)):
+    for fold, (model, y_hat, stats) in enumerate(islice(_stream, folds.k)):
         test_mask = fold_of_row == fold
-        t_mean, t_std = target_stats[fold].mean, target_stats[fold].std_dev
+        t_mean, t_std = stats.mean, stats.std_dev
         y_test = (table.targets[test_mask] - t_mean) / t_std
         predicted_norm[test_mask] = y_hat
         true_norm[test_mask] = y_test
@@ -566,6 +591,13 @@ def evaluate_with_exports(
 ) -> MetricsReport:
     """Run CV on every cell and write metrics, report, and per-cell CSVs.
 
+    The cells' folds, in cell order, form one fold stream
+    (:func:`_fold_stream`), so a cell's last fold may pair with the next
+    cell's first; each cell takes its results from it in one
+    :func:`evaluate_cv` call. A cell's concatenated table is built when
+    the stream or the cell first needs it, and dropped after the cell's
+    exports.
+
     The timeseries export covers one take per cell: the first take at
     60 deg/s (a velocity both joint protocols share), using that take's
     held-out CV predictions.
@@ -573,13 +605,26 @@ def evaluate_with_exports(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = MetricsReport(n_folds=n_folds, seed=seed)
-    for (joint, config), cell_tables in sorted(
-        cells.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-    ):
-        table = concat_tables(cell_tables.tables)
-        result = evaluate_cv(
-            table, options=options, train_cap=train_cap, n_folds=n_folds, seed=seed
-        )
+    if options is None:
+        options = GpOptions(seed=seed)  # evaluate_cv's default for these folds
+    order = sorted(cells, key=lambda key: (key[0].value, key[1].value))
+    prepared = {}  # (table, folds) of a cell, from its first need to its exports
+
+    def prepare(key):
+        if key not in prepared:
+            table = concat_tables(cells[key].tables)
+            prepared[key] = table, kfold_split(table.segment_ids(), n_folds, seed)
+        return prepared[key]
+
+    def problems():
+        for key in order:
+            yield from _fold_problems(*prepare(key), train_cap)
+
+    stream = _fold_stream(problems(), options)
+    for joint, config in order:
+        cell_tables = cells[(joint, config)]
+        table, folds = prepare((joint, config))
+        result = evaluate_cv(table, folds, options, train_cap, _stream=stream)
         report.cells[(joint, config)] = result.cell
         stem = f"{joint.value}_{config.value}"
         export_scatter(result, out / f"scatter_{stem}.csv")
@@ -601,7 +646,7 @@ def evaluate_with_exports(
         )
         # Exported: the next cell's folds, and their n x n blocks, need not
         # coexist with this cell's table and predictions.
-        del table, result
+        del prepared[(joint, config)], table, result
     write_metrics_csv(report, out / "metrics.csv")
     (out / "report.txt").write_text(estimate_table(report))
     return report

@@ -42,12 +42,15 @@ Cholesky, builds at most one n x n block, the search's gram matrix, and
 none when K is low-rank; its model is mean-only (:func:`predict_mean`).
 Two folds that both need the band reduction share one block of
 (N + 1) x N doubles, each reduced in its own triangle on its own thread
-(:func:`_fit_pair`), where the BLAS runs one thread and the process has
-a second core (:func:`_spare_core`). The m predictions add one
+(:func:`_fit_pair`), where the process has a second core and the BLAS
+runs one thread, or is set to for the pair's duration
+(:func:`_spare_core`). The folds come as one stream, which may span a
+run's cells, so of a run of consecutive such folds only an odd last one
+runs alone. The m predictions add one
 n x ``_QUERY_BLOCK`` (128) block at a time. At the default cap of 2,000
-rows that is 32 MB for the n x n block and 2 MB per query block. Every other fit factors
-K + noise I by Cholesky, so that a model that is saved equals its refit
-bit for bit.
+rows that is 32 MB for the n x n block and 2 MB per query block. Every
+other fit factors K + noise I by Cholesky, so that a model that is saved
+equals its refit bit for bit.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ import os
 import zipfile
 import zlib
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -146,29 +150,38 @@ def _scipy_symbol(name: str):
 
 
 def _two_stage_routines():
-    """LAPACK's ``dsytrd_sy2sb`` and ``dsytrd_sb2st`` as ctypes functions,
-    or None where the LAPACK behind scipy lacks either (scipy wraps
-    neither). Both take 32-bit integers by reference and, per CHARACTER
-    argument, one trailing hidden length (the gfortran convention)."""
-    sy2sb, sb2st = _scipy_symbol("dsytrd_sy2sb_"), _scipy_symbol("dsytrd_sb2st_")
-    if sy2sb is None or sb2st is None:
+    """LAPACK's ``dsytrd_sy2sb``, ``dsytrd_sb2st`` and ``dsterf`` as ctypes
+    functions, or None where the LAPACK behind scipy lacks any of them
+    (scipy wraps neither of the first two, and its ``dsterf`` wrapper holds
+    the GIL for the whole call, where a ctypes call releases it). All take
+    32-bit integers by reference and, per CHARACTER argument, one trailing
+    hidden length (the gfortran convention)."""
+    names = ("dsytrd_sy2sb_", "dsytrd_sb2st_", "dsterf_")
+    routines = [_scipy_symbol(name) for name in names]
+    if None in routines:
         return None
+    sy2sb, sb2st, sterf = routines
     char, ptr, length = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
     # uplo, n, kd, a, lda, ab, ldab, tau, work, lwork, info
     sy2sb.argtypes = [char] + [ptr] * 10 + [length]
     # stage1, vect, uplo, n, kd, ab, ldab, d, e, hous, lhous, work, lwork, info
     sb2st.argtypes = [char] * 3 + [ptr] * 11 + [length] * 3
-    sy2sb.restype = sb2st.restype = None
-    return sy2sb, sb2st
+    # n, d, e, info
+    sterf.argtypes = [ptr] * 4
+    sy2sb.restype = sb2st.restype = sterf.restype = None
+    return sy2sb, sb2st, sterf
 
 
 _TWO_STAGE = _two_stage_routines()
 
-# OpenBLAS's count of its threads (:func:`_spare_core`); None where the
-# BLAS behind scipy does not report one.
+# OpenBLAS's count of its threads and its setter (:func:`_one_blas_thread`);
+# None where the BLAS behind scipy lacks them.
 _BLAS_THREADS = _scipy_symbol("openblas_get_num_threads")
 if _BLAS_THREADS is not None:
     _BLAS_THREADS.argtypes, _BLAS_THREADS.restype = [], ctypes.c_int
+_SET_BLAS_THREADS = _scipy_symbol("openblas_set_num_threads")
+if _SET_BLAS_THREADS is not None:
+    _SET_BLAS_THREADS.argtypes, _SET_BLAS_THREADS.restype = [ctypes.c_int], None
 
 
 @dataclass(frozen=True)
@@ -425,9 +438,13 @@ def _rbf_from_sq(
     """The kernel block from a block of squared distances, written to
     ``out`` (by default over ``d2`` itself)."""
     k = np.multiply(d2, -0.5, out=d2 if out is None else out)
-    k /= hyper.length_scale**2
+    # A scale of exactly 1 (the fixed scales' default) leaves every bit as
+    # it is, so its pass over the block is skipped.
+    if hyper.length_scale != 1.0:
+        k /= hyper.length_scale**2
     np.exp(k, out=k)
-    k *= hyper.output_scale**2
+    if hyper.output_scale != 1.0:
+        k *= hyper.output_scale**2
     return k
 
 
@@ -476,12 +493,20 @@ def kernel_rbf(
 
 
 def gram_matrix(
-    x: np.ndarray, hyper: Hyperparameters | None = None, _symmetric: bool = True
+    x: np.ndarray,
+    hyper: Hyperparameters | None = None,
+    _symmetric: bool = True,
+    _triangle: tuple[np.ndarray, bool] | None = None,
 ) -> np.ndarray:
     """Symmetric noise-free covariance matrix of one input set (n x d).
 
     With ``_symmetric`` false, which only the noise-only search passes, it
-    is the block as the GEMM behind it leaves it, symmetric to rounding."""
+    is the block as the GEMM behind it leaves it, symmetric to rounding.
+    With ``_triangle`` = (k, upper), which only a fold pair passes, the
+    default-kernel matrix is written into one triangle of ``k``, which is
+    returned (:func:`_gram_triangle`)."""
+    if _triangle is not None:
+        return _gram_triangle(x, *_triangle)
     if hyper is None:
         hyper = Hyperparameters()
     pts = _as_points(x)
@@ -749,37 +774,34 @@ def _spectrum(k: np.ndarray, y: np.ndarray, upper: bool = False) -> _Reduction:
     """
     _diagonal_scale(k)
     reduce = _band_reduction if _TWO_STAGE is not None else _tridiagonal_reduction
-    band, tau, d, e = reduce(k, upper)
+    band, tau, lam = reduce(k, upper)
     kd, a = band.shape[0] - 1, k.T
     # Each reflector's leading 1 goes where the band's outermost entry was;
     # that entry is in ``band``.
     i = np.arange(tau.shape[0])
     a[(i, i + kd) if upper else (i + kd, i)] = 1.0
-    lam, info = dsterf(d, e, overwrite_d=1)
-    if info != 0:
-        raise NumericalError(f"tridiagonal eigenvalues failed (info={info})")
     reduction = _Reduction(np.maximum(lam, 0.0), band, y.copy(), a, tau, kd, upper)
     reduction._reflect(reduction.z, adjoint=True)
     return reduction
 
 
 def _band_reduction(k: np.ndarray, upper: bool):
-    """(band, tau, d, e) of the symmetric ``k.T``, reduced in place in two
+    """(band, tau, lam) of the symmetric ``k.T``, reduced in place in two
     stages (Bischof, Lang & Sun 2000): LAPACK ``dsytrd_sy2sb`` takes the
     ``upper`` or lower triangle of K to the band B = Q'KQ of
     :data:`_BAND_WIDTH` off-diagonals with level-3 BLAS, leaving Q's
     n - kd reflectors outside the band of that triangle, and
-    ``dsytrd_sb2st`` takes a copy of B to its tridiagonal form, whose
-    diagonal is d and off-diagonal e (padded to one entry at n = 1, as
-    ``sterf``'s wrapper wants), without its reflectors. Neither reads or
-    writes an entry of ``k`` outside that triangle."""
+    ``dsytrd_sb2st`` takes a copy of B to its tridiagonal form, without
+    its reflectors, whose eigenvalues lam ``dsterf`` gives. None of them
+    reads or writes an entry of ``k`` outside that triangle, and each
+    releases the GIL."""
     # LAPACK reads k.T through a pointer, as n x n Fortran-ordered doubles
     # with a leading dimension of lda.
     n, kd = k.shape[0], _BAND_WIDTH
     lda = k.strides[0] // 8
     if k.dtype != np.float64 or k.strides[1] != 8 or k.strides[0] != 8 * lda or lda < n:
         raise ValueError("the band reduction needs float64 rows, each contiguous")
-    sy2sb, sb2st = _TWO_STAGE
+    sy2sb, sb2st, sterf = _TWO_STAGE
     uplo = b"U" if upper else b"L"
     band = np.zeros((kd + 1, n), order="F")
     tau = np.zeros(max(n - kd, 1))
@@ -814,15 +836,19 @@ def _band_reduction(k: np.ndarray, upper: bool):
         raise NumericalError(
             f"band to tridiagonal reduction failed (info={info.value})"
         )
-    return band, tau[: max(n - kd, 0)], d, e
+    sterf(ref(n), d.ctypes, e.ctypes, ctypes.byref(info))  # d becomes lam
+    if info.value != 0:
+        raise NumericalError(f"tridiagonal eigenvalues failed (info={info.value})")
+    return band, tau[: max(n - kd, 0)], d
 
 
 def _tridiagonal_reduction(k: np.ndarray, upper: bool):
-    """(band, tau, d, e) of the symmetric ``k.T`` as :func:`_band_reduction`
+    """(band, tau, lam) of the symmetric ``k.T`` as :func:`_band_reduction`
     gives them for its lower triangle, from LAPACK's one-stage ``dsytrd``
     in place: the band is the tridiagonal form itself (kd = 1), the rows
-    d and e. ``k`` must be C-contiguous, so that the reduction is done in
-    it and not in a copy."""
+    d and e, and lam its eigenvalues by scipy's ``dsterf``. ``k`` must be
+    C-contiguous, so that the reduction is done in it and not in a
+    copy."""
     if upper or not k.flags.c_contiguous:
         raise ValueError("the one-stage reduction takes a C-ordered lower triangle")
     n = k.shape[0]
@@ -834,7 +860,11 @@ def _tridiagonal_reduction(k: np.ndarray, upper: bool):
     if info != 0:
         raise NumericalError(f"tridiagonal reduction failed (info={info})")
     band = np.asfortranarray([d, np.append(e, 0.0)])
-    return band, tau, d, band[1, : max(n - 1, 1)]
+    # sterf's wrapper copies e, which it destroys, and wants one entry at n = 1.
+    lam, info = dsterf(d, band[1, : max(n - 1, 1)], overwrite_d=1)
+    if info != 0:
+        raise NumericalError(f"tridiagonal eigenvalues failed (info={info})")
+    return band, tau, lam
 
 
 def _pivoted_cholesky(
@@ -1231,12 +1261,15 @@ def fit_mean(problems, options: GpOptions = GpOptions()):
     two-stage reduction is missing or a second thread would have no core
     of its own (:func:`_spare_core`). The other folds run two at a time
     (:func:`_fit_pair`), each on its own thread and in its own triangle of
-    one block, and a fold left without a partner runs alone.
+    one block; a fold left without a partner, at the end of ``problems``
+    or before a low-rank fold, runs alone. The problems may span several
+    tables, as they do in :func:`~myotorque.evaluate.evaluate_with_exports`,
+    so a table's last fold may pair with the next table's first.
 
-    An error leaves only after every earlier problem has been fitted and
-    both of a pair's threads have ended, so it is the error of the first
-    problem that fails, or of taking the next one from ``problems``, as if
-    the folds ran one at a time.
+    An error leaves only after every earlier problem's result has been
+    yielded and both of a pair's threads have ended, so it is the error of
+    the first problem that fails, or of taking the next one from
+    ``problems``, as if the folds ran one at a time.
     """
     pair_width = 2 if _TWO_STAGE is not None and _spare_core() else 1
     held: list = []  # full-rank folds (x, y, queries) waiting for a partner
@@ -1244,23 +1277,26 @@ def fit_mean(problems, options: GpOptions = GpOptions()):
     def run_held():
         folds, held[:] = list(held), []
         if len(folds) == 2:
-            return _fit_pair(folds, options)
-        return [
-            _fit_one(x, y, queries, options, _spectrum(gram_matrix(x, _symmetric=False), y))
-            for x, y, queries in folds
-        ]
+            yield from _fit_pair(folds, options)
+        elif folds:
+            ((x, y, queries),) = folds
+            yield _fit_one(x, y, queries, options, _spectrum(gram_matrix(x, _symmetric=False), y))
 
-    def take(inputs, targets, queries) -> list:
+    def take(inputs, targets, queries):
         """The results ready once this problem is taken, in order. Its
-        reduction is freed on return, before the next problem's is made."""
+        reduction is freed once they are out, before the next problem's is
+        made."""
         x, y = _training_set(inputs, targets)
         reduction = None
         if options.noise_only:
             reduction = _low_rank_reduction(x, y, Hyperparameters())
             if reduction is None:
                 held.append((x, y, queries))
-                return run_held() if len(held) == pair_width else []
-        return run_held() + [_fit_one(x, y, queries, options, reduction)]
+                if len(held) == pair_width:
+                    yield from run_held()
+                return
+        yield from run_held()
+        yield _fit_one(x, y, queries, options, reduction)
 
     try:
         for problem in problems:
@@ -1272,42 +1308,67 @@ def fit_mean(problems, options: GpOptions = GpOptions()):
 
 
 def _spare_core() -> bool:
-    """Whether a second thread of LAPACK calls gets a core of its own: the
-    BLAS behind scipy reports one thread (a BLAS that reports none counts
-    as threaded) and this process may run on more than one core. A
-    threaded BLAS already spreads one fold's reduction over the cores, and
-    a second fold's thread would compete with it."""
+    """Whether a fold pair's second thread gets a core of its own: this
+    process may run on more than one core, and the BLAS behind scipy runs
+    one thread or reports a count that can be set to one for the pair's
+    duration (:func:`_one_blas_thread`). A BLAS that reports no count
+    counts as threaded: it would spread each fold's calls over the cores,
+    and the second fold's thread would compete with them."""
     threads = _BLAS_THREADS() if _BLAS_THREADS is not None else 0
+    settable = threads > 0 and _SET_BLAS_THREADS is not None
     affinity = getattr(os, "sched_getaffinity", None)
     cores = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
-    return threads == 1 and cores > 1
+    return (threads == 1 or settable) and cores > 1
 
 
-def _fit_pair(folds: list, options: GpOptions) -> list:
+@contextmanager
+def _one_blas_thread():
+    """The BLAS behind scipy at one thread for the block, and at its
+    earlier count after it, also after an error. A no-op where it already
+    runs one thread or reports no count."""
+    threads = _BLAS_THREADS() if _BLAS_THREADS is not None else 1
+    if threads == 1 or _SET_BLAS_THREADS is None:
+        yield
+        return
+    _SET_BLAS_THREADS(1)
+    try:
+        yield
+    finally:
+        _SET_BLAS_THREADS(threads)
+
+
+def _fit_pair(folds: list, options: GpOptions):
     """Two full-rank folds (x, y, queries) of :func:`fit_mean`, the first
-    on this thread and the second on another: the first builds and
-    reduces its gram matrix in the lower triangle of :func:`_pair_blocks`'
-    block, the second in the upper one, and each searches and fits from
-    its reduction. The two-stage reduction reads and writes its triangle
-    only, and its LAPACK calls release the GIL, so each fold gets the bits
-    it would get alone in the same triangle. Once both fits are done the
+    on this thread and the second on another, with the BLAS at one thread
+    (:func:`_one_blas_thread`): the first builds and reduces its gram
+    matrix in the lower triangle of :func:`_pair_blocks`' block, the
+    second in the upper one, and each searches and fits from its
+    reduction. The two-stage reduction reads and writes its triangle only,
+    and its LAPACK calls release the GIL, so each fold gets the bits it
+    would get alone in the same triangle. Once both fits are done the
     block is freed, and each fold predicts its held-out means on its
-    thread. An error leaves after both threads are done with it, in fold
-    order: the first fold's fit, then its means, then the second's."""
+    thread.
+
+    A generator of the two results, in fold order, once both threads have
+    ended. An error leaves in fold order too: the first fold's (its fit,
+    then its means) before any result, the second's after the first
+    fold's result, as if the folds ran one at a time."""
     blocks = _pair_blocks(*(x.shape[0] for x, _, _ in folds))
 
     def fit_in(fold, k, upper):
         x, y, _ = fold
-        return _fit_reduced(x, y, options, _spectrum(_gram_triangle(x, k, upper), y, upper))
+        reduction = _spectrum(gram_matrix(x, _triangle=(k, upper)), y, upper)
+        return _fit_reduced(x, y, options, reduction)
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
         second = pool.submit(fit_in, folds[1], blocks[1], True)
         first = fit_in(folds[0], blocks[0], False)
         wait([second])
         del blocks  # the predictions need no n x n block
         second_means = pool.submit(lambda: predict_mean(second.result(), folds[1][2]))
         first_means = predict_mean(first, folds[0][2])
-    return [(first, first_means), (second.result(), second_means.result())]
+    yield first, first_means
+    yield second.result(), second_means.result()
 
 
 def _fit_reduced(x, y, options: GpOptions, reduction) -> GprModel:

@@ -141,7 +141,11 @@ def fit_stats(values: np.ndarray) -> NormalizationStats:
     vals = np.asarray(values, dtype=np.float64)
     if vals.size < 2:
         raise DegenerateSeries(f"need at least 2 samples, got {vals.size}")
-    std = float(np.std(vals, ddof=1))
+    # A value near the float maximum overflows the sums to inf or NaN,
+    # which NormalizationStats rejects, so numpy's warning is noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(np.std(vals, ddof=1))
+        mean = float(np.mean(vals))
     if std <= 0:
         raise ZeroVariance("all values identical; variance normalization undefined")
-    return NormalizationStats(mean=float(np.mean(vals)), std_dev=std)
+    return NormalizationStats(mean=mean, std_dev=std)

@@ -145,6 +145,26 @@ class TestExitCodes:
         assert capsys.readouterr().err == paired
 
 
+    def test_an_overflowing_fmg_cell_is_2_with_one_line(self, knee_dir, tmp_path):
+        # One FMG cell of 1e200 overflows a fold's normalization sums: a
+        # data error, and numpy's overflow warning stays off stderr.
+        session = tmp_path / "huge_session"
+        session.mkdir()
+        for p in knee_dir.iterdir():
+            (session / p.name).write_bytes(p.read_bytes())
+        path = session / "take_v060_t0_fmg.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[300].split(",")
+        cells[lines[0].split(",").index("fmg_RF")] = "1e200"
+        lines[300] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        proc = run_cli("evaluate", "--session", session, "--joint", "knee",
+                       "--config", "fmg", "--out", tmp_path / "eval")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert "normalization stats must be finite" in proc.stderr
+
+
 class TestArgumentContract:
     """Out-of-range numbers are usage errors (exit 1, one message line), and
     a session index that lists a take twice is a data error (exit 2); none

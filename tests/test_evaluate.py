@@ -25,12 +25,14 @@ from myotorque.evaluate import (
     CvResult,
     FoldAssignment,
     MetricsReport,
+    TakeTables,
     _fold_of_row,
     _normalize_columns,
     _train,
     _training_rows,
     estimate_table,
     evaluate_cv,
+    evaluate_with_exports,
     export_scatter,
     export_timeseries,
     fold_statistics,
@@ -420,6 +422,139 @@ class TestEvaluateCv:
         assert not np.array_equal(
             capped.predictions.predicted_nm, uncapped.predictions.predicted_nm
         )
+
+
+def stream_cells(rng):
+    """Baseline, emg and fmg cells of one take each: the baseline rows lie
+    on a line, so its folds' kernels are low-rank (800 training rows, at
+    which the probe runs), and the emg and fmg rows are random, so their
+    folds' (400 rows) are full-rank."""
+    n = 1000
+    u = rng.uniform(-2.0, 2.0, n)
+    tables = {ModelConfig.BASELINE: make_table(
+        np.column_stack([u, 0.5 * u]), np.sin(u) + 0.1 * rng.standard_normal(n),
+        1 + np.arange(n) // 100)}
+    for config in (ModelConfig.EMG, ModelConfig.FMG):
+        m = 500
+        rows = rng.standard_normal((m, 5))
+        targets = np.sin(rows[:, 0]) + 0.1 * rng.standard_normal(m)
+        tables[config] = make_table(rows, targets, 1 + np.arange(m) // 50, config)
+    return {
+        (Joint.ANKLE, config): TakeTables(Joint.ANKLE, config, [60.0], [table])
+        for config, table in tables.items()
+    }
+
+
+class TestFoldStream:
+    """evaluate_with_exports' one fold stream over its cells, with folds
+    paired: the emg cell's fifth fold pairs with the fmg cell's first."""
+
+    @pytest.fixture(autouse=True)
+    def pairs_run(self, monkeypatch):
+        monkeypatch.setattr(gpr, "_spare_core", lambda: True)
+
+    @pytest.fixture
+    def cell_results(self, monkeypatch):
+        """Each cell's CvResult, in the order the cells run."""
+        results = []
+        real = evaluate.evaluate_cv
+
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(evaluate, "evaluate_cv", recording)
+        return results
+
+    @pytest.mark.skipif(gpr._TWO_STAGE is None, reason="folds pair up on the two-stage path")
+    def test_no_full_rank_fold_runs_alone(self, rng, monkeypatch, tmp_path):
+        pairs, alone = [], []
+        real_pair, real_one = gpr._fit_pair, gpr._fit_one
+        monkeypatch.setattr(gpr, "_fit_pair", lambda folds, options: (
+            pairs.append(len(folds)) or real_pair(folds, options)))
+
+        def one(x, y, queries, options, reduction):
+            alone.append(type(reduction))
+            return real_one(x, y, queries, options, reduction)
+
+        monkeypatch.setattr(gpr, "_fit_one", one)
+        evaluate_with_exports(stream_cells(rng), tmp_path, seed=0)
+        assert pairs == [2] * 5
+        assert alone == [gpr._LowRank] * 5
+
+    @pytest.mark.skipif(gpr._TWO_STAGE is None, reason="folds pair up on the two-stage path")
+    def test_each_cell_is_its_cv_alone(self, rng, tmp_path, cell_results):
+        # Each fold's noise is the lone cell's to the 1e-6 a pair may move
+        # it, and its means are the Cholesky fit's at that noise.
+        cells = stream_cells(rng)
+        report = evaluate_with_exports(cells, tmp_path, seed=0)
+        assert len(cell_results) == 3
+        for (key, cell_tables), result in zip(sorted(cells.items(), key=lambda kv: (
+                kv[0][0].value, kv[0][1].value)), cell_results):
+            (table,) = cell_tables.tables
+            alone = evaluate_cv(table, seed=0)
+            assert report.cells[key] is result.cell
+            assert result.cell.config is key[1]
+            assert np.array_equal(result.predictions.fold_of_row,
+                                  alone.predictions.fold_of_row)
+            np.testing.assert_allclose(result.cell.noise_variances,
+                                       alone.cell.noise_variances, rtol=1e-6)
+            for fold in range(result.cell.n_folds):
+                test = result.predictions.fold_of_row == fold
+                x, y, column_stats, _ = _training_rows(table, ~test, DEFAULT_TRAIN_CAP)
+                exact = fit(x, y, Hyperparameters(
+                    noise_variance=result.cell.noise_variances[fold]))
+                expected = predict_mean(
+                    exact, _normalize_columns(table.rows[test], column_stats))
+                err = np.max(np.abs(result.predictions.predicted_norm[test] - expected))
+                assert err <= 1e-9
+
+    def test_an_error_in_the_next_cells_first_fold_comes_after_the_cell(
+        self, rng, monkeypatch, tmp_path
+    ):
+        # The fmg cell's first fold fails inside the pair it forms with the
+        # emg cell's fifth. The emg cell, and the baseline one before it,
+        # still write their exports, with the bytes they have when nothing
+        # fails, and the error is the one the folds give one at a time.
+        cells = stream_cells(rng)
+        evaluate_with_exports(cells, tmp_path / "clean", seed=0)
+        (fmg,) = cells[(Joint.ANKLE, ModelConfig.FMG)].tables
+        fold_of_row = _fold_of_row(fmg, kfold_split(fmg.segment_ids(), 5, 0))
+        _, fold_y, _, _ = _training_rows(fmg, fold_of_row != 0, DEFAULT_TRAIN_CAP)
+        real = gpr._spectrum
+
+        def spectrum(k, y, upper=False):
+            if np.array_equal(y, fold_y):
+                raise NotPositiveDefinite("forced in the fmg cell's first fold")
+            return real(k, y, upper)
+
+        monkeypatch.setattr(gpr, "_spectrum", spectrum)
+        threads = threading.active_count()
+        with pytest.raises(NotPositiveDefinite) as paired:
+            evaluate_with_exports(cells, tmp_path / "paired", seed=0)
+        assert threading.active_count() == threads
+        written = sorted(p.name for p in (tmp_path / "paired").iterdir())
+        assert written == sorted(f"{kind}_ankle_{config}.csv" for config in (
+            "baseline", "emg") for kind in ("scatter", "timeseries"))
+        for name in written:
+            assert (tmp_path / "paired" / name).read_bytes() == (
+                tmp_path / "clean" / name).read_bytes()
+        monkeypatch.setattr(gpr, "_spare_core", lambda: False)
+        with pytest.raises(NotPositiveDefinite) as alone:
+            evaluate_with_exports(cells, tmp_path / "alone", seed=0)
+        assert str(paired.value) == str(alone.value)
+        assert sorted(p.name for p in (tmp_path / "alone").iterdir()) == written
+        # One at a time, the emg cell's second and fourth folds reduce the
+        # lower triangle, not the upper, so its estimates (the last column)
+        # move in the last digits (by 2.6e-8 here), and nothing else moves.
+        for name in written:
+            columns = (0, 1) if name.startswith("scatter") else (0, 1, 2)
+            paired_cols, alone_cols = (np.loadtxt(
+                tmp_path / run / name, delimiter=",", skiprows=1, usecols=columns,
+            ) for run in ("paired", "alone"))
+            assert np.array_equal(paired_cols[:, :-1], alone_cols[:, :-1])
+            np.testing.assert_allclose(paired_cols[:, -1], alone_cols[:, -1],
+                                       rtol=0, atol=1e-6)
 
 
 class TestTrainedEstimator:

@@ -6,6 +6,7 @@ are rebuilt with explicit loops, the marginal likelihood is computed from
 finite differences in log-parameter space.
 """
 
+import ctypes
 import dataclasses
 import math
 import os
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky, eig_banded, eigh, solve_triangular
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotri, dsterf
 from scipy.optimize import minimize
 
 import myotorque.gpr as gpr
@@ -171,6 +172,18 @@ class TestKernel:
         k += k.T
         k *= 0.5
         assert np.array_equal(gram_matrix(x, hyper), k)
+
+    @pytest.mark.parametrize("scales", [(1.0, 1.0), (1.0, 0.7), (1.3, 1.0)],
+                             ids=["unit", "unit output", "unit length"])
+    def test_a_unit_scale_pass_is_skipped_to_the_same_bits(self, rng, scales):
+        # Dividing by 1 and multiplying by 1 leave every bit as it is.
+        hyper = Hyperparameters(output_scale=scales[0], length_scale=scales[1])
+        d2 = _sq_distances(*rng.standard_normal((2, 40, 3)))
+        k = d2 * -0.5
+        k /= hyper.length_scale**2
+        np.exp(k, out=k)
+        k *= hyper.output_scale**2
+        assert np.array_equal(gpr._rbf_from_sq(d2, hyper), k)
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
@@ -1529,6 +1542,21 @@ def mean_only_fit(x, y, hyper=None):
     return fit(x, y, hyper, _reduction=gpr._noise_reduction(x, y, hyper))
 
 
+@pytest.mark.skipif(gpr._TWO_STAGE is None, reason="dsterf is bound with the two stages")
+def test_bound_sterf_gives_the_wrapped_one_bits(rng):
+    # The ctypes binding, which releases the GIL, and scipy's wrapper
+    # call one LAPACK routine.
+    n = 500
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    wrapped, info = dsterf(d, e)
+    assert info == 0
+    bound, bound_e, info = d.copy(), e.copy(), ctypes.c_int()
+    ref = ctypes.byref(ctypes.c_int(n))
+    gpr._TWO_STAGE[2](ref, bound.ctypes, bound_e.ctypes, ctypes.byref(info))
+    assert info.value == 0
+    assert np.array_equal(bound, wrapped)
+
+
 class TestMeanOnlyFit:
     """fit from the search's reduction: w = H u with (T + v I) u = z."""
 
@@ -1597,11 +1625,13 @@ def full_rank_fold(seed, n, features=5):
 
 def fold_alone(fold, upper):
     """fit_mean's result for ``fold`` reduced in the lower or ``upper``
-    triangle of a block of its own, one thread only."""
+    triangle of a block of its own, one thread only, beside the one BLAS
+    thread a pair runs with: a threaded BLAS may round differently."""
     x, y, queries = fold
     k = gpr._pair_blocks(x.shape[0], x.shape[0])[int(upper)]
-    reduction = _spectrum(gpr._gram_triangle(x, k, upper), y, upper)
-    return gpr._fit_one(x, y, queries, GpOptions(), reduction)
+    with gpr._one_blas_thread():
+        reduction = _spectrum(gpr._gram_triangle(x, k, upper), y, upper)
+        return gpr._fit_one(x, y, queries, GpOptions(), reduction)
 
 
 def assert_same_fit(result, expected):
@@ -1658,18 +1688,22 @@ class TestFoldPairs:
         self, monkeypatch, failing
     ):
         # A 1e200 training row: its squared norm overflows and the gram
-        # matrix's diagonal is NaN, in the pair's thread.
+        # matrix's diagonal is NaN, in the pair's thread. The folds before
+        # the failing one are yielded first, as one at a time.
         folds = [full_rank_fold(seed, 260 + 10 * seed) for seed in range(3)]
         x, y, queries = folds[failing]
         x = x.copy()
         x[7, 1] = 1e200
         folds[failing] = (x, y, queries)
         threads = threading.active_count()
+        yielded = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotPositiveDefinite) as paired:
-                list(fit_mean(folds))
+                for model, _ in fit_mean(folds):
+                    yielded.append(model.n_train)
         assert threading.active_count() == threads
+        assert yielded == [fold[0].shape[0] for fold in folds[:failing]]
         monkeypatch.setattr(gpr, "_TWO_STAGE", None)
         with pytest.raises(NotPositiveDefinite) as alone:
             list(fit_mean(folds))
@@ -1704,13 +1738,17 @@ class TestFoldPairs:
         assert fitted == [200]
 
 
-@pytest.mark.parametrize("threads, cores, spare", [
-    (1, 2, True), (2, 2, False), (None, 2, False), (1, 1, False),
-], ids=["one BLAS thread", "threaded BLAS", "BLAS without a count", "one core"])
-def test_folds_pair_only_beside_a_one_thread_blas_with_a_spare_core(
-    monkeypatch, threads, cores, spare
+@pytest.mark.parametrize("threads, settable, cores, spare", [
+    (1, False, 2, True), (2, True, 2, True), (2, False, 2, False),
+    (None, True, 2, False), (1, True, 1, False),
+], ids=["one BLAS thread", "threaded BLAS", "threaded BLAS without a setter",
+        "BLAS without a count", "one core"])
+def test_folds_pair_where_a_second_thread_gets_a_core(
+    monkeypatch, threads, settable, cores, spare
 ):
+    # A threaded BLAS whose count can be set runs one thread for a pair.
     monkeypatch.setattr(gpr, "_BLAS_THREADS", threads and (lambda: threads))
+    monkeypatch.setattr(gpr, "_SET_BLAS_THREADS", (lambda count: None) if settable else None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
                         raising=False)
     assert gpr._spare_core() is spare
@@ -1718,6 +1756,41 @@ def test_folds_pair_only_beside_a_one_thread_blas_with_a_spare_core(
     results = list(fit_mean([full_rank_fold(seed, 200) for seed in range(2)]))
     assert len(results) == 2
     assert pairs == ([[200, 200]] if spare and gpr._TWO_STAGE is not None else [])
+
+
+@pytest.mark.skipif(
+    None in (gpr._TWO_STAGE, gpr._BLAS_THREADS, gpr._SET_BLAS_THREADS),
+    reason="a pair sets the thread count of an OpenBLAS on the two-stage path",
+)
+@pytest.mark.parametrize("failing", [None, 0, 1],
+                         ids=["no error", "first fold fails", "second fold fails"])
+def test_a_pair_runs_beside_one_blas_thread_and_restores_the_count(
+    monkeypatch, failing
+):
+    folds = [full_rank_fold(seed, 200) for seed in range(2)]
+    monkeypatch.setattr(gpr, "_spare_core", lambda: True)
+    counts = []  # the BLAS thread count each fold's reduction saw
+    real = gpr._spectrum
+
+    def spectrum(k, y, upper=False):
+        counts.append(gpr._BLAS_THREADS())
+        if failing is not None and np.array_equal(y, folds[failing][1]):
+            raise NotPositiveDefinite("forced in a fold of the pair")
+        return real(k, y, upper)
+
+    monkeypatch.setattr(gpr, "_spectrum", spectrum)
+    before = gpr._BLAS_THREADS()
+    gpr._SET_BLAS_THREADS(2)
+    try:
+        if failing is None:
+            assert len(list(fit_mean(folds))) == 2
+        else:
+            with pytest.raises(NotPositiveDefinite, match="forced"):
+                list(fit_mean(folds))
+        assert counts == [1, 1]
+        assert gpr._BLAS_THREADS() == 2
+    finally:
+        gpr._SET_BLAS_THREADS(before)
 
 
 def baseline_shaped(session, stride):
