@@ -318,6 +318,7 @@ def _csv_rows(fh):
 
 
 def cmd_stream(args) -> int:
+    started = perf_counter()
     estimator = load_estimator(args.model)
     calibration = None
     if args.session:
@@ -325,6 +326,8 @@ def cmd_stream(args) -> int:
         _check_joint(index.joint, estimator.joint, args.session)
         calibration = compute_calibration(*load_calibration(index))
     predictor = StreamingPredictor(estimator, calibration)
+    # Model load and refit, calibration, and the model's inverse factor.
+    startup_s = perf_counter() - started
 
     muscles = predictor.muscles
     # Bytes that do not decode become U+FFFD, so their line fails to parse
@@ -399,7 +402,10 @@ def cmd_stream(args) -> int:
         summary = f"stream: processed {len(tick_s)} rows, skipped {skipped}"
         if tick_s:
             p50, p99 = np.percentile(tick_s, [50, 99]) * 1e3
-            summary += f", tick p50 {p50:.3f} ms, p99 {p99:.3f} ms"
+            summary += (
+                f", tick p50 {p50:.3f} ms, p99 {p99:.3f} ms, "
+                f"start-up {startup_s * 1e3:.1f} ms"
+            )
         print(summary, file=sys.stderr)
     return 0
 

@@ -30,7 +30,17 @@ evaluations all trailed the best completed start far behind.
 
 Predictions run over blocks of at most ``_QUERY_BLOCK`` query rows, so
 the cross-covariance (and, in :func:`predict`, the triangular solve)
-held at any time is n x block whatever the query size.
+held at any time is n x block whatever the query size. A query of one
+row, a stream tick's, takes its variance from the inverse factor
+M = L^-1 instead (:func:`_one_row_sq_norm`), which LAPACK ``trtri``
+makes once per model (n x n more doubles) and :func:`prepare_one_row`
+makes ahead of the first such query. ||M k*||^2 splits into two parts of
+about equal bytes, rows [0, h) of M and rows [h, n) with h about
+n / sqrt 2, each a few level-2 BLAS calls bound through ctypes, which
+release the GIL: on a model of 1,000 rows or more, where a second thread
+gets a core of its own (:func:`_spare_core`), one persistent worker
+takes the second part, else the calling thread runs both, with the same
+calls and the same bits.
 
 A cross-validation fold of n training and m held-out rows asks only for
 the mean, and gets its model and means from :func:`fit_mean`, which takes
@@ -63,12 +73,12 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import _flapack, eigh, solve_triangular
-from scipy.linalg.blas import dgemm, dtrsv
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import (
     dgeqrf,
     dormqr,
@@ -79,6 +89,7 @@ from scipy.linalg.lapack import (
     dsterf,
     dsytrd,
     dsytrd_lwork,
+    dtrtri,
 )
 from scipy.optimize import minimize
 
@@ -126,6 +137,12 @@ except (AttributeError, OSError, TypeError):
 # thread of a fold pair holds one such block beside the pair's shared one,
 # so a smaller block keeps the pair's peak closer to that one block.
 _TRIANGLE_ROWS = 32
+
+# A one-row variance on fewer training rows runs whole on the calling
+# thread (:func:`_one_row_sq_norm`): there its inverse factor (8 MB at
+# 1,000 rows) is read from cache in less time than handing half of it to
+# the worker takes, about 0.1 ms (2-core Xeon, one BLAS thread).
+_ONE_ROW_WORKER_ROWS = 1000
 
 # Noise-only search: the off-diagonals of the band that the two-stage
 # reduction leaves (:func:`_band_reduction`). A wider band makes the first
@@ -182,6 +199,30 @@ if _BLAS_THREADS is not None:
 _SET_BLAS_THREADS = _scipy_symbol("openblas_set_num_threads")
 if _SET_BLAS_THREADS is not None:
     _SET_BLAS_THREADS.argtypes, _SET_BLAS_THREADS.restype = [ctypes.c_int], None
+
+
+def _level2_routines():
+    """BLAS ``dtrmv``, ``dgemv`` and ``ddot`` as ctypes functions, which a
+    one-row :func:`predict` calls (:func:`_inverse_rows_sq_norm`), or None
+    where the BLAS behind scipy lacks any of them. The calling conventions
+    are those of :func:`_two_stage_routines`."""
+    routines = [_scipy_symbol(name) for name in ("dtrmv_", "dgemv_", "ddot_")]
+    if None in routines:
+        return None
+    trmv, gemv, dot = routines
+    char, ptr, length = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
+    # uplo, trans, diag, n, a, lda, x, incx
+    trmv.argtypes = [char] * 3 + [ptr] * 5 + [length] * 3
+    # trans, m, n, alpha, a, lda, x, incx, beta, y, incy
+    gemv.argtypes = [char] + [ptr] * 10 + [length]
+    # n, x, incx, y, incy
+    dot.argtypes = [ptr] * 5
+    trmv.restype = gemv.restype = None
+    dot.restype = ctypes.c_double
+    return trmv, gemv, dot
+
+
+_LEVEL2 = _level2_routines()
 
 
 @dataclass(frozen=True)
@@ -356,6 +397,18 @@ class GprModel:
         """sum(inputs * inputs, axis=1), which every block of prediction
         distances starts from; computed on first use, once per model."""
         return np.sum(self.inputs * self.inputs, axis=1)
+
+    @cached_property
+    def _inverse_factor(self) -> np.ndarray:
+        """M = L^-1, C-ordered, which a one-row :func:`predict` reads (its
+        lower triangle only); made on first use, once per model, by LAPACK
+        ``trtri``: n x n more doubles. ``trtri`` inverts the transpose L',
+        whose inverse M' it leaves Fortran-ordered, in a copy: the same
+        memory as a C-ordered M. A factor with a positive diagonal always
+        inverts."""
+        lower = self._factor_for("predict")
+        inverse_t, _ = dtrtri(lower.T, lower=0)
+        return inverse_t.T
 
 
 def _as_points(x: np.ndarray, what: str = "inputs") -> np.ndarray:
@@ -1308,12 +1361,14 @@ def fit_mean(problems, options: GpOptions = GpOptions()):
 
 
 def _spare_core() -> bool:
-    """Whether a fold pair's second thread gets a core of its own: this
-    process may run on more than one core, and the BLAS behind scipy runs
-    one thread or reports a count that can be set to one for the pair's
-    duration (:func:`_one_blas_thread`). A BLAS that reports no count
-    counts as threaded: it would spread each fold's calls over the cores,
-    and the second fold's thread would compete with them."""
+    """Whether a second thread, a fold pair's or the one that takes part
+    of a one-row variance (:func:`_one_row_sq_norm`), gets a core of its
+    own: this process may run on more than one core, and the BLAS behind
+    scipy runs one thread or reports a count that can be set to one for
+    the pair's or the variance's duration (:func:`_one_blas_thread`). A
+    BLAS that reports no count counts as threaded: it would spread each
+    thread's calls over the cores, and the second thread would compete
+    with them."""
     threads = _BLAS_THREADS() if _BLAS_THREADS is not None else 0
     settable = threads > 0 and _SET_BLAS_THREADS is not None
     affinity = getattr(os, "sched_getaffinity", None)
@@ -1415,13 +1470,16 @@ def predict(
     noise is not added. Query rows go through in blocks of
     ``_QUERY_BLOCK``, so the temporaries are n_train x block whatever
     the query size; a query of one block computes exactly what a single
-    whole-query expression would.
+    whole-query expression would. A query of exactly one row takes
+    ||L^-1 k*||^2 from the model's inverse factor instead
+    (:func:`_one_row_sq_norm`), which differs from the solve's in the
+    last digits; the first such query makes that factor unless
+    :func:`prepare_one_row` has. Its mean keeps the bits.
 
     Only the query points are checked (:class:`DataError` on a NaN or
     infinity): the model was, when built (:class:`GprModel`), so the
     triangular solve skips scipy's finiteness scan of the n x n factor,
-    several times the O(n^2) solve itself on a one-row query. A block of
-    one row solves with :func:`_lower_solve_vector`, to the same bits.
+    several times the O(n^2) solve itself on a query of a few rows.
     """
     lower = model._factor_for("predict")
     xq = _query_points(model, x_star)
@@ -1429,27 +1487,78 @@ def predict(
     prior_var = model.hyper.output_scale**2
     for rows, k_star in _query_blocks(model, xq):
         mean[rows] = k_star.T @ model.weights
-        if k_star.shape[1] == 1:
-            v = _lower_solve_vector(lower, k_star[:, 0])[:, None]
+        if xq.shape[0] == 1 and _LEVEL2 is not None:
+            sq_norm = _one_row_sq_norm(model._inverse_factor, k_star[:, 0])
         else:
             v = solve_triangular(lower, k_star, lower=True, check_finite=False)
-        var[rows] = np.maximum(prior_var - np.sum(v * v, axis=0), 0.0)
+            sq_norm = np.sum(v * v, axis=0)
+        var[rows] = np.maximum(prior_var - sq_norm, 0.0)
     return mean, var
 
 
-def _lower_solve_vector(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^-1 b for one right-hand side by BLAS ``trsv``, with the bits of
-    ``solve_triangular(lower, b, lower=True)``: the same call on the
-    same orientation of ``lower``. LAPACK ``trtrs``, behind
-    ``solve_triangular``, first reads the n diagonal entries, one per
-    column of the n x n factor, to test for a zero; the model's positive
-    diagonal makes that test redundant, and on a one-row query its n
-    scattered reads are about a tenth of the solve."""
-    if lower.flags.f_contiguous:
-        return dtrsv(lower, b, lower=1)
-    # trtrs takes a Fortran-ordered matrix, so scipy solves the transposed
-    # (upper) system of any other layout; so does this.
-    return dtrsv(lower.T, b, lower=0, trans=1)
+def prepare_one_row(model: GprModel) -> None:
+    """Make the inverse factor that a one-row :func:`predict` reads now, so
+    that no such query pays for it: a stream does at start-up. A no-op
+    where the BLAS routines of the one-row path are missing."""
+    if _LEVEL2 is not None:
+        model._inverse_factor  # a cached property, made once
+
+
+def _one_row_sq_norm(inverse: np.ndarray, k: np.ndarray) -> float:
+    """||M k||^2 = k'(K + noise I)^-1 k for the C-ordered inverse factor M
+    (:attr:`GprModel._inverse_factor`) and one column k, as the sum of two
+    parts of about equal bytes (:func:`_inverse_rows_sq_norm`): the
+    triangle of M's rows [0, h), and its rows [h, n), a rectangle beside a
+    triangle, with h about n / sqrt 2. The second part runs on a
+    persistent worker thread where the model has at least
+    :data:`_ONE_ROW_WORKER_ROWS` rows and the thread gets a core of its
+    own (:func:`_spare_core`), else after the first on this thread; the
+    BLAS runs one thread for both, so either way they make the same calls
+    and give the same bits."""
+    n, k = k.shape[0], np.ascontiguousarray(k)
+    h = round(n / 2**0.5)
+    y = k.copy()  # each part's M[r0:r1] k is made in y[r0:r1]
+    # Addresses as ints: each lookup of an array's ``ctypes`` costs microseconds.
+    at = (inverse.ctypes.data, k.ctypes.data, y.ctypes.data, n)
+    with _one_blas_thread():
+        if n >= _ONE_ROW_WORKER_ROWS and _spare_core():
+            second = _one_row_worker().submit(_inverse_rows_sq_norm, *at, h, n)
+            try:
+                return _inverse_rows_sq_norm(*at, 0, h) + second.result()
+            finally:
+                wait([second])  # it reads the arrays by address, also after an error
+        return _inverse_rows_sq_norm(*at, 0, h) + _inverse_rows_sq_norm(*at, h, n)
+
+
+@cache
+def _one_row_worker() -> ThreadPoolExecutor:
+    """The one thread that takes the second part of every one-row variance
+    (:func:`_one_row_sq_norm`), started on first use and kept for the
+    process."""
+    return ThreadPoolExecutor(max_workers=1)
+
+
+def _inverse_rows_sq_norm(m: int, x: int, y: int, n: int, r0: int, r1: int) -> float:
+    """||M[r0:r1] x||^2 for the C-ordered, lower triangular n x n M and
+    n-vector x, by BLAS through ctypes (:data:`_LEVEL2`), made in
+    y[r0:r1], which holds x[r0:r1] on entry: ``trmv`` for the triangle
+    M[r0:r1, r0:r1], ``gemv`` adding the rectangle M[r0:r1, :r0] and
+    ``ddot``. The arrays are given by the addresses of their first
+    entries. BLAS reads M as its Fortran-ordered transpose M', upper
+    triangular with a leading dimension of n, so each product is by M'
+    transposed."""
+    size = r1 - r0
+    if size == 0:
+        return 0.0
+    trmv, gemv, dot = _LEVEL2
+    rows, lda, inc = (ctypes.byref(ctypes.c_int(v)) for v in (size, n, 1))
+    out = y + 8 * r0
+    trmv(b"U", b"T", b"N", rows, m + 8 * (r0 * n + r0), lda, out, inc, 1, 1, 1)
+    if r0:
+        one = ctypes.byref(ctypes.c_double(1.0))
+        gemv(b"T", ctypes.byref(ctypes.c_int(r0)), rows, one, m + 8 * r0 * n, lda,
+             x, inc, one, out, inc, 1)
+    return dot(rows, out, inc, out, inc)
 
 
 def predict_mean(model: GprModel, x_star: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DataError
 from .evaluate import TrainedEstimator
 from .filters import IirCoefficients
+from .gpr import prepare_one_row
 from .preprocess import CalibrationRecord, ModelConfig, angle_prefilter, muscles_for
 
 # A joint angle beyond this is a sensor fault. Accepting one would leave a
@@ -82,11 +83,16 @@ class StreamingPredictor:
     A tick rejected with :class:`DataError` moves no state: the filter,
     the previous angle and the tick clock stay as they were. A
     calibration without an offset for one of the model's muscles (another
-    joint's) is a :class:`DataError` at construction.
+    joint's) is a :class:`DataError` at construction. Construction also
+    makes what the model's one-row prediction reads
+    (:func:`~myotorque.gpr.prepare_one_row`), so no tick does.
     """
 
     estimator: TrainedEstimator
     calibration: CalibrationRecord | None = None
+    # The muscles whose FMG values a tick carries, in order; none for a
+    # baseline model.
+    muscles: tuple = field(init=False)
     _angle_filter: CausalFilter = field(init=False)
     _prev_angle: float | None = field(init=False, default=None)
     _tick: int = field(init=False, default=0)
@@ -97,6 +103,8 @@ class StreamingPredictor:
                 "streaming supports baseline and fmg models only; "
                 "the EMG envelope is not causal"
             )
+        baseline = self.estimator.config is ModelConfig.BASELINE
+        self.muscles = () if baseline else muscles_for(self.estimator.joint)
         if self.calibration is not None:
             missing = [
                 m.name for m in self.muscles if m not in self.calibration.fmg_offsets
@@ -107,12 +115,7 @@ class StreamingPredictor:
                     f"which the {self.estimator.joint.value} model needs"
                 )
         self._angle_filter = CausalFilter(angle_prefilter(self.estimator.sample_rate_hz))
-
-    @property
-    def muscles(self):
-        if self.estimator.config is ModelConfig.BASELINE:
-            return ()
-        return muscles_for(self.estimator.joint)
+        prepare_one_row(self.estimator.model)
 
     def push(
         self, angle_deg: float, fmg_values: tuple[float, ...] = (), time_s: float | None = None

@@ -823,12 +823,14 @@ class TestStream:
         summary = capsys.readouterr().err.splitlines()[-1]
         match = re.fullmatch(
             r"stream: processed 5 rows, skipped 1, "
-            r"tick p50 (\d+\.\d{3}) ms, p99 (\d+\.\d{3}) ms",
+            r"tick p50 (\d+\.\d{3}) ms, p99 (\d+\.\d{3}) ms, "
+            r"start-up (\d+\.\d) ms",
             summary,
         )
         assert match, summary
-        p50, p99 = float(match[1]), float(match[2])
+        p50, p99, startup = float(match[1]), float(match[2]), float(match[3])
         assert 0.0 < p50 <= p99
+        assert startup > 0.0
 
     def test_summary_without_processed_rows_has_no_latency(
             self, fmg_model, quiet_knee_dir, tmp_path, capsys):

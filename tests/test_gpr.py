@@ -670,10 +670,12 @@ def whole_query_prediction(model, x_star):
 
 class TestBlockedPrediction:
     """Queries go through in blocks of ``_QUERY_BLOCK`` rows. A query of one
-    block, such as a stream tick's single row, computes the whole-query
-    expression and gets its bits; a longer one may differ from it in the
-    last digits, as the distance GEMM and the matrix-vector product round
-    a partial block differently."""
+    block computes the whole-query expression and gets its bits, except
+    for the variance of a one-row query, such as a stream tick's, which
+    comes from the inverse factor (``TestOneRowVariance``) and is held to
+    1e-12 of the prior variance. A longer query may differ from the
+    expression in the last digits, as the distance GEMM and the
+    matrix-vector product round a partial block differently."""
 
     B = gpr._QUERY_BLOCK
 
@@ -687,29 +689,118 @@ class TestBlockedPrediction:
         only_mean = predict_mean(model, x_star)
         assert mean.shape == var.shape == only_mean.shape == (m,)
         assert np.array_equal(only_mean, mean)
-        if m <= self.B:
+        if m == 1:
+            assert np.array_equal(mean, ref_mean)
+            assert np.abs(var - ref_var).max() <= 1e-12 * hyper.output_scale**2
+        elif m <= self.B:
             assert np.array_equal(mean, ref_mean)
             assert np.array_equal(var, ref_var)
         else:
             assert np.allclose(mean, ref_mean, rtol=1e-12, atol=1e-12)
             assert np.allclose(var, ref_var, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("layout", ["fortran", "c", "strided"])
-    @pytest.mark.parametrize("n", [1, 2, 65, 300])
-    def test_one_row_solve_has_solve_triangular_bits(self, rng, layout, n):
-        # A one-row block solves with BLAS trsv instead of LAPACK trtrs;
-        # scipy picks the orientation of the factor by its layout, and so
-        # must the one-row path, on a factor built by hand as well.
-        x = rng.normal(0.0, 1.5, (n, 3))
-        lower = fit(x, rng.normal(size=n), Hyperparameters(noise_variance=0.01)).cholesky_lower
-        if layout == "c":
-            lower = np.ascontiguousarray(lower)
-        elif layout == "strided":
-            lower = np.asfortranarray(np.repeat(lower, 2, axis=1))[:, ::2]
-        for _ in range(5):
-            b = rng.normal(0.0, 3.0, n)
-            ref = solve_triangular(lower, b[:, None], lower=True, check_finite=False)
-            assert np.array_equal(gpr._lower_solve_vector(lower, b), ref[:, 0])
+
+def one_row_problem(n, hyper, seed=0):
+    """A model on n rows of 3 features and, for one-row queries, 2 points
+    near training rows and 2 drawn like them."""
+    rng = np.random.default_rng(seed + n)
+    x = rng.standard_normal((n, 3))
+    model = fit(x, rng.standard_normal(n), hyper)
+    near = x[rng.integers(n, size=2)] + 0.05 * rng.standard_normal((2, 3))
+    return model, np.vstack([near, rng.standard_normal((2, 3))])
+
+
+# The split row of the default stream model's 1,930 rows, round(1930 / sqrt 2).
+SPLIT_OF_1930 = 1365
+
+
+class TestOneRowVariance:
+    """A one-row predict takes ||L^-1 k*||^2 from the inverse factor
+    M = L^-1, in two parts of M's rows that may run on two threads."""
+
+    @pytest.mark.parametrize("hyper", [
+        Hyperparameters(noise_variance=math.exp(-16)),
+        Hyperparameters(output_scale=2.5, length_scale=1.3, noise_variance=math.exp(-16)),
+        Hyperparameters(output_scale=0.4, length_scale=0.8, noise_variance=0.01),
+    ], ids=["unit-scales", "non-unit-scales", "non-unit-scales-noisy"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 65, SPLIT_OF_1930, SPLIT_OF_1930 + 1, 1930])
+    def test_matches_dense_oracle(self, n, hyper):
+        model, queries = one_row_problem(n, hyper)
+        k = gram_matrix(model.inputs, hyper)
+        k.flat[:: n + 1] += hyper.noise_variance + model.jitter
+        prior = hyper.output_scale**2
+        for query in queries:
+            d2 = np.sum((model.inputs - query) ** 2, axis=1)
+            k_star = prior * np.exp(-0.5 * d2 / hyper.length_scale**2)
+            expect = prior - k_star @ np.linalg.solve(k, k_star)
+            mean, var = predict(model, query[None, :])
+            assert abs(var[0] - max(expect, 0.0)) <= 1e-12 * prior
+            assert np.array_equal(mean, predict_mean(model, query[None, :]))
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_worker_and_inline_paths_give_the_same_bits(self, monkeypatch, n):
+        model, queries = one_row_problem(n, Hyperparameters(noise_variance=0.01))
+        threads = []
+        real = gpr._inverse_rows_sq_norm
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(gpr, "_inverse_rows_sq_norm", recording)
+        monkeypatch.setattr(gpr, "_ONE_ROW_WORKER_ROWS", 1)
+        results = {}
+        for spare in (True, False):
+            monkeypatch.setattr(gpr, "_spare_core", lambda spare=spare: spare)
+            threads.clear()
+            results[spare] = [predict(model, q[None, :]) for q in queries]
+            # Two parts per query, the second on the worker where a core is spare.
+            on_caller = sum(t == threading.get_ident() for t in threads)
+            assert len(threads) == 2 * len(queries)
+            assert on_caller == (1 if spare else 2) * len(queries)
+        for (mean_a, var_a), (mean_b, var_b) in zip(results[True], results[False]):
+            assert np.array_equal(mean_a, mean_b)
+            assert np.array_equal(var_a, var_b)
+
+    def test_a_small_model_keeps_both_parts_on_the_calling_thread(self, monkeypatch):
+        model, queries = one_row_problem(gpr._ONE_ROW_WORKER_ROWS - 1, Hyperparameters())
+        monkeypatch.setattr(gpr, "_spare_core", lambda: True)
+        monkeypatch.setattr(gpr, "_one_row_worker", None)  # not called
+        assert np.isfinite(predict(model, queries[:1])[1]).all()
+
+    def test_only_a_one_row_query_builds_the_inverse_factor(self, rng):
+        x, y, hyper = random_problem(41, n_max=80)
+        model = fit(x, y, hyper)
+        for m in (2, gpr._QUERY_BLOCK + 1):  # the second ends in a one-row block
+            predict(model, rng.normal(size=(m, x.shape[1])))
+        predict_mean(model, rng.normal(size=(1, x.shape[1])))
+        assert "_inverse_factor" not in vars(model)
+        predict(model, rng.normal(size=(1, x.shape[1])))
+        assert "_inverse_factor" in vars(model)
+
+    def test_prepare_one_row_builds_it_once(self, rng):
+        x, y, hyper = random_problem(43, n_max=80)
+        model = fit(x, y, hyper)
+        gpr.prepare_one_row(model)
+        inverse = vars(model)["_inverse_factor"]
+        assert inverse.flags.c_contiguous
+        assert np.allclose(np.tril(inverse) @ model.cholesky_lower, np.eye(x.shape[0]),
+                           atol=1e-9)
+        predict(model, rng.normal(size=(1, x.shape[1])))
+        assert vars(model)["_inverse_factor"] is inverse
+
+    def test_without_the_blas_binding_one_row_solves(self, rng, monkeypatch):
+        # Where dtrmv, dgemv or ddot do not resolve, a one-row query solves
+        # with the factor like a longer one, and builds no inverse factor.
+        monkeypatch.setattr(gpr, "_LEVEL2", None)
+        x, y, hyper = random_problem(47, n_max=80)
+        model = fit(x, y, hyper)
+        gpr.prepare_one_row(model)
+        x_star = rng.normal(size=(1, x.shape[1]))
+        ref_mean, ref_var = whole_query_prediction(model, x_star)
+        mean, var = predict(model, x_star)
+        assert np.array_equal(mean, ref_mean) and np.array_equal(var, ref_var)
+        assert "_inverse_factor" not in vars(model)
 
 
 def traced_peak_bytes(call):

@@ -1,5 +1,7 @@
 """Causal (sample-at-a-time) estimation against the batch pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.signal import sosfilt, sosfilt_zi
@@ -7,7 +9,9 @@ from scipy.signal import sosfilt, sosfilt_zi
 from myotorque.errors import DataError
 from myotorque.evaluate import train_model
 from myotorque.filters import design_butterworth_lowpass
-from myotorque.gpr import GpOptions
+import myotorque.gpr as gpr
+import myotorque.streaming as streaming
+from myotorque.gpr import GpOptions, fit
 from myotorque.preprocess import (
     ModelConfig,
     angle_prefilter,
@@ -109,6 +113,28 @@ class TestStreamingPredictor:
         with pytest.raises(DataError, match="5"):
             stream.push(30.0, (0.1, 0.2))
 
+    def test_construction_makes_what_a_tick_reads(self, fmg_setup, monkeypatch):
+        # The model's inverse factor, which a one-row prediction reads, and
+        # the muscle list are made once, at construction; no tick makes
+        # either.
+        session, estimator = fmg_setup
+        model = estimator.model
+        fresh = dataclasses.replace(
+            estimator, model=fit(model.inputs, model.targets, model.hyper)
+        )
+        stream = StreamingPredictor(fresh, session.calibration)
+        assert "_inverse_factor" in vars(fresh.model)
+        assert stream.muscles == muscles_for(session.spec.joint)
+
+        def made_in_a_tick(*args, **kwargs):
+            raise AssertionError("made in a tick")
+
+        monkeypatch.setattr(gpr, "dtrtri", made_in_a_tick)
+        monkeypatch.setattr(streaming, "muscles_for", made_in_a_tick)
+        for i in range(3):
+            sample = stream.push(30.0 + i, (0.1, 0.2, 0.1, 0.2, 0.1))
+            assert np.isfinite(sample.torque_std_nm)
+
     def test_baseline_model_takes_bare_angle(self, fmg_setup):
         session, _ = fmg_setup
         table = build_features(
@@ -117,6 +143,7 @@ class TestStreamingPredictor:
         )
         est = train_model(table, train_cap=300)
         stream = StreamingPredictor(est, session.calibration)
+        assert stream.muscles == ()
         sample = stream.push(40.0)
         assert np.isfinite(sample.torque_nm)
         assert sample.torque_std_nm >= 0
